@@ -49,7 +49,6 @@ def main() -> int:
     parser.add_argument("--hidden", type=int, default=64)
     parser.add_argument("--alpha", type=float, default=0.1)
     parser.add_argument("--k", type=int, default=5)
-    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -69,8 +68,7 @@ def main() -> int:
 
     model = model_for_inventory(inventory, hidden=args.hidden, n_heads=4, seed=args.seed)
     tc = TrainConfig(epochs=args.epochs, batch_size=64, base_lr=3e-3,
-                     weight_decay=1e-4, dropout=0.1, seed=args.seed,
-                     workers=args.workers)
+                     weight_decay=1e-4, dropout=0.1, seed=args.seed)
     started = time.monotonic()
     history = train(model, train_samples, tc, graph_cfg, inventory)
     print(f"trained {args.epochs} epochs in {time.monotonic() - started:.1f}s, "

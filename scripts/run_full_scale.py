@@ -57,7 +57,6 @@ def main() -> int:
     parser.add_argument("--d-p", dest="d_p", type=float, default=20.0)
     parser.add_argument("--alpha", type=float, default=0.1)
     parser.add_argument("--k", type=int, default=5)
-    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -73,8 +72,7 @@ def main() -> int:
     model = model_for_inventory(inventory, hidden=args.hidden, n_heads=args.heads,
                                 seed=args.seed)
     tc = TrainConfig(epochs=args.epochs, batch_size=64, base_lr=args.lr,
-                     weight_decay=1e-4, dropout=args.dropout, seed=args.seed,
-                     workers=args.workers)
+                     weight_decay=1e-4, dropout=args.dropout, seed=args.seed)
     started = time.monotonic()
     history = train(model, train_samples, tc, graph_cfg, inventory)
     print(f"trained in {(time.monotonic() - started) / 60:.1f} min, "

@@ -18,7 +18,6 @@ from .conformal import (
 )
 from .dataset import (
     ApInventory,
-    DatasetSplit,
     FingerprintSample,
     SyntheticConfig,
     generate_synthetic,

@@ -126,7 +126,6 @@ def load_config(path: str | Path) -> RunConfig:
                 weight_decay=float(tr.get("weight_decay", 1e-4)),
                 dropout=float(tr.get("dropout", 0.4)),
                 seed=seed,
-                workers=int(tr.get("workers", 1)),
             ),
             calibration_fraction=float(tr.get("calibration_fraction", 0.2)),
             alpha=float(conf.get("alpha", 0.1)),
@@ -153,7 +152,7 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     tr = cfg.train
     for flag, field_name in (
         ("epochs", "epochs"), ("batch_size", "batch_size"), ("lr", "base_lr"),
-        ("dropout", "dropout"), ("weight_decay", "weight_decay"), ("workers", "workers"),
+        ("dropout", "dropout"), ("weight_decay", "weight_decay"),
     ):
         value = getattr(args, flag, None)
         if value is not None:
@@ -371,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight-decay", dest="weight_decay", type=float)
     p.add_argument("--hidden", type=int)
     p.add_argument("--heads", type=int)
-    p.add_argument("--workers", type=int, help="shard batches across N threads")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("calibrate", help="compute per-region conformal radii")

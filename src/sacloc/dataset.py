@@ -76,21 +76,6 @@ class FingerprintSample:
 
 
 @dataclass(frozen=True)
-class DatasetSplit:
-    """Disjoint train / calibration / test sample lists and the split seed."""
-
-    train: tuple[FingerprintSample, ...]
-    calibration: tuple[FingerprintSample, ...]
-    test: tuple[FingerprintSample, ...]
-    seed: int
-
-    def __post_init__(self):
-        ids = [id(s) for part in (self.train, self.calibration, self.test) for s in part]
-        if len(set(ids)) != len(ids):
-            raise ValueError("split parts share samples")
-
-
-@dataclass(frozen=True)
 class SyntheticConfig:
     """Log-distance path-loss world used for tests and scaled experiments."""
 

@@ -185,8 +185,9 @@ def alpha_sweep(
             region_counts = np.array([row.count for row in report.rows])
 
     # Quantile ranks shrink as alpha grows, so this cannot fail unless the
-    # rank arithmetic regresses.
-    assert np.all(np.diff(radii, axis=0) <= 0) and np.all(np.diff(global_radii) <= 0)
+    # rank arithmetic regresses. Adjacent rows are compared directly, not
+    # through np.diff: two infinite radii in a row would give inf - inf = nan.
+    assert np.all(radii[1:] <= radii[:-1]) and np.all(global_radii[1:] <= global_radii[:-1])
     return SweepResult(
         alphas=alphas,
         radii=radii,

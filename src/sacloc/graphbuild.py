@@ -9,7 +9,6 @@ user aggregates from APs, APs never aggregate from the user.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -96,11 +95,3 @@ def build_sample_graph(
         user_features=normalize_rssi(sample.rssi, sentinel=sentinel),
         ap_features=normalize_coords(inventory.coordinates, coord_affine(inventory)),
     )
-
-
-def write_edge_list(path: str | Path, graph: LocGraph) -> None:
-    """Debug dump: one `src,dst` line per directed edge."""
-    src, dst = np.nonzero(graph.adjacency)
-    with open(path, "w", encoding="utf-8") as fh:
-        for s, d in zip(src, dst):
-            fh.write(f"{s},{d}\n")

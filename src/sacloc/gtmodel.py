@@ -8,17 +8,19 @@ linear encoders (user: RSSI vector, APs: 2D coordinates) since the two
 node types carry different raw dimensions; the prediction is read off the
 user node and mapped to coordinates by a final linear head.
 
-The trainer exploits the graph structure: AP nodes never receive messages
-from the user, so their embeddings are identical for every scan sharing an
-inventory. A mini-batch is therefore processed as one shared AP block plus
-a (batch x AP) attention step for the user rows, which is mathematically
-the block-diagonal batched graph evaluated without its redundancy.
+One forward, `forward_batch`, serves training, calibration and single-scan
+prediction. It exploits the graph structure: AP nodes never receive
+messages from the user, so their embeddings are identical for every scan
+sharing an inventory. Layer 1 therefore updates the m AP rows and the B
+user rows in one stacked attention pass over the AP sources, and layer 2
+updates the user rows only, since nothing reads layer-2 AP embeddings. In
+eval mode this equals the block-diagonal batched graph evaluated without
+its redundancy.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -131,11 +133,10 @@ class TrainConfig:
     dropout: float = 0.4
     seed: int = 0
     min_lr: float = 0.0
-    workers: int = 1
 
     def __post_init__(self):
-        if min(self.epochs, self.batch_size, self.workers) < 1:
-            raise ValueError("epochs, batch_size and workers must be positive")
+        if min(self.epochs, self.batch_size) < 1:
+            raise ValueError("epochs and batch_size must be positive")
         if self.base_lr < 0 or self.min_lr < 0:
             raise ValueError("learning rates must be nonnegative")
         if not 0.0 <= self.dropout < 1.0:
@@ -265,58 +266,49 @@ def forward_batch(
     user_adj: np.ndarray,
     ap_feats_norm: np.ndarray,
     ap_adj: np.ndarray,
-    masks: Sequence[Optional[Tensor]] = (None, None, None, None),
+    masks: Optional[Sequence[Tensor]] = None,
 ) -> Tensor:
     """Batched forward pass -> (B, 2) normalized predictions.
 
-    `masks` are optional dropout masks (user1, ap1, user2, ap2); None means
-    no dropout. The AP block is computed once and shared by the batch.
+    `masks` are the dropout masks (user1, ap1, user2), or None for no
+    dropout. Layer 1 updates the AP and user rows in one stacked pass, so
+    each AP projection is computed once; layer 2 updates the user rows only.
     """
     enc = model.encoders
     users = tape.add_bias(tape.matmul(Tensor(rssi_norm), enc.user_w), enc.user_b)
     aps = tape.add_bias(tape.matmul(Tensor(ap_feats_norm), enc.ap_w), enc.ap_b)
+    m = aps.shape[0]
 
-    for layer, user_mask, ap_mask in (
-        (model.layer1, masks[0], masks[1]),
-        (model.layer2, masks[2], masks[3]),
-    ):
-        new_aps = tape.relu(_conv_pair(tape, layer, aps, aps, ap_adj))
-        new_users = tape.relu(_conv_pair(tape, layer, users, aps, user_adj))
-        if ap_mask is not None:
-            new_aps = tape.mul(new_aps, ap_mask)
-        if user_mask is not None:
-            new_users = tape.mul(new_users, user_mask)
-        aps, users = new_aps, new_users
+    nodes = tape.relu(_conv_pair(
+        tape, model.layer1, tape.concat_rows([aps, users]), aps,
+        np.vstack([ap_adj, user_adj])))
+    if masks is not None:
+        user_mask1, ap_mask1, user_mask2 = masks
+        nodes = tape.mul(nodes, Tensor(np.vstack([ap_mask1.data, user_mask1.data])))
+    aps = tape.select_rows(nodes, np.arange(m))
+    users = tape.select_rows(nodes, np.arange(m, nodes.shape[0]))
 
+    users = tape.relu(_conv_pair(tape, model.layer2, users, aps, user_adj))
+    if masks is not None:
+        users = tape.mul(users, user_mask2)
     return tape.add_bias(tape.matmul(users, model.head_w), model.head_b)
 
 
 def forward_graph(tape: Tape, model: GtModel, graph: LocGraph) -> Tensor:
-    """Single-graph forward over the full (m+1)-node adjacency -> (1, 2)."""
+    """Single-scan forward: `forward_batch` with B=1 on the graph's blocks -> (1, 2)."""
     if graph.ap_count != model.ap_count:
         raise DimensionMismatch(
             f"graph has {graph.ap_count} APs, model expects {model.ap_count}")
     if graph.user_index != graph.ap_count:
         raise DimensionMismatch("graphs must place the user node last")
-    enc = model.encoders
-    aps = tape.add_bias(tape.matmul(Tensor(graph.ap_features), enc.ap_w), enc.ap_b)
-    user = tape.add_bias(
-        tape.matmul(Tensor(graph.user_features[None, :]), enc.user_w), enc.user_b)
-    feats = tape.concat_rows([aps, user])
-    for layer in (model.layer1, model.layer2):
-        feats = tape.relu(transformer_conv(tape, layer, feats, graph.adjacency))
-    user_row = tape.select_rows(feats, np.array([graph.user_index]))
-    return tape.add_bias(tape.matmul(user_row, model.head_w), model.head_b)
+    m = graph.ap_count
+    return forward_batch(
+        tape, model, graph.user_features[None, :], graph.adjacency[m:, :m],
+        graph.ap_features, graph.adjacency[:m, :m])
 
 
-def model_forward(model: GtModel, graph: LocGraph, mode: str = "eval") -> np.ndarray:
-    """Deterministic prediction for one graph, normalized coordinates (2,).
-
-    Train mode differs from eval only by dropout, which needs a batch
-    context; standalone calls therefore always run the eval path.
-    """
-    if mode not in ("eval", "train"):
-        raise ValueError(f"unknown mode {mode!r}")
+def model_forward(model: GtModel, graph: LocGraph) -> np.ndarray:
+    """Eval-mode prediction for one graph, normalized coordinates (2,)."""
     tape = Tape(record=False)
     return forward_graph(tape, model, graph).data[0]
 
@@ -350,7 +342,7 @@ def _prepare_arrays(
     """(rssi_norm, user_adj, truth_m, ap_feats_norm, ap_adj) for a sample list."""
     raw = rssi_matrix(samples)
     rssi_norm = normalize_rssi(raw)
-    user_adj = np.stack([user_edge_mask(r, graph_cfg.tau) for r in raw])
+    user_adj = user_edge_mask(raw, graph_cfg.tau)
     affine = coord_affine(inventory)
     ap_feats = normalize_coords(inventory.coordinates, affine)
     ap_adj = build_ap_adjacency(inventory, graph_cfg)
@@ -359,34 +351,17 @@ def _prepare_arrays(
 
 def _batch_masks(
     model: GtModel, n_rows: int, dropout: float, rng: np.random.Generator
-) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-    """Dropout masks for one batch: (user1, ap1, user2, ap2)."""
+) -> tuple[Tensor, Tensor, Tensor]:
+    """Dropout masks for one batch: (user1, ap1, user2).
+
+    The AP mask is drawn once per batch and shared by every scan in it.
+    """
     h, m = model.hidden, model.ap_count
     return (
         dropout_mask((n_rows, h), dropout, rng),
         dropout_mask((m, h), dropout, rng),
         dropout_mask((n_rows, h), dropout, rng),
-        dropout_mask((m, h), dropout, rng),
     )
-
-
-def _shard_grads(
-    model: GtModel,
-    rssi_norm: np.ndarray,
-    user_adj: np.ndarray,
-    truth: np.ndarray,
-    ap_feats: np.ndarray,
-    ap_adj: np.ndarray,
-    masks: Sequence[Optional[Tensor]],
-    inv_batch: float,
-) -> tuple[float, dict[int, np.ndarray]]:
-    """Forward+backward for one shard; loss scaled so shards sum to the batch loss."""
-    tape = Tape()
-    pred = forward_batch(tape, model, rssi_norm, user_adj, ap_feats, ap_adj, masks)
-    pred_m = denormalize_pred(tape, pred, model)
-    diff = tape.add(pred_m, Tensor(-truth))
-    loss = tape.scale(tape.sum_all(tape.abs(diff)), inv_batch)
-    return float(loss.data), tape.gradients(loss)
 
 
 def train(
@@ -399,88 +374,40 @@ def train(
     """Cosine-annealed Adam on shuffled mini-batches; returns per-epoch log.
 
     Mutates `model` in place. The log entries are {"epoch", "lr",
-    "train_mae"} with the MAE in meters. Deterministic under cfg.seed for a
-    fixed worker count.
+    "train_mae"} with the MAE in meters. Deterministic under cfg.seed.
     """
     if len(train_samples) == 0:
         raise EmptyBatch("no training samples")
     rssi_norm, user_adj, truth, ap_feats, ap_adj = _prepare_arrays(
         train_samples, inventory, graph_cfg)
     params = model.parameters()
-    names_by_id = {id(p): name for name, p in params.items()}
     schedule = CosineSchedule(cfg.base_lr, cfg.epochs, cfg.min_lr)
     adam = AdamState(weight_decay=cfg.weight_decay)
     n = len(train_samples)
     history: list[dict[str, float]] = []
-    pool = ThreadPoolExecutor(cfg.workers) if cfg.workers > 1 else None
-    try:
-        for epoch in range(cfg.epochs):
-            lr = cosine_lr(schedule, epoch)
-            order = stream(cfg.seed, "shuffle", epoch).permutation(n)
-            loss_sum = 0.0
-            for batch_i, start in enumerate(range(0, n, cfg.batch_size)):
-                idx = order[start : start + cfg.batch_size]
-                b = len(idx)
+    for epoch in range(cfg.epochs):
+        lr = cosine_lr(schedule, epoch)
+        order = stream(cfg.seed, "shuffle", epoch).permutation(n)
+        loss_sum = 0.0
+        for batch_i, start in enumerate(range(0, n, cfg.batch_size)):
+            idx = order[start : start + cfg.batch_size]
+            masks = None
+            if cfg.dropout > 0.0:
                 drop_rng = stream(cfg.seed, "dropout", epoch, batch_i)
-                masks = (
-                    _batch_masks(model, b, cfg.dropout, drop_rng)
-                    if cfg.dropout > 0.0
-                    else (None, None, None, None)
-                )
-                batch_loss = _run_batch(
-                    model, params, names_by_id,
-                    rssi_norm[idx], user_adj[idx], truth[idx],
-                    ap_feats, ap_adj, masks, cfg.workers, pool,
-                )
-                if not np.isfinite(batch_loss):
-                    raise TrainingDiverged(epoch)
-                loss_sum += batch_loss * b
-                grads = {name: p.grad for name, p in params.items()}
-                adam_step(params, grads, adam, lr)
-                for p in params.values():
-                    p.zero_grad()
-            history.append(
-                {"epoch": float(epoch), "lr": lr, "train_mae": loss_sum / n})
-    finally:
-        if pool is not None:
-            pool.shutdown()
+                masks = _batch_masks(model, len(idx), cfg.dropout, drop_rng)
+            tape = Tape()
+            pred = forward_batch(
+                tape, model, rssi_norm[idx], user_adj[idx], ap_feats, ap_adj, masks)
+            loss = mae_loss(tape, denormalize_pred(tape, pred, model), truth[idx])
+            if not np.isfinite(loss.data):
+                raise TrainingDiverged(epoch)
+            tape.backward(loss)
+            loss_sum += float(loss.data) * len(idx)
+            adam_step(params, {name: p.grad for name, p in params.items()}, adam, lr)
+            for p in params.values():
+                p.zero_grad()
+        history.append({"epoch": float(epoch), "lr": lr, "train_mae": loss_sum / n})
     return history
-
-
-def _run_batch(model, params, names_by_id, rssi, uadj, truth, ap_feats, ap_adj,
-               masks, workers, pool) -> float:
-    """One optimization batch; deposits summed gradients into param.grad."""
-    b = rssi.shape[0]
-    inv_b = 1.0 / b
-    if workers <= 1 or b < workers:
-        loss, grads = _shard_grads(
-            model, rssi, uadj, truth, ap_feats, ap_adj, masks, inv_b)
-        shard_results = [(loss, grads)]
-    else:
-        bounds = np.linspace(0, b, workers + 1).astype(int)
-        futures = []
-        for w in range(workers):
-            lo, hi = bounds[w], bounds[w + 1]
-            if lo == hi:
-                continue
-            shard_masks = tuple(
-                Tensor(m.data[lo:hi]) if (m is not None and i % 2 == 0) else m
-                for i, m in enumerate(masks)
-            )
-            futures.append(pool.submit(
-                _shard_grads, model, rssi[lo:hi], uadj[lo:hi], truth[lo:hi],
-                ap_feats, ap_adj, shard_masks, inv_b))
-        shard_results = [f.result() for f in futures]
-
-    total = 0.0
-    for loss, grads in shard_results:  # fixed shard order keeps reduction deterministic
-        total += loss
-        for key, g in grads.items():
-            p = params[names_by_id[key]]
-            if p.grad is None:
-                p.grad = np.zeros_like(p.data)
-            p.grad += g
-    return total
 
 
 def predict_positions(

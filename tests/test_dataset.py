@@ -109,22 +109,6 @@ class TestSampleValidation:
             ApInventory(ap_ids=("a", "a"), coordinates=np.zeros((2, 2)))
 
 
-class TestDatasetSplit:
-    def test_rejects_shared_samples(self):
-        from sacloc.dataset import DatasetSplit
-
-        s = make_sample([-50.0])
-        with pytest.raises(ValueError):
-            DatasetSplit(train=(s,), calibration=(s,), test=(), seed=0)
-
-    def test_accepts_disjoint_parts(self):
-        from sacloc.dataset import DatasetSplit
-
-        a, b, c = (make_sample([-50.0], truth=(i, 0.0)) for i in range(3))
-        split = DatasetSplit(train=(a,), calibration=(b,), test=(c,), seed=4)
-        assert split.seed == 4
-
-
 class TestSplit:
     def _pool(self, n):
         return [make_sample([-50.0], truth=(i, 0.0)) for i in range(n)]

@@ -11,6 +11,7 @@ from sacloc.dataset import ApInventory
 from sacloc.errors import EmptyInput
 from sacloc.evalreport import (
     ErrorMapData,
+    SweepResult,
     alpha_sweep,
     baseline_positions,
     coverage_by_region,
@@ -153,6 +154,23 @@ class TestAlphaSweep:
                             (0.05, 0.1, 0.2, 0.3), k=1, seed=7)
         for alpha, cov in zip(sweep.alphas, sweep.global_coverages):
             assert abs(cov - (1.0 - alpha)) <= 0.03
+
+    def test_region_infinite_at_two_alphas(self):
+        # a 5-scan region cannot support the conformal rank at alpha 0.01 or
+        # 0.05, so its radius is inf at both; inf - inf must not read as a
+        # monotonicity violation
+        rng = stream(8, "sweep-inf")
+        cal_truths = np.vstack([rng.uniform(0, 10, size=(200, 2)),
+                                rng.uniform(90, 100, size=(5, 2))])
+        cal_preds = cal_truths + rng.normal(scale=1, size=cal_truths.shape)
+        sweep = alpha_sweep(cal_preds, cal_truths, cal_preds, cal_truths,
+                            (0.01, 0.05, 0.2), k=2, seed=3)
+        assert isinstance(sweep, SweepResult)
+        small = int(np.argmin(sweep.region_counts))
+        assert sweep.region_counts[small] == 5
+        assert np.isinf(sweep.radii[:2, small]).all()
+        assert np.isfinite(sweep.radii[2, small])
+        assert np.isfinite(sweep.global_radii).all()
 
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):

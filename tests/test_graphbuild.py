@@ -8,7 +8,6 @@ from sacloc.graphbuild import (
     build_ap_adjacency,
     build_sample_graph,
     user_edge_mask,
-    write_edge_list,
 )
 
 from conftest import make_sample
@@ -101,17 +100,6 @@ class TestSampleGraph:
                                  line_inventory, ap_adj, cfg)
         mask = user_edge_mask(np.array([-60.0, -1.0, -70.0]), tau=cfg.tau, sentinel=-1.0)
         assert np.array_equal(mask, ref.adjacency[ref.user_index, :3])
-
-    def test_edge_list_dump(self, tmp_path, line_inventory):
-        cfg = GraphConfig(d_p=20.0, tau=-75.0)
-        ap_adj = build_ap_adjacency(line_inventory, cfg)
-        g = build_sample_graph(make_sample([-60.0, SENTINEL, SENTINEL]),
-                               line_inventory, ap_adj, cfg)
-        path = tmp_path / "edges.txt"
-        write_edge_list(path, g)
-        lines = path.read_text().splitlines()
-        assert "3,0" in lines  # user -> first AP
-        assert "0,1" in lines and "1,0" in lines
 
 
 @given(

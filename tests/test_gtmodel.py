@@ -20,6 +20,7 @@ from sacloc.gtmodel import (
     attention_coefficients,
     denormalize_pred,
     forward_batch,
+    forward_graph,
     load_model,
     mae_loss,
     model_for_inventory,
@@ -46,6 +47,21 @@ def random_layer(in_dim, out_dim, n_heads, head_dim, seed, scale=0.5):
     merge = Tensor(stream(seed, "merge").normal(size=(head_dim, out_dim)) * scale,
                    requires_grad=True)
     return TransformerConvLayer(heads=heads, merge=merge)
+
+
+def dense_forward(model, graph):
+    """Reference single-scan forward over the full (m+1)-node adjacency: both
+    layers update every node, and the user row feeds the head -> (2,)."""
+    t = Tape(record=False)
+    enc = model.encoders
+    aps = t.add_bias(t.matmul(Tensor(graph.ap_features), enc.ap_w), enc.ap_b)
+    user = t.add_bias(
+        t.matmul(Tensor(graph.user_features[None, :]), enc.user_w), enc.user_b)
+    feats = t.concat_rows([aps, user])
+    for layer in (model.layer1, model.layer2):
+        feats = t.relu(transformer_conv(t, layer, feats, graph.adjacency))
+    user_row = t.select_rows(feats, np.array([graph.user_index]))
+    return t.add_bias(t.matmul(user_row, model.head_w), model.head_b).data[0]
 
 
 def identity_merge_layer(dim, n_heads, seed):
@@ -210,12 +226,11 @@ class TestModelForward:
             samples, inventory, graph_cfg)
         t = Tape(record=False)
         batched = forward_batch(t, model, rssi_norm, user_adj, ap_feats, ap_adj).data
-        full_adj = build_ap_adjacency(inventory, graph_cfg)
-        dense = np.stack([
-            model_forward(model, build_sample_graph(s, inventory, full_adj, graph_cfg))
-            for s in samples
-        ])
+        graphs = [build_sample_graph(s, inventory, ap_adj, graph_cfg) for s in samples]
+        dense = np.stack([dense_forward(model, g) for g in graphs])
+        per_scan = np.stack([forward_graph(t, model, g).data[0] for g in graphs])
         assert np.max(np.abs(batched - dense)) <= 1e-12
+        assert np.max(np.abs(per_scan - dense)) <= 1e-12
 
 
 class TestMaeLoss:
@@ -319,19 +334,30 @@ class TestTrain:
         history = train(model, samples, tc, graph_cfg, inventory)
         assert history[-1]["train_mae"] < history[0]["train_mae"]
 
-    def test_worker_sharding_matches_single(self, small_world, graph_cfg):
+    def test_step_tape_has_no_dead_nodes(self, small_world, graph_cfg, monkeypatch):
+        # every node recorded in a training step (with dropout) must feed the
+        # loss; a node the reverse sweep never reaches is discarded compute
         _, inventory, samples = small_world
-        results = []
-        for workers in (1, 2):
-            model = model_for_inventory(inventory, hidden=8, n_heads=2, seed=5)
-            tc = TrainConfig(epochs=2, batch_size=16, base_lr=1e-3, dropout=0.2,
-                             seed=5, workers=workers)
-            history = train(model, samples, tc, graph_cfg, inventory)
-            results.append((history, predict_positions(model, samples, inventory, graph_cfg)))
-        (h1, p1), (h2, p2) = results
-        assert np.allclose(p1, p2, atol=1e-9)
-        for a, b in zip(h1, h2):
-            assert a["train_mae"] == pytest.approx(b["train_mae"], rel=1e-12)
+        seen = []
+        gradients = Tape.gradients
+
+        def spy(tape, loss):
+            seen.append((list(tape._nodes), loss))
+            return gradients(tape, loss)
+
+        monkeypatch.setattr(Tape, "gradients", spy)
+        model = model_for_inventory(inventory, hidden=8, n_heads=2, seed=5)
+        tc = TrainConfig(epochs=1, batch_size=16, dropout=0.2, seed=5)
+        train(model, samples, tc, graph_cfg, inventory)
+        assert seen
+        for nodes, loss in seen:
+            live, dead = {id(loss)}, 0
+            for out, inputs, _ in reversed(nodes):
+                if id(out) in live:
+                    live.update(id(t) for t in inputs)
+                else:
+                    dead += 1
+            assert dead == 0
 
 
 class TestCheckpointing:
