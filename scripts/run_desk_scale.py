@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from sacloc.cli import CHECKPOINT_NAME
 from sacloc.conformal import calibrate, nonconformity_scores, save_calibration
 from sacloc.dataset import (
     SyntheticConfig,
@@ -73,7 +74,7 @@ def main() -> int:
     history = train(model, train_samples, tc, graph_cfg, inventory)
     print(f"trained {args.epochs} epochs in {time.monotonic() - started:.1f}s, "
           f"train MAE {history[0]['train_mae']:.2f} -> {history[-1]['train_mae']:.2f} m")
-    save_model(out / "checkpoint.json", model, step=len(history))
+    save_model(out / CHECKPOINT_NAME, model, step=len(history))
     write_loss_log(out / "loss_log.txt", history)
 
     cal_preds = predict_positions(model, cal_samples, inventory, graph_cfg)

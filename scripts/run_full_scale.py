@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from sacloc.cli import CHECKPOINT_NAME
 from sacloc.conformal import calibrate, nonconformity_scores, save_calibration
 from sacloc.dataset import (
     load_fingerprints,
@@ -77,7 +78,7 @@ def main() -> int:
     history = train(model, train_samples, tc, graph_cfg, inventory)
     print(f"trained in {(time.monotonic() - started) / 60:.1f} min, "
           f"final train MAE {history[-1]['train_mae']:.2f} m")
-    save_model(out / "checkpoint.json", model, step=len(history))
+    save_model(out / CHECKPOINT_NAME, model, step=len(history))
     write_loss_log(out / "loss_log.txt", history)
 
     cal_preds = predict_positions(model, cal_samples, inventory, graph_cfg)

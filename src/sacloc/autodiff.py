@@ -8,23 +8,26 @@ are not computed.
 
 Also houses the optimizer pieces the trainer needs: bias-corrected Adam
 with decoupled weight decay, a cosine learning-rate schedule, inverted
-dropout masks, and a versioned JSON checkpoint format.
+dropout masks, and a versioned binary checkpoint format (a JSON header
+line plus one raw float64 blob).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import NonScalarLoss, ShapeMismatch, StepOutOfRange
+from .errors import BadCheckpoint, NonScalarLoss, ShapeMismatch, StepOutOfRange
 
 CHECKPOINT_MAGIC = "sacloc-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+CHECKPOINT_DTYPE = "<f8"
 
 
 class Tensor:
@@ -305,6 +308,12 @@ def dropout_mask(
 
 
 # -- checkpoints ----------------------------------------------------------
+#
+# Layout (version 2): the magic line, one sorted-keys JSON header line, then
+# one raw little-endian float64 blob. The blob holds the parameters in
+# `params` order, then, when the header carries `adam`, the first and the
+# second moments in the same order. The header's `params` lists
+# `[name, shape, offset]`, offsets counting float64 elements into the blob.
 
 
 def save_checkpoint(
@@ -314,50 +323,100 @@ def save_checkpoint(
     step: int = 0,
     extra: Optional[dict] = None,
 ) -> None:
-    """Write parameters (+ optional Adam state) as versioned JSON."""
-    doc: dict = {
-        "magic": CHECKPOINT_MAGIC,
+    """Write parameters (+ optional Adam state) as a header plus a float64 blob.
+
+    A parameter without Adam moments is written with zero moments, which is
+    the state `adam_step` starts from.
+    """
+    layout, offset = [], 0
+    for name, p in params.items():
+        layout.append([name, list(p.data.shape), offset])
+        offset += p.data.size
+    header: dict = {
         "version": CHECKPOINT_VERSION,
         "step": step,
-        "params": {
-            name: {"shape": list(p.data.shape), "data": p.data.ravel().tolist()}
-            for name, p in params.items()
-        },
         "extra": extra or {},
+        "dtype": CHECKPOINT_DTYPE,
+        "params": layout,
     }
+    arrays = [p.data for p in params.values()]
     if adam is not None:
-        doc["adam"] = {
+        header["adam"] = {
             "beta1": adam.beta1,
             "beta2": adam.beta2,
             "eps": adam.eps,
             "weight_decay": adam.weight_decay,
             "t": adam.t,
-            "m": {k: v.ravel().tolist() for k, v in adam.m.items()},
-            "v": {k: v.ravel().tolist() for k, v in adam.v.items()},
         }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
+        for moments in (adam.m, adam.v):
+            arrays += [moments[name] if name in moments else np.zeros_like(p.data)
+                       for name, p in params.items()]
+    with open(path, "wb") as fh:
+        fh.write(f"{CHECKPOINT_MAGIC}\n{json.dumps(header, sort_keys=True)}\n".encode())
+        for a in arrays:
+            np.ascontiguousarray(a, dtype=CHECKPOINT_DTYPE).tofile(fh)
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, Tensor], Optional[AdamState], int, dict]:
-    """Inverse of save_checkpoint; validates the magic header."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("magic") != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: not a checkpoint file")
-    if doc.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {doc.get('version')}")
+    """Inverse of save_checkpoint.
+
+    Reads the blob with one read; every returned array is a view into it.
+    Raises BadCheckpoint for a foreign file, an older version or a blob
+    whose length disagrees with the header.
+    """
+    magic = f"{CHECKPOINT_MAGIC}\n".encode()
+    with open(path, "rb") as fh:
+        if fh.readline(len(magic)) != magic:
+            fh.seek(0)
+            raise BadCheckpoint(path, _foreign_reason(fh))
+        try:
+            header = json.loads(fh.readline())
+        except ValueError as exc:
+            raise BadCheckpoint(path, f"unreadable header: {exc}") from exc
+        if header.get("version") != CHECKPOINT_VERSION:
+            raise BadCheckpoint(path, f"unsupported checkpoint version {header.get('version')}")
+        if header.get("dtype") != CHECKPOINT_DTYPE:
+            raise BadCheckpoint(path, f"unsupported dtype {header.get('dtype')}")
+        n = 0
+        for name, shape, offset in header["params"]:
+            if offset != n:
+                raise BadCheckpoint(path, f"parameter {name} at offset {offset}, expected {n}")
+            n += math.prod(shape)
+        count = 3 * n if "adam" in header else n
+        nbytes = os.fstat(fh.fileno()).st_size - fh.tell()
+        if nbytes != 8 * count:
+            raise BadCheckpoint(
+                path, f"truncated or padded blob: {nbytes} bytes, header needs {8 * count}")
+        blob = np.fromfile(fh, dtype=CHECKPOINT_DTYPE, count=count)
+
+    def views(base: int) -> dict[str, np.ndarray]:
+        return {
+            name: blob[base + off:base + off + math.prod(shape)].reshape(shape)
+            for name, shape, off in header["params"]
+        }
+
     params = {
-        name: Tensor(np.array(entry["data"]).reshape(entry["shape"]), requires_grad=True, name=name)
-        for name, entry in doc["params"].items()
+        name: Tensor(data, requires_grad=True, name=name) for name, data in views(0).items()
     }
     adam = None
-    if "adam" in doc:
-        a = doc["adam"]
+    if "adam" in header:
+        a = header["adam"]
         adam = AdamState(
             beta1=a["beta1"], beta2=a["beta2"], eps=a["eps"],
-            weight_decay=a["weight_decay"], t=a["t"],
-            m={k: np.array(v).reshape(params[k].data.shape) for k, v in a["m"].items()},
-            v={k: np.array(v).reshape(params[k].data.shape) for k, v in a["v"].items()},
+            weight_decay=a["weight_decay"], t=a["t"], m=views(n), v=views(2 * n),
         )
-    return params, adam, doc.get("step", 0), doc.get("extra", {})
+    return params, adam, header["step"], header["extra"]
+
+
+def _foreign_reason(fh) -> str:
+    """Why a file without the magic line is not read: an old version or foreign."""
+    if fh.read(1) == b"{":
+        fh.seek(0)
+        try:
+            doc = json.load(fh)
+        except ValueError:
+            doc = None
+        if isinstance(doc, dict) and doc.get("magic") == CHECKPOINT_MAGIC:
+            return (f"checkpoint version {doc.get('version')} is no longer read; "
+                    "rerun `sacloc train`")
+    return "not a sacloc checkpoint"

@@ -58,9 +58,23 @@ log = logging.getLogger(__name__)
 
 DEFAULT_ALPHAS = (0.01, 0.05, 0.10, 0.15, 0.20)
 
-CHECKPOINT_NAME = "checkpoint.json"
+CHECKPOINT_NAME = "checkpoint.bin"
 LOSS_LOG_NAME = "loss_log.txt"
 CALIBRATION_NAME = "calibration.json"
+
+# Every key a config file may set, by section; anything else is a typo.
+CONFIG_KEYS: dict[str, frozenset[str]] = {
+    "dataset": frozenset({"fingerprints", "inventory", "test"}),
+    "graph": frozenset({"d_p", "tau"}),
+    "model": frozenset({"hidden", "heads"}),
+    # `workers` (ignored) names a removed option the benchmark's config still sets
+    "train": frozenset({"epochs", "batch_size", "lr", "weight_decay", "dropout",
+                        "calibration_fraction", "workers"}),
+    "conformal": frozenset({"alpha", "k"}),
+    "synth": frozenset({"ap_count", "area", "path_loss_exponent", "ref_power_dbm",
+                        "noise_sigma_db", "detection_floor_dbm", "train_samples"}),
+}
+CONFIG_SCALARS = frozenset({"seed", "output_dir"})
 
 
 @dataclass(frozen=True)
@@ -90,6 +104,7 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    _check_keys(path, raw)
 
     try:
         ds = raw.get("dataset", {})
@@ -136,6 +151,23 @@ def load_config(path: str | Path) -> RunConfig:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"config file {path}: {exc}") from exc
+
+
+def _check_keys(path: str | Path, raw) -> None:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config file {path}: top level must be a JSON object")
+    unknown = []
+    for key, value in raw.items():
+        if key in CONFIG_SCALARS:
+            continue
+        if key not in CONFIG_KEYS:
+            unknown.append(key)
+        elif not isinstance(value, dict):
+            raise ConfigError(f"config file {path}: section `{key}` must be a JSON object")
+        else:
+            unknown += [f"{key}.{k}" for k in value if k not in CONFIG_KEYS[key]]
+    if unknown:
+        raise ConfigError(f"config file {path}: unknown keys {', '.join(sorted(unknown))}")
 
 
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -69,6 +70,9 @@ class FingerprintSample:
         object.__setattr__(self, "truth", truth)
         if truth.shape != (2,):
             raise ValueError(f"truth must be 2D position, got shape {truth.shape}")
+        # two scalar checks, not a ufunc: this runs once per CSV row
+        if not (math.isfinite(truth[0]) and math.isfinite(truth[1])):
+            raise ValueError(f"truth must be finite, got {truth.tolist()}")
         det = rssi != SENTINEL
         bad = det & (~np.isfinite(rssi) | (rssi > 0.0))
         if np.any(bad):

@@ -41,6 +41,15 @@ class StepOutOfRange(SaclocError):
     """Schedule queried outside [0, total_steps]."""
 
 
+class BadCheckpoint(SaclocError):
+    """A checkpoint file is foreign, truncated or of a version no longer read."""
+
+    def __init__(self, path, reason: str):
+        self.path = path
+        self.reason = reason
+        super().__init__(f"{path}: {reason}")
+
+
 # gtmodel ---------------------------------------------------------------
 
 class EmptyNeighborhood(SaclocError):

@@ -48,6 +48,7 @@ from .dataset import (
     truth_matrix,
 )
 from .errors import (
+    BadCheckpoint,
     DimensionMismatch,
     EmptyBatch,
     EmptyNeighborhood,
@@ -458,14 +459,32 @@ def save_model(
 
 
 def load_model(path: str | Path) -> GtModel:
+    """The model a checkpoint holds, its weights views into the loaded blob."""
     params, _, _, extra = load_checkpoint(path)
-    meta = extra["model"]
-    model = init_model(
-        ap_count=meta["ap_count"],
-        inventory_affine=(np.array(meta["affine_offset"]), np.array(meta["affine_scale"])),
-        hidden=meta["hidden"],
-        n_heads=meta["n_heads"],
-    )
-    for name, p in model.parameters().items():
-        p.data = params[name].data
-    return model
+    try:
+        meta = extra["model"]
+
+        def layer(tag: str) -> TransformerConvLayer:
+            heads = tuple(
+                HeadWeights(*(params[f"{tag}.head{hi}.{wn}"] for wn in ("w1", "w2", "w3", "w4")))
+                for hi in range(meta["n_heads"])
+            )
+            return TransformerConvLayer(heads=heads, merge=params[f"{tag}.merge"])
+
+        return GtModel(
+            encoders=NodeEncoders(
+                user_w=params["enc.user.w"], user_b=params["enc.user.b"],
+                ap_w=params["enc.ap.w"], ap_b=params["enc.ap.b"],
+            ),
+            layer1=layer("layer1"),
+            layer2=layer("layer2"),
+            head_w=params["head.w"],
+            head_b=params["head.b"],
+            ap_count=meta["ap_count"],
+            hidden=meta["hidden"],
+            n_heads=meta["n_heads"],
+            affine_offset=np.array(meta["affine_offset"], dtype=np.float64),
+            affine_scale=np.array(meta["affine_scale"], dtype=np.float64),
+        )
+    except KeyError as exc:
+        raise BadCheckpoint(path, f"not a model checkpoint: no {exc}") from exc

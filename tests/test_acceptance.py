@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from sacloc.autodiff import Tape, Tensor
-from sacloc.cli import main as cli_main
+from sacloc.cli import CHECKPOINT_NAME, main as cli_main
 from sacloc.conformal import calibrate, radius_from_scores
 from sacloc.dataset import (
     ApInventory,
@@ -412,7 +412,7 @@ def test_criterion_10_pipeline_determinism(tmp_path):
     assert cli_main(["synth", "--config", str(config_path),
                      "--out", str(tmp_path / "d"), "--test-samples", "30"]) == 0
 
-    artifacts = ("checkpoint.json", "loss_log.txt", "calibration.json",
+    artifacts = (CHECKPOINT_NAME, "loss_log.txt", "calibration.json",
                  "report.json", "report.txt", "fig_error_map.csv")
     digests = []
     for run in ("one", "two"):

@@ -14,7 +14,7 @@ from sacloc.autodiff import (
     load_checkpoint,
     save_checkpoint,
 )
-from sacloc.errors import NonScalarLoss, ShapeMismatch, StepOutOfRange
+from sacloc.errors import BadCheckpoint, NonScalarLoss, ShapeMismatch, StepOutOfRange
 from sacloc.rng import stream
 
 
@@ -242,16 +242,19 @@ class TestDropout:
 
 
 class TestCheckpoint:
-    def test_round_trip_bit_exact(self, tmp_path):
+    def _params(self):
         rng = stream(3, "ckpt")
-        params = {
+        return rng, {
             "w": Tensor(rng.normal(size=(3, 2)), requires_grad=True),
             "b": Tensor(rng.normal(size=2), requires_grad=True),
         }
+
+    def test_round_trip_bit_exact(self, tmp_path):
+        rng, params = self._params()
         adam = AdamState(weight_decay=1e-4, t=7)
         adam.m = {k: rng.normal(size=p.data.shape) for k, p in params.items()}
         adam.v = {k: rng.random(p.data.shape) for k, p in params.items()}
-        path = tmp_path / "ckpt.json"
+        path = tmp_path / "ckpt.bin"
         save_checkpoint(path, params, adam=adam, step=7, extra={"note": 1})
         loaded, adam2, step, extra = load_checkpoint(path)
         assert step == 7 and extra == {"note": 1}
@@ -261,8 +264,35 @@ class TestCheckpoint:
             assert np.array_equal(adam2.v[k], adam.v[k])
         assert adam2.t == 7 and adam2.weight_decay == 1e-4
 
+    def test_missing_moments_load_as_zeros(self, tmp_path):
+        _, params = self._params()
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, params, adam=AdamState())
+        _, adam, _, _ = load_checkpoint(path)
+        for k, p in params.items():
+            assert np.array_equal(adam.m[k], np.zeros_like(p.data))
+            assert np.array_equal(adam.v[k], np.zeros_like(p.data))
+
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_text(json.dumps({"magic": "something-else"}))
-        with pytest.raises(ValueError):
+        with pytest.raises(BadCheckpoint, match="not a sacloc checkpoint"):
             load_checkpoint(path)
+
+    def test_rejects_truncated_blob(self, tmp_path):
+        _, params = self._params()
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, params)
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(BadCheckpoint, match="truncated") as exc:
+            load_checkpoint(path)
+        assert exc.value.path == path
+
+    def test_rejects_version_1(self, tmp_path):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"magic": "sacloc-checkpoint", "version": 1,
+                                    "params": {}, "extra": {}, "step": 0}))
+        with pytest.raises(BadCheckpoint) as exc:
+            load_checkpoint(path)
+        assert str(path) in str(exc.value)
+        assert "checkpoint version 1 is no longer read; rerun `sacloc train`" in str(exc.value)

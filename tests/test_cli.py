@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from sacloc.cli import main
+from sacloc.cli import CHECKPOINT_NAME, main
 
 TINY_CONFIG = {
     "graph": {"d_p": 25.0, "tau": -80.0},
@@ -48,7 +48,7 @@ class TestPipeline:
         assert (tmp / "data" / "test.csv").exists()
 
         assert run("train", "--config", config) == 0
-        assert (tmp / "out" / "checkpoint.json").exists()
+        assert (tmp / "out" / CHECKPOINT_NAME).exists()
         log = (tmp / "out" / "loss_log.txt").read_text().splitlines()
         assert log[0] == "epoch,lr,train_mae"
         assert len(log) == 3  # header + 2 epochs
@@ -84,6 +84,30 @@ class TestPipeline:
         code = run("calibrate", "--config", config)
         assert code != 0
         assert "checkpoint" in capsys.readouterr().err
+
+    def test_v1_checkpoint_rejected(self, workdir, capsys):
+        tmp, config = workdir
+        assert run("synth", "--config", config) == 0
+        (tmp / "out").mkdir()
+        (tmp / "out" / CHECKPOINT_NAME).write_text(json.dumps(
+            {"magic": "sacloc-checkpoint", "version": 1, "params": {}, "extra": {}}))
+        assert run("calibrate", "--config", config) == 1
+        err = capsys.readouterr().err
+        assert "checkpoint version 1 is no longer read; rerun `sacloc train`" in err
+
+    def test_nan_truth_fails_calibrate(self, workdir, capsys):
+        tmp, config = workdir
+        assert run("synth", "--config", config) == 0
+        assert run("train", "--config", config) == 0
+        fp = tmp / "data" / "fingerprints.csv"
+        header, first, *rest = fp.read_text().splitlines()
+        cells = first.split(",")
+        cells[header.split(",").index("x")] = "nan"
+        fp.write_text("\n".join([header, ",".join(cells), *rest]) + "\n")
+        capsys.readouterr()
+        assert run("calibrate", "--config", config) == 1
+        err = capsys.readouterr().err
+        assert "row 1" in err and "finite" in err
 
     def test_predict(self, workdir, capsys):
         tmp, config = workdir
@@ -135,7 +159,7 @@ class TestFlags:
         run("synth", "--config", config)
         other = tmp / "elsewhere"
         assert run("train", "--config", config, "--out", str(other)) == 0
-        assert (other / "checkpoint.json").exists()
+        assert (other / CHECKPOINT_NAME).exists()
 
     def test_help_exits_zero(self, capsys):
         for cmd in ("synth", "train", "calibrate", "predict", "evaluate", "sweep"):
@@ -147,6 +171,16 @@ class TestFlags:
     def test_missing_config_file(self, tmp_path, capsys):
         assert run("train", "--config", str(tmp_path / "nope.json")) == 1
         assert "not found" in capsys.readouterr().err
+
+    def test_misspelled_key(self, workdir, capsys):
+        tmp, config = workdir
+        cfg = json.loads((tmp / "config.json").read_text())
+        cfg["train"]["epoch"] = 5
+        cfg["train"]["dropuot"] = cfg["train"].pop("dropout")
+        (tmp / "config.json").write_text(json.dumps(cfg))
+        assert run("train", "--config", config) == 1
+        err = capsys.readouterr().err
+        assert "train.dropuot" in err and "train.epoch" in err
 
     def test_invalid_json_config(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -178,6 +212,6 @@ class TestDeterminism:
             assert run("evaluate", "--config", config, "--out", str(out)) == 0
             outputs.append(out)
         a, b = outputs
-        for name in ("checkpoint.json", "loss_log.txt", "calibration.json",
+        for name in (CHECKPOINT_NAME, "loss_log.txt", "calibration.json",
                      "report.json", "report.txt", "fig_error_map.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name

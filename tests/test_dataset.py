@@ -61,6 +61,14 @@ class TestLoadFingerprints:
             load_fingerprints(path, line_inventory)
         assert err.value.row_index == 2
 
+    def test_nan_truth_is_malformed_row(self, tmp_path, line_inventory):
+        path = tmp_path / "fp.csv"
+        self._write(path, ["a", "b", "c", "x", "y"],
+                    [[-60, -70, 100, 1, 2], [-60, -70, 100, "nan", 2]])
+        with pytest.raises(MalformedRow, match="finite") as err:
+            load_fingerprints(path, line_inventory)
+        assert err.value.row_index == 2
+
     def test_empty_file(self, tmp_path, line_inventory):
         path = tmp_path / "fp.csv"
         path.write_text("a,b,c,x,y\n")

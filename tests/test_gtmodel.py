@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from sacloc.autodiff import Tape, Tensor
-from sacloc.dataset import SENTINEL
+from sacloc.autodiff import Tape, Tensor, load_checkpoint, save_checkpoint
+from sacloc.dataset import SENTINEL, SyntheticConfig, generate_synthetic
 from sacloc.errors import (
+    BadCheckpoint,
     DimensionMismatch,
     EmptyBatch,
     EmptyNeighborhood,
@@ -361,6 +362,41 @@ class TestTrain:
 
 
 class TestCheckpointing:
+    def test_desk_scale_file(self, tmp_path, graph_cfg):
+        """h=64 on 20 APs: resave is byte-identical, the file is the raw floats
+        plus a small header, and the loaded model predicts bit-identically."""
+        cfg = SyntheticConfig(
+            ap_count=20, area=(100.0, 40.0), path_loss_exponent=2.2,
+            ref_power_dbm=-40.0, noise_sigma_db=4.0, detection_floor_dbm=-95.0,
+            sample_count=50, seed=11)
+        inventory, samples = generate_synthetic(cfg)
+        model = model_for_inventory(inventory, hidden=64, n_heads=4, seed=11)
+        train(model, samples, TrainConfig(epochs=1, batch_size=16, seed=11),
+              graph_cfg, inventory)
+        path, again = tmp_path / "model.bin", tmp_path / "again.bin"
+        save_model(path, model, step=1)
+        n_params = sum(p.data.size for p in model.parameters().values())
+        assert path.stat().st_size <= 8 * n_params + 4096
+        params, adam, step, extra = load_checkpoint(path)
+        save_checkpoint(again, params, adam=adam, step=step, extra=extra)
+        assert again.read_bytes() == path.read_bytes()
+
+        loaded = load_model(path)
+        assert list(loaded.parameters()) == list(model.parameters())
+        a = predict_positions(model, samples, inventory, graph_cfg)
+        b = predict_positions(loaded, samples, inventory, graph_cfg)
+        assert np.array_equal(a, b)
+        ap_adj = build_ap_adjacency(inventory, graph_cfg)
+        graph = build_sample_graph(samples[0], inventory, ap_adj, graph_cfg)
+        assert np.array_equal(forward_graph(Tape(record=False), model, graph).data,
+                              forward_graph(Tape(record=False), loaded, graph).data)
+
+    def test_load_model_needs_model_metadata(self, tmp_path):
+        path = tmp_path / "bare.bin"
+        save_checkpoint(path, {"w": Tensor(np.ones(3), requires_grad=True)})
+        with pytest.raises(BadCheckpoint, match="not a model checkpoint"):
+            load_model(path)
+
     def test_save_load_same_predictions(self, tmp_path, small_world, graph_cfg):
         _, inventory, samples = small_world
         model = model_for_inventory(inventory, hidden=8, n_heads=2, seed=5)
