@@ -77,12 +77,21 @@ class Tape:
         return t.requires_grad or id(t) in self._on_tape
 
     def _push(self, out: Tensor, inputs: tuple[Tensor, ...], backward: Callable) -> Tensor:
-        if self.record and any(self._needs(t) for t in inputs):
-            self._nodes.append((out, inputs, backward))
-            self._on_tape.add(id(out))
-            for t in inputs:
-                if t.requires_grad:
-                    self._leaves[id(t)] = t
+        if not self.record:
+            return out
+        # `_needs` inlined here and in `gradients`: both run for every input
+        # of every primitive, and the call costs show at desk scale
+        on_tape = self._on_tape
+        for t in inputs:
+            if t.requires_grad or id(t) in on_tape:
+                break
+        else:
+            return out
+        self._nodes.append((out, inputs, backward))
+        on_tape.add(id(out))
+        for t in inputs:
+            if t.requires_grad:
+                self._leaves[id(t)] = t
         return out
 
     # -- primitives ------------------------------------------------------
@@ -202,12 +211,13 @@ class Tape:
         if loss.data.size != 1:
             raise NonScalarLoss(f"loss has shape {loss.shape}")
         flowing: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+        on_tape = self._on_tape
         for out, inputs, backward in reversed(self._nodes):
             g = flowing.pop(id(out), None)
             if g is None:
                 continue
             for t, gt in zip(inputs, backward(g)):
-                if gt is None or not self._needs(t):
+                if gt is None or not (t.requires_grad or id(t) in on_tape):
                     continue
                 key = id(t)
                 if key in flowing:

@@ -287,16 +287,7 @@ def cmd_predict(cfg: RunConfig, args: argparse.Namespace) -> int:
     calibration = load_calibration(_require_artifact(cfg, CALIBRATION_NAME))
     inventory = load_inventory(_require_path(cfg.inventory, "AP inventory file"))
 
-    if args.rssi is not None:
-        values = [float(v) for v in args.rssi.split(",")]
-    else:
-        text = Path(args.rssi_file).read_text(encoding="utf-8")
-        values = [float(v) for v in text.replace("\n", ",").split(",") if v.strip()]
-    if len(values) != inventory.count:
-        raise ConfigError(
-            f"RSSI vector has {len(values)} entries, inventory has {inventory.count}")
-
-    sample = FingerprintSample(rssi=np.array(values), truth=np.zeros(2))
+    sample = _scan_from_args(args, inventory.count)
     ap_adj = build_ap_adjacency(inventory, cfg.graph)
     graph = build_sample_graph(sample, inventory, ap_adj, cfg.graph)
     if not graph.adjacency[graph.user_index].any():
@@ -305,6 +296,31 @@ def cmd_predict(cfg: RunConfig, args: argparse.Namespace) -> int:
     radius = "inf" if not np.isfinite(ps.radius) else f"{ps.radius:.6f}"
     print(f"({ps.center[0]:.6f}, {ps.center[1]:.6f}, {ps.region}, {radius})")
     return 0
+
+
+def _scan_from_args(args: argparse.Namespace, ap_count: int) -> FingerprintSample:
+    """The scan `--rssi` or `--rssi-file` names; ConfigError names a bad entry."""
+    if args.rssi is not None:
+        source, entries = "--rssi", args.rssi.split(",")
+    else:
+        source = f"RSSI file {args.rssi_file}"
+        try:
+            text = Path(args.rssi_file).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read {source}: {exc}") from exc
+        entries = [v for v in text.replace("\n", ",").split(",") if v.strip()]
+    values = []
+    for i, entry in enumerate(entries, 1):
+        try:
+            values.append(float(entry))
+        except ValueError:
+            raise ConfigError(f"{source}: entry {i} ({entry.strip()!r}) is not a number") from None
+    if len(values) != ap_count:
+        raise ConfigError(f"RSSI vector has {len(values)} entries, inventory has {ap_count}")
+    try:
+        return FingerprintSample(rssi=np.array(values), truth=np.zeros(2))
+    except ValueError as exc:
+        raise ConfigError(f"{source}: {exc}") from exc
 
 
 def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EmptyCalibration
+from .errors import BadCalibration, EmptyCalibration
 from .graphbuild import LocGraph
 from .gtmodel import GtModel, denormalize_pred, forward_graph
 from .autodiff import Tape
@@ -203,22 +203,35 @@ def save_calibration(path: str | Path, cal: SacpCalibration) -> None:
 
 
 def load_calibration(path: str | Path) -> SacpCalibration:
+    """Inverse of save_calibration.
+
+    Raises BadCalibration for invalid JSON, a foreign file, another format
+    version or a missing key.
+    """
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("magic") != CALIBRATION_MAGIC:
-        raise ValueError(f"{path}: not a calibration file")
-    regions = sorted(doc["regions"], key=lambda r: r["id"])
-    region_model = RegionModel(
-        centroids=np.array([r["centroid"] for r in regions]),
-        seed=doc["region_seed"],
-        iteration_cap=doc["kmeans"]["iteration_cap"],
-        convergence_tol=doc["kmeans"]["convergence_tol"],
-    )
-    return SacpCalibration(
-        alpha=doc["alpha"],
-        region_model=region_model,
-        radii=np.array([_radius_from_json(r["radius"]) for r in regions]),
-        counts=np.array([r["count"] for r in regions], dtype=int),
-        global_radius=_radius_from_json(doc["global"]["radius"]),
-        global_count=doc["global"]["count"],
-    )
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise BadCalibration(path, f"not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict) or doc.get("magic") != CALIBRATION_MAGIC:
+        raise BadCalibration(path, "not a calibration file")
+    if doc.get("version") != CALIBRATION_VERSION:
+        raise BadCalibration(path, f"unsupported calibration version {doc.get('version')}")
+    try:
+        regions = sorted(doc["regions"], key=lambda r: r["id"])
+        region_model = RegionModel(
+            centroids=np.array([r["centroid"] for r in regions]),
+            seed=doc["region_seed"],
+            iteration_cap=doc["kmeans"]["iteration_cap"],
+            convergence_tol=doc["kmeans"]["convergence_tol"],
+        )
+        return SacpCalibration(
+            alpha=doc["alpha"],
+            region_model=region_model,
+            radii=np.array([_radius_from_json(r["radius"]) for r in regions]),
+            counts=np.array([r["count"] for r in regions], dtype=int),
+            global_radius=_radius_from_json(doc["global"]["radius"]),
+            global_count=doc["global"]["count"],
+        )
+    except KeyError as exc:
+        raise BadCalibration(path, f"missing key {exc}") from exc

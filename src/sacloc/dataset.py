@@ -76,7 +76,9 @@ class FingerprintSample:
         det = rssi != SENTINEL
         bad = det & (~np.isfinite(rssi) | (rssi > 0.0))
         if np.any(bad):
-            raise ValueError("detected RSSI entries must be finite and <= 0 dBm")
+            i = int(np.argmax(bad))
+            raise ValueError(
+                f"detected RSSI entries must be finite and <= 0 dBm; entry {i + 1} is {rssi[i]:g}")
 
 
 @dataclass(frozen=True)

@@ -84,6 +84,15 @@ class EmptyCalibration(SaclocError):
     """Calibration requested with no calibration samples."""
 
 
+class BadCalibration(SaclocError):
+    """A calibration file is not valid JSON, foreign, incomplete or of another version."""
+
+    def __init__(self, path, reason: str):
+        self.path = path
+        self.reason = reason
+        super().__init__(f"{path}: {reason}")
+
+
 # evalreport ------------------------------------------------------------
 
 class IoError(SaclocError):

@@ -9,19 +9,27 @@ node types carry different raw dimensions; the prediction is read off the
 user node and mapped to coordinates by a final linear head.
 
 One forward, `forward_batch`, serves training, calibration and single-scan
-prediction. It exploits the graph structure: AP nodes never receive
-messages from the user, so their embeddings are identical for every scan
-sharing an inventory. Layer 1 therefore updates the m AP rows and the B
-user rows in one stacked attention pass over the AP sources, and layer 2
-updates the user rows only, since nothing reads layer-2 AP embeddings. In
-eval mode this equals the block-diagonal batched graph evaluated without
-its redundancy.
+prediction, in two halves. AP nodes never receive messages from the user,
+so everything on the AP side is the same for every scan sharing an
+inventory: the AP encoder, the layer-1 AP update and the per-head keys and
+values both layers attend over. `encode_inventory` computes that inventory
+half; the scan half runs only the B user rows through both layers against
+those keys and values. Layer-2 AP embeddings are never computed, since
+nothing reads them. In eval mode this equals the block-diagonal batched
+graph evaluated without its redundancy.
+
+Training runs both halves on the tape every step. An eval forward on a
+model whose weights are all read-only (what `load_model` returns) keeps
+the inventory half on the model and reuses it while the AP features and
+adjacency are unchanged, so warm single-scan prediction computes only the
+user row. Writeable weights can change between calls without the model
+knowing, so a writeable model never keeps it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -106,6 +114,10 @@ class GtModel:
     n_heads: int
     affine_offset: np.ndarray  # (2,) meters
     affine_scale: np.ndarray  # (2,) meters
+    # (ap_feats_norm, ap_adj, encode_inventory result) of the last eval
+    # forward, kept only while every weight is read-only
+    inventory_memo: Optional[tuple] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def parameters(self) -> dict[str, Tensor]:
         """Named parameters in a stable order (drives Adam and checkpoints)."""
@@ -227,27 +239,35 @@ def attention_coefficients(
     return e / e.sum()
 
 
-def _conv_pair(
+# Per head: the transposed keys (head_dim, n) and the values (n, head_dim) of
+# a layer's source rows.
+KeysValues = tuple[tuple[Tensor, Tensor], ...]
+
+
+def _keys_values(tape: Tape, layer: TransformerConvLayer, sources: Tensor) -> KeysValues:
+    """Per-head keys and values of `sources`; they do not depend on the targets."""
+    return tuple(
+        (tape.transpose(tape.matmul(sources, head.w4)), tape.matmul(sources, head.w2))
+        for head in layer.heads)
+
+
+def _attend(
     tape: Tape,
     layer: TransformerConvLayer,
     targets: Tensor,
-    sources: Tensor,
+    kv: KeysValues,
     adjacency: np.ndarray,
 ) -> Tensor:
-    """Attention aggregation of `sources` into `targets` along `adjacency` rows.
-
-    With targets == sources this is the full graph-transformer layer; rows
-    whose adjacency is empty receive their root transform only.
-    """
+    """Attention aggregation of the sources behind `kv` into `targets` along
+    `adjacency` rows; rows whose adjacency is empty receive their root
+    transform only."""
     inv_sqrt = 1.0 / math.sqrt(layer.head_dim)
     total: Optional[Tensor] = None
-    for head in layer.heads:
+    for head, (keys_t, values) in zip(layer.heads, kv):
         q = tape.matmul(targets, head.w3)
-        k = tape.matmul(sources, head.w4)
-        logits = tape.scale(tape.matmul(q, tape.transpose(k)), inv_sqrt)
+        logits = tape.scale(tape.matmul(q, keys_t), inv_sqrt)
         attn = tape.masked_row_softmax(logits, adjacency)
-        msg = tape.matmul(attn, tape.matmul(sources, head.w2))
-        z = tape.add(tape.matmul(targets, head.w1), msg)
+        z = tape.add(tape.matmul(targets, head.w1), tape.matmul(attn, values))
         total = z if total is None else tape.add(total, z)
     mean = tape.scale(total, 1.0 / len(layer.heads))
     return tape.matmul(mean, layer.merge)
@@ -257,7 +277,55 @@ def transformer_conv(
     tape: Tape, layer: TransformerConvLayer, features: Tensor, adjacency: np.ndarray
 ) -> Tensor:
     """Dense layer application over an (n, h) feature matrix and (n, n) adjacency."""
-    return _conv_pair(tape, layer, features, features, adjacency)
+    return _attend(tape, layer, features, _keys_values(tape, layer, features), adjacency)
+
+
+def _dropout(tape: Tape, x: Tensor, mask: Optional[Tensor]) -> Tensor:
+    return x if mask is None else tape.mul(x, mask)
+
+
+def encode_inventory(
+    tape: Tape,
+    model: GtModel,
+    ap_feats_norm: np.ndarray,
+    ap_adj: np.ndarray,
+    ap_mask: Optional[Tensor] = None,
+) -> tuple[KeysValues, KeysValues]:
+    """The inventory half of the forward: the keys and values of layers 1 and 2.
+
+    Encodes the AP rows, updates them by layer-1 attention over themselves
+    (relu, then `ap_mask` when training) and returns the layer-1 keys and
+    values of the encoded rows and the layer-2 ones of the updated rows.
+    """
+    enc = model.encoders
+    aps = tape.add_bias(tape.matmul(Tensor(ap_feats_norm), enc.ap_w), enc.ap_b)
+    kv1 = _keys_values(tape, model.layer1, aps)
+    aps = _dropout(tape, tape.relu(_attend(tape, model.layer1, aps, kv1, ap_adj)), ap_mask)
+    return kv1, _keys_values(tape, model.layer2, aps)
+
+
+def _read_only(model: GtModel) -> bool:
+    return not any(p.data.flags.writeable for p in model.parameters().values())
+
+
+def _inventory(
+    tape: Tape,
+    model: GtModel,
+    ap_feats_norm: np.ndarray,
+    ap_adj: np.ndarray,
+    ap_mask: Optional[Tensor],
+) -> tuple[KeysValues, KeysValues]:
+    """`encode_inventory`, reused from the model's memo in eval mode when
+    every weight is read-only and the AP features and adjacency match."""
+    if tape.record or ap_mask is not None or not _read_only(model):
+        return encode_inventory(tape, model, ap_feats_norm, ap_adj, ap_mask)
+    memo = model.inventory_memo
+    if (memo is not None and np.array_equal(memo[0], ap_feats_norm)
+            and np.array_equal(memo[1], ap_adj)):
+        return memo[2]
+    kv = encode_inventory(tape, model, ap_feats_norm, ap_adj)
+    model.inventory_memo = (np.array(ap_feats_norm), np.array(ap_adj), kv)
+    return kv
 
 
 def forward_batch(
@@ -272,26 +340,18 @@ def forward_batch(
     """Batched forward pass -> (B, 2) normalized predictions.
 
     `masks` are the dropout masks (user1, ap1, user2), or None for no
-    dropout. Layer 1 updates the AP and user rows in one stacked pass, so
-    each AP projection is computed once; layer 2 updates the user rows only.
+    dropout. The inventory half comes from `encode_inventory` (or the
+    model's memo); the B user rows then attend over its keys and values in
+    both layers.
     """
+    user_mask1, ap_mask1, user_mask2 = masks if masks is not None else (None,) * 3
+    kv1, kv2 = _inventory(tape, model, ap_feats_norm, ap_adj, ap_mask1)
     enc = model.encoders
     users = tape.add_bias(tape.matmul(Tensor(rssi_norm), enc.user_w), enc.user_b)
-    aps = tape.add_bias(tape.matmul(Tensor(ap_feats_norm), enc.ap_w), enc.ap_b)
-    m = aps.shape[0]
-
-    nodes = tape.relu(_conv_pair(
-        tape, model.layer1, tape.concat_rows([aps, users]), aps,
-        np.vstack([ap_adj, user_adj])))
-    if masks is not None:
-        user_mask1, ap_mask1, user_mask2 = masks
-        nodes = tape.mul(nodes, Tensor(np.vstack([ap_mask1.data, user_mask1.data])))
-    aps = tape.select_rows(nodes, np.arange(m))
-    users = tape.select_rows(nodes, np.arange(m, nodes.shape[0]))
-
-    users = tape.relu(_conv_pair(tape, model.layer2, users, aps, user_adj))
-    if masks is not None:
-        users = tape.mul(users, user_mask2)
+    users = _dropout(tape, tape.relu(_attend(tape, model.layer1, users, kv1, user_adj)),
+                     user_mask1)
+    users = _dropout(tape, tape.relu(_attend(tape, model.layer2, users, kv2, user_adj)),
+                     user_mask2)
     return tape.add_bias(tape.matmul(users, model.head_w), model.head_b)
 
 
@@ -459,8 +519,15 @@ def save_model(
 
 
 def load_model(path: str | Path) -> GtModel:
-    """The model a checkpoint holds, its weights views into the loaded blob."""
+    """The model a checkpoint holds, its weights read-only views into the loaded blob.
+
+    Read-only weights let eval forwards reuse the inventory half (see the
+    module docstring); an in-place write raises. To fine-tune, start from
+    `load_checkpoint`, whose tensors are writeable.
+    """
     params, _, _, extra = load_checkpoint(path)
+    for p in params.values():
+        p.data.flags.writeable = False
     try:
         meta = extra["model"]
 

@@ -21,8 +21,7 @@ TINY_CONFIG = {
 }
 
 
-@pytest.fixture
-def workdir(tmp_path):
+def write_config(tmp_path):
     cfg = dict(TINY_CONFIG)
     cfg["dataset"] = {
         "fingerprints": str(tmp_path / "data" / "fingerprints.csv"),
@@ -33,6 +32,11 @@ def workdir(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(cfg))
     return tmp_path, str(config_path)
+
+
+@pytest.fixture
+def workdir(tmp_path):
+    return write_config(tmp_path)
 
 
 def run(*argv):
@@ -143,6 +147,54 @@ class TestPipeline:
         capsys.readouterr()
         assert run("predict", "--config", config, "--rssi=-60,-70") != 0
         assert "5" in capsys.readouterr().err
+
+
+    def test_foreign_calibration_fails_evaluate(self, workdir, capsys):
+        tmp, config = workdir
+        assert run("synth", "--config", config) == 0
+        assert run("train", "--config", config) == 0
+        (tmp / "out" / "calibration.json").write_text('{"magic": "something-else"}')
+        capsys.readouterr()
+        assert run("evaluate", "--config", config) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not a calibration file" in err
+
+
+@pytest.fixture(scope="class")
+def calibrated(tmp_path_factory):
+    """A synthesized, trained and calibrated tiny run shared by a test class."""
+    tmp, config = write_config(tmp_path_factory.mktemp("calibrated"))
+    for cmd in ("synth", "train", "calibrate"):
+        assert run(cmd, "--config", config) == 0
+    return tmp, config
+
+
+class TestPredictInput:
+    """Bad scan input exits 1 with one `error:` line naming the entry or file."""
+
+    def predict_error(self, capsys, config, *argv):
+        capsys.readouterr()
+        assert run("predict", "--config", config, *argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        return captured.err
+
+    def test_non_number_entry(self, calibrated, capsys):
+        _, config = calibrated
+        err = self.predict_error(capsys, config, "--rssi=-60,abc,100,-80,100")
+        assert "entry 2 ('abc') is not a number" in err
+
+    def test_missing_rssi_file(self, calibrated, capsys):
+        tmp, config = calibrated
+        err = self.predict_error(capsys, config, "--rssi-file", str(tmp / "nope.txt"))
+        assert "nope.txt" in err
+
+    @pytest.mark.parametrize("bad", ["nan", "12"])
+    def test_nan_or_positive_rssi(self, calibrated, capsys, bad):
+        _, config = calibrated
+        err = self.predict_error(capsys, config, f"--rssi=-60,-70,100,{bad},100")
+        assert "finite and <= 0 dBm" in err and "entry 4" in err
 
 
 class TestFlags:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sacloc.conformal import (
+    CALIBRATION_VERSION,
     SacpCalibration,
     calibrate,
     conformal_rank,
@@ -16,7 +18,7 @@ from sacloc.conformal import (
     radius_from_scores,
     save_calibration,
 )
-from sacloc.errors import EmptyCalibration
+from sacloc.errors import BadCalibration, EmptyCalibration
 from sacloc.graphbuild import build_ap_adjacency, build_sample_graph
 from sacloc.gtmodel import model_for_inventory
 from sacloc.regions import kmeans_fit
@@ -219,5 +221,33 @@ class TestArtifact:
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "x.json"
         path.write_text('{"magic": "nope"}')
-        with pytest.raises(ValueError):
+        with pytest.raises(BadCalibration, match="not a calibration file"):
+            load_calibration(path)
+
+    def saved(self, tmp_path):
+        truths = stream(8, "art").normal(size=(30, 2))
+        path = tmp_path / "cal.json"
+        save_calibration(path, calibrate(truths + 0.5, truths, alpha=0.2, k=2, seed=9))
+        return path, json.loads(path.read_text())
+
+    def test_rejects_invalid_json(self, tmp_path):
+        path, _ = self.saved(tmp_path)
+        path.write_text(path.read_text()[:-20])
+        with pytest.raises(BadCalibration, match="not valid JSON") as err:
+            load_calibration(path)
+        assert err.value.path == path
+
+    def test_rejects_missing_key(self, tmp_path):
+        path, doc = self.saved(tmp_path)
+        del doc["kmeans"]["iteration_cap"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(BadCalibration, match="missing key 'iteration_cap'"):
+            load_calibration(path)
+
+    @pytest.mark.parametrize("version", [0, CALIBRATION_VERSION + 1, None])
+    def test_rejects_other_version(self, tmp_path, version):
+        path, doc = self.saved(tmp_path)
+        doc["version"] = version
+        path.write_text(json.dumps(doc))
+        with pytest.raises(BadCalibration, match="unsupported calibration version"):
             load_calibration(path)

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from sacloc import gtmodel
 from sacloc.autodiff import Tape, Tensor, load_checkpoint, save_checkpoint
+from sacloc.conformal import calibrate, predict_set
 from sacloc.dataset import SENTINEL, SyntheticConfig, generate_synthetic
 from sacloc.errors import (
     BadCheckpoint,
@@ -220,7 +222,7 @@ class TestModelForward:
         pb = model_forward(model, without)
         assert not np.allclose(pa, pb)
 
-    def test_dense_matches_factorized(self, small_world, graph_cfg):
+    def test_dense_matches_factorized(self, small_world, graph_cfg, tmp_path):
         _, inventory, samples = small_world
         model = model_for_inventory(inventory, hidden=16, n_heads=2, seed=5)
         rssi_norm, user_adj, _, ap_feats, ap_adj = _prepare_arrays(
@@ -232,6 +234,79 @@ class TestModelForward:
         per_scan = np.stack([forward_graph(t, model, g).data[0] for g in graphs])
         assert np.max(np.abs(batched - dense)) <= 1e-12
         assert np.max(np.abs(per_scan - dense)) <= 1e-12
+
+        # a loaded (read-only) copy: memo cold, memo warm, then batched
+        save_model(tmp_path / "model.bin", model)
+        loaded = load_model(tmp_path / "model.bin")
+        cold = forward_graph(t, loaded, graphs[0]).data[0]
+        assert loaded.inventory_memo is not None
+        warm = np.stack([forward_graph(t, loaded, g).data[0] for g in graphs])
+        batched = forward_batch(t, loaded, rssi_norm, user_adj, ap_feats, ap_adj).data
+        assert np.max(np.abs(cold - dense[0])) <= 1e-12
+        assert np.max(np.abs(warm - dense)) <= 1e-12
+        assert np.max(np.abs(batched - dense)) <= 1e-12
+        assert np.array_equal(predict_positions(loaded, samples, inventory, graph_cfg),
+                              predict_positions(model, samples, inventory, graph_cfg))
+
+
+class TestInventoryMemo:
+    """Eval forwards on a loaded model reuse the inventory half."""
+
+    @pytest.fixture
+    def loaded(self, small_world, graph_cfg, tmp_path):
+        _, inventory, samples = small_world
+        model = model_for_inventory(inventory, hidden=16, n_heads=2, seed=5)
+        train(model, samples, TrainConfig(epochs=2, batch_size=16, seed=5),
+              graph_cfg, inventory)
+        save_model(tmp_path / "model.bin", model)
+        return tmp_path / "model.bin", inventory, samples
+
+    def test_other_adjacency_recomputes(self, loaded, graph_cfg):
+        path, inventory, samples = loaded
+        model = load_model(path)
+        near = GraphConfig(d_p=5.0, tau=graph_cfg.tau)
+        assert not np.array_equal(build_ap_adjacency(inventory, graph_cfg),
+                                  build_ap_adjacency(inventory, near))
+        predict_positions(model, samples, inventory, graph_cfg)
+        reused = predict_positions(model, samples, inventory, near)
+        fresh = predict_positions(load_model(path), samples, inventory, near)
+        assert np.array_equal(reused, fresh)
+
+    def test_loaded_weights_are_read_only(self, loaded):
+        model = load_model(loaded[0])
+        for p in model.parameters().values():
+            with pytest.raises(ValueError, match="read-only"):
+                p.data[...] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            model.head_w.data += 1.0
+
+    def test_writeable_model_keeps_no_memo(self, small_world, graph_cfg):
+        _, inventory, samples = small_world
+        model = model_for_inventory(inventory, hidden=16, n_heads=2, seed=5)
+        predict_positions(model, samples, inventory, graph_cfg)
+        ap_adj = build_ap_adjacency(inventory, graph_cfg)
+        model_forward(model, build_sample_graph(samples[0], inventory, ap_adj, graph_cfg))
+        assert model.inventory_memo is None
+
+    def test_warm_predict_set_encodes_nothing(self, loaded, graph_cfg, monkeypatch):
+        path, inventory, samples = loaded
+        model = load_model(path)
+        truths = np.stack([s.truth for s in samples])
+        cal = calibrate(truths, truths, alpha=0.2, k=2, seed=5)
+        ap_adj = build_ap_adjacency(inventory, graph_cfg)
+        graphs = [build_sample_graph(s, inventory, ap_adj, graph_cfg) for s in samples]
+        predict_set(model, cal, graphs[0])
+
+        calls = []
+        encode = gtmodel.encode_inventory
+        monkeypatch.setattr(gtmodel, "encode_inventory",
+                            lambda *a, **k: calls.append(1) or encode(*a, **k))
+        for g in graphs[1:]:
+            predict_set(model, cal, g)
+        assert calls == []
+        # the spy sees the calls a writeable model makes
+        predict_set(model_for_inventory(inventory, hidden=16, n_heads=2, seed=5), cal, graphs[0])
+        assert calls == [1]
 
 
 class TestMaeLoss:
