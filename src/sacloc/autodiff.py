@@ -1,15 +1,21 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 A `Tape` records every primitive application in execution order; `backward`
-walks the records in reverse and accumulates gradients into the `grad`
-buffer of every `requires_grad` tensor that was touched. Constants
-(`requires_grad=False` leaves) never receive gradients and their partials
-are not computed.
+walks the records in reverse and hands each `requires_grad` tensor that was
+touched its gradient (the swept array itself on a first backward, a new sum
+after that). Constants (`requires_grad=False` leaves) never receive
+gradients and their partials are not computed.
+
+Besides the 2-D algebra, two primitives serve multi-head layers whose heads
+sit side by side in the columns: `multi_head_attention` (per-head masked
+softmax attention as one batched matmul, with a hand-written backward) and
+`head_mean`. The masked softmax and its backward are shared with
+`masked_row_softmax`.
 
 Also houses the optimizer pieces the trainer needs: bias-corrected Adam
-with decoupled weight decay, a cosine learning-rate schedule, inverted
-dropout masks, and a versioned binary checkpoint format (a JSON header
-line plus one raw float64 blob).
+with decoupled weight decay (updated in place, block by block), a cosine
+learning-rate schedule, inverted dropout masks, and a versioned binary
+checkpoint format (a JSON header line plus one raw float64 blob).
 """
 
 from __future__ import annotations
@@ -56,6 +62,23 @@ class Tensor:
 def _check(cond: bool, what: str, *shapes: tuple[int, ...]) -> None:
     if not cond:
         raise ShapeMismatch(f"{what}: " + " vs ".join(str(s) for s in shapes))
+
+
+def _masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis over the True entries of the boolean `mask`
+    (broadcast against `logits`); rows without a True entry are zeros."""
+    masked = np.where(mask, logits, -np.inf)
+    rowmax = np.max(masked, axis=-1, keepdims=True)
+    rowmax = np.where(np.isfinite(rowmax), rowmax, 0.0)
+    e = np.exp(masked - rowmax)
+    denom = e.sum(axis=-1, keepdims=True)
+    return np.divide(e, denom, out=np.zeros_like(e), where=denom > 0.0)
+
+
+def _softmax_backward(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """d(loss)/d(logits) of `_masked_softmax`, given its output and d(loss)/d(p)."""
+    inner = (g * p).sum(axis=-1, keepdims=True)
+    return p * (g - inner)
 
 
 class Tape:
@@ -154,20 +177,57 @@ class Tape:
         """Softmax over the True entries of each row; all-False rows -> zeros."""
         _check(logits.data.ndim == 2 and mask.shape == logits.shape,
                "masked_row_softmax", logits.shape, mask.shape)
-        mask = mask.astype(bool)
-        masked = np.where(mask, logits.data, -np.inf)
-        rowmax = np.max(masked, axis=1, keepdims=True)
-        rowmax = np.where(np.isfinite(rowmax), rowmax, 0.0)
-        e = np.exp(masked - rowmax)
-        denom = e.sum(axis=1, keepdims=True)
-        p = np.divide(e, denom, out=np.zeros_like(e), where=denom > 0.0)
-        out = Tensor(p)
+        p = _masked_softmax(logits.data, mask.astype(bool))
+        return self._push(Tensor(p), (logits,), lambda g: (_softmax_backward(p, g),))
+
+    def multi_head_attention(
+        self, q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray, n_heads: int
+    ) -> Tensor:
+        """Per-head masked scaled dot-product attention -> (B, H*d).
+
+        `q` is (B, H*d), `k` and `v` are (n, H*d); head i owns columns
+        [i*d, (i+1)*d) of each. Row b of head i is softmax(q_i k_iᵀ/√d) over
+        the True entries of `mask[b]` (an all-False row gives zeros), times
+        v_i. The heads run as one batched matmul over (H, ·, d) views.
+        """
+        _check(q.data.ndim == 2 and k.data.ndim == 2 and k.shape == v.shape
+               and q.shape[1] == k.shape[1] and q.shape[1] % n_heads == 0
+               and mask.shape == (q.shape[0], k.shape[0]),
+               "multi_head_attention", q.shape, k.shape, v.shape, mask.shape)
+        width = q.shape[1]
+        d = width // n_heads
+        inv_sqrt = 1.0 / math.sqrt(d)
+
+        def heads(x: np.ndarray) -> np.ndarray:  # (rows, H*d) -> (H, rows, d) view
+            return x.reshape(len(x), n_heads, d).transpose(1, 0, 2)
+
+        def merged(x: np.ndarray) -> np.ndarray:  # (H, rows, d) -> (rows, H*d)
+            return np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(x.shape[1], width)
+
+        qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
+        p = _masked_softmax(np.matmul(qh, kh.transpose(0, 2, 1)) * inv_sqrt,
+                            mask.astype(bool))
+        out = Tensor(merged(np.matmul(p, vh)))
+        need_q, need_k, need_v = self._needs(q), self._needs(k), self._needs(v)
 
         def backward(g):
-            inner = (g * p).sum(axis=1, keepdims=True)
-            return (p * (g - inner),)
+            gh = heads(g)
+            dlogits = _softmax_backward(p, np.matmul(gh, vh.transpose(0, 2, 1))) * inv_sqrt
+            return (merged(np.matmul(dlogits, kh)) if need_q else None,
+                    merged(np.matmul(dlogits.transpose(0, 2, 1), qh)) if need_k else None,
+                    merged(np.matmul(p.transpose(0, 2, 1), gh)) if need_v else None)
 
-        return self._push(out, (logits,), backward)
+        return self._push(out, (q, k, v), backward)
+
+    def head_mean(self, x: Tensor, n_heads: int) -> Tensor:
+        """(B, H*d) -> (B, d): the heads summed in order, then scaled by 1/H."""
+        _check(x.data.ndim == 2 and x.shape[1] % n_heads == 0, "head_mean", x.shape)
+        d = x.shape[1] // n_heads
+        total = x.data[:, :d].copy()
+        for i in range(1, n_heads):
+            total += x.data[:, i * d:(i + 1) * d]
+        inv = 1.0 / n_heads
+        return self._push(Tensor(total * inv), (x,), lambda g: (np.tile(g * inv, n_heads),))
 
     def select_rows(self, x: Tensor, idx: np.ndarray) -> Tensor:
         _check(x.data.ndim == 2, "select_rows", x.shape)
@@ -227,14 +287,23 @@ class Tape:
         return {k: v for k, v in flowing.items() if k in self._leaves}
 
     def backward(self, loss: Tensor) -> None:
-        """Accumulate d(loss)/d(leaf) into each touched leaf's grad buffer."""
+        """Accumulate d(loss)/d(leaf) into each touched leaf's grad.
+
+        A leaf without a grad takes the swept array itself; one with a grad
+        gets a new sum, never an in-place add, because one swept array can
+        be bound to two leaves (`add` passes its gradient to both inputs).
+        A touched leaf the loss does not reach gets zeros.
+        """
         grads = self.gradients(loss)
         for key, leaf in self._leaves.items():
-            if leaf.grad is None:
-                leaf.grad = np.zeros_like(leaf.data)
             g = grads.get(key)
-            if g is not None:
-                leaf.grad += g
+            if g is None:
+                if leaf.grad is None:
+                    leaf.grad = np.zeros_like(leaf.data)
+            elif leaf.grad is None:
+                leaf.grad = g
+            else:
+                leaf.grad = leaf.grad + g
 
 
 # -- optimizer ------------------------------------------------------------
@@ -253,31 +322,61 @@ class AdamState:
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
 
+# Elements per block of `adam_step`: a block's two scratch rows (512 KB)
+# stay in cache, where whole-array temporaries of a 2 MB weight do not.
+ADAM_BLOCK = 32768
+
+
 def adam_step(
     params: dict[str, Tensor],
     grads: dict[str, np.ndarray],
     state: AdamState,
     lr: float,
 ) -> None:
-    """One bias-corrected Adam update with decoupled weight decay."""
+    """One bias-corrected Adam update with decoupled weight decay.
+
+    In place, block by block over the flattened arrays, in the operation
+    order of the textbook expression
+
+        m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
+        p -= lr * ((m/bc1) / (sqrt(v/bc2) + eps) + wd*p)
+
+    so the result is bit for bit the one that expression gives. Parameters
+    and moments must be C-contiguous (every array this package makes is);
+    a gradient may have any layout.
+    """
     if lr < 0:
         raise ValueError("lr must be nonnegative")
     state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
+    b1, b2, eps, wd = state.beta1, state.beta2, state.eps, state.weight_decay
+    bc1 = 1.0 - b1 ** state.t
+    bc2 = 1.0 - b2 ** state.t
+    scratch = np.empty((2, ADAM_BLOCK))
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.data.shape:
             raise ShapeMismatch(f"adam_step {name}: {g.shape} vs {p.data.shape}")
         m = state.m.setdefault(name, np.zeros_like(p.data))
         v = state.v.setdefault(name, np.zeros_like(p.data))
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        m_hat = m / bc1
-        v_hat = v / bc2
-        p.data -= lr * (m_hat / (np.sqrt(v_hat) + state.eps) + state.weight_decay * p.data)
+        pf, mf, vf = (a.reshape(-1, copy=False) for a in (p.data, m, v))
+        gf = g.reshape(-1)
+        for lo in range(0, pf.size, ADAM_BLOCK):
+            s = slice(lo, lo + ADAM_BLOCK)
+            pb, gb, mb, vb = pf[s], gf[s], mf[s], vf[s]
+            t1, t2 = scratch[0, :pb.size], scratch[1, :pb.size]
+            mb *= b1
+            mb += np.multiply(1.0 - b1, gb, out=t1)
+            vb *= b2
+            np.multiply(1.0 - b2, gb, out=t1)
+            vb += np.multiply(t1, gb, out=t1)
+            np.divide(mb, bc1, out=t1)
+            np.divide(vb, bc2, out=t2)
+            np.sqrt(t2, out=t2)
+            t2 += eps
+            np.divide(t1, t2, out=t1)
+            t1 += np.multiply(wd, pb, out=t2)
+            t1 *= lr
+            pb -= t1
 
 
 @dataclass(frozen=True)

@@ -65,11 +65,12 @@ class EmptyBatch(SaclocError):
 
 
 class TrainingDiverged(SaclocError):
-    """Training produced a non-finite loss; carries the epoch index."""
+    """Training produced a non-finite loss; carries the epoch and batch indices."""
 
-    def __init__(self, epoch: int):
+    def __init__(self, epoch: int, batch: int):
         self.epoch = epoch
-        super().__init__(f"non-finite loss at epoch {epoch}")
+        self.batch = batch
+        super().__init__(f"non-finite loss at epoch {epoch}, batch {batch}")
 
 
 # regions ---------------------------------------------------------------

@@ -3,7 +3,11 @@
 Per layer and head, a node's update is a root transform of its own features
 plus an attention-weighted sum of transformed neighbor features; attention
 is scaled dot-product over the neighbor set. Head outputs are averaged and
-mapped back to the layer width. Node features enter through per-type
+mapped back to the layer width. A layer keeps one weight per projection
+(query, key, value, root) with every head fused into it, head i in columns
+[i*d, (i+1)*d), as in the TransformerConv of Shi et al. (arXiv 2009.03509):
+each projection is one matmul, and the heads' attention is one
+`Tape.multi_head_attention` call. Node features enter through per-type
 linear encoders (user: RSSI vector, APs: 2D coordinates) since the two
 node types carry different raw dimensions; the prediction is read off the
 user node and mapped to coordinates by a final linear head.
@@ -11,8 +15,8 @@ user node and mapped to coordinates by a final linear head.
 One forward, `forward_batch`, serves training, calibration and single-scan
 prediction, in two halves. AP nodes never receive messages from the user,
 so everything on the AP side is the same for every scan sharing an
-inventory: the AP encoder, the layer-1 AP update and the per-head keys and
-values both layers attend over. `encode_inventory` computes that inventory
+inventory: the AP encoder, the layer-1 AP update and the keys and values
+both layers attend over. `encode_inventory` computes that inventory
 half; the scan half runs only the B user rows through both layers against
 those keys and values. Layer-2 AP embeddings are never computed, since
 nothing reads them. In eval mode this equals the block-diagonal batched
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -66,28 +71,32 @@ from .graphbuild import GraphConfig, LocGraph, build_ap_adjacency, user_edge_mas
 from .rng import stream
 
 
-@dataclass
-class HeadWeights:
-    """One attention head: root (w1), message (w2), query (w3), key (w4)."""
-
-    w1: Tensor
-    w2: Tensor
-    w3: Tensor
-    w4: Tensor
+# The fused projections of one layer, in checkpoint order.
+LAYER_WEIGHTS = ("query", "key", "value", "root", "merge")
 
 
 @dataclass
 class TransformerConvLayer:
-    heads: tuple[HeadWeights, ...]
+    """One layer, every head fused into one weight per projection.
+
+    `query`, `key`, `value` and `root` are (in_dim, n_heads * head_dim);
+    head i owns columns [i * head_dim, (i + 1) * head_dim) of each.
+    """
+
+    query: Tensor
+    key: Tensor
+    value: Tensor  # the message transform
+    root: Tensor
     merge: Tensor  # (head_dim, out_dim), restores width after head averaging
+    n_heads: int
 
     @property
     def head_dim(self) -> int:
-        return self.heads[0].w1.shape[1]
+        return self.query.shape[1] // self.n_heads
 
     @property
     def in_dim(self) -> int:
-        return self.heads[0].w1.shape[0]
+        return self.query.shape[0]
 
     @property
     def out_dim(self) -> int:
@@ -121,20 +130,21 @@ class GtModel:
 
     def parameters(self) -> dict[str, Tensor]:
         """Named parameters in a stable order (drives Adam and checkpoints)."""
-        params: dict[str, Tensor] = {
-            "enc.user.w": self.encoders.user_w,
-            "enc.user.b": self.encoders.user_b,
-            "enc.ap.w": self.encoders.ap_w,
-            "enc.ap.b": self.encoders.ap_b,
-        }
-        for li, layer in ((1, self.layer1), (2, self.layer2)):
-            for hi, head in enumerate(layer.heads):
-                for wn in ("w1", "w2", "w3", "w4"):
-                    params[f"layer{li}.head{hi}.{wn}"] = getattr(head, wn)
-            params[f"layer{li}.merge"] = layer.merge
-        params["head.w"] = self.head_w
-        params["head.b"] = self.head_b
-        return params
+        return dict(zip(PARAMETER_NAMES, _parameter_tensors(self)))
+
+
+# (checkpoint name, GtModel attribute path) of every parameter, in order
+_PARAMETERS = (
+    ("enc.user.w", "encoders.user_w"),
+    ("enc.user.b", "encoders.user_b"),
+    ("enc.ap.w", "encoders.ap_w"),
+    ("enc.ap.b", "encoders.ap_b"),
+    *((f"layer{li}.{wn}",) * 2 for li in (1, 2) for wn in LAYER_WEIGHTS),
+    ("head.w", "head_w"),
+    ("head.b", "head_b"),
+)
+PARAMETER_NAMES = tuple(name for name, _ in _PARAMETERS)
+_parameter_tensors = attrgetter(*(path for _, path in _PARAMETERS))
 
 
 @dataclass(frozen=True)
@@ -165,16 +175,18 @@ def _xavier(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
 
 def _init_layer(in_dim: int, out_dim: int, n_heads: int, head_dim: int,
                 seed: int, tag: str) -> TransformerConvLayer:
-    heads = []
-    for hi in range(n_heads):
-        heads.append(HeadWeights(*[
-            Tensor(_xavier((in_dim, head_dim), stream(seed, "init", tag, hi, wn)),
-                   requires_grad=True, name=f"{tag}.head{hi}.{wn}")
-            for wn in ("w1", "w2", "w3", "w4")
-        ]))
+    """Each head's block drawn from its own stream, the blocks side by side."""
+
+    def fused(name: str, stream_tag: str) -> Tensor:
+        blocks = [_xavier((in_dim, head_dim), stream(seed, "init", tag, hi, stream_tag))
+                  for hi in range(n_heads)]
+        return Tensor(np.hstack(blocks), requires_grad=True, name=f"{tag}.{name}")
+
     merge = Tensor(_xavier((head_dim, out_dim), stream(seed, "init", tag, "merge")),
                    requires_grad=True, name=f"{tag}.merge")
-    return TransformerConvLayer(heads=tuple(heads), merge=merge)
+    return TransformerConvLayer(
+        query=fused("query", "w3"), key=fused("key", "w4"), value=fused("value", "w2"),
+        root=fused("root", "w1"), merge=merge, n_heads=n_heads)
 
 
 def init_model(
@@ -231,24 +243,22 @@ def attention_coefficients(
     """Reference attention row for one node: softmax of scaled query-key dots."""
     if len(neighbors) == 0:
         raise EmptyNeighborhood(f"node {node} has no neighbors")
-    head = layer.heads[head_index]
-    q = features[node] @ head.w3.data
-    k = features[list(neighbors)] @ head.w4.data
+    cols = slice(head_index * layer.head_dim, (head_index + 1) * layer.head_dim)
+    q = features[node] @ layer.query.data[:, cols]
+    k = features[list(neighbors)] @ layer.key.data[:, cols]
     logits = (k @ q) / math.sqrt(layer.head_dim)
     e = np.exp(logits - logits.max())
     return e / e.sum()
 
 
-# Per head: the transposed keys (head_dim, n) and the values (n, head_dim) of
-# a layer's source rows.
-KeysValues = tuple[tuple[Tensor, Tensor], ...]
+# The keys and the values (n, n_heads * head_dim) of a layer's source rows.
+KeysValues = tuple[Tensor, Tensor]
 
 
 def _keys_values(tape: Tape, layer: TransformerConvLayer, sources: Tensor) -> KeysValues:
-    """Per-head keys and values of `sources`; they do not depend on the targets."""
-    return tuple(
-        (tape.transpose(tape.matmul(sources, head.w4)), tape.matmul(sources, head.w2))
-        for head in layer.heads)
+    """Keys and values of `sources`, every head at once; they do not depend
+    on the targets."""
+    return tape.matmul(sources, layer.key), tape.matmul(sources, layer.value)
 
 
 def _attend(
@@ -261,16 +271,11 @@ def _attend(
     """Attention aggregation of the sources behind `kv` into `targets` along
     `adjacency` rows; rows whose adjacency is empty receive their root
     transform only."""
-    inv_sqrt = 1.0 / math.sqrt(layer.head_dim)
-    total: Optional[Tensor] = None
-    for head, (keys_t, values) in zip(layer.heads, kv):
-        q = tape.matmul(targets, head.w3)
-        logits = tape.scale(tape.matmul(q, keys_t), inv_sqrt)
-        attn = tape.masked_row_softmax(logits, adjacency)
-        z = tape.add(tape.matmul(targets, head.w1), tape.matmul(attn, values))
-        total = z if total is None else tape.add(total, z)
-    mean = tape.scale(total, 1.0 / len(layer.heads))
-    return tape.matmul(mean, layer.merge)
+    keys, values = kv
+    messages = tape.multi_head_attention(
+        tape.matmul(targets, layer.query), keys, values, adjacency, layer.n_heads)
+    z = tape.add(tape.matmul(targets, layer.root), messages)
+    return tape.matmul(tape.head_mean(z, layer.n_heads), layer.merge)
 
 
 def transformer_conv(
@@ -305,7 +310,7 @@ def encode_inventory(
 
 
 def _read_only(model: GtModel) -> bool:
-    return not any(p.data.flags.writeable for p in model.parameters().values())
+    return not any(t.data.flags.writeable for t in _parameter_tensors(model))
 
 
 def _inventory(
@@ -461,7 +466,7 @@ def train(
                 tape, model, rssi_norm[idx], user_adj[idx], ap_feats, ap_adj, masks)
             loss = mae_loss(tape, denormalize_pred(tape, pred, model), truth[idx])
             if not np.isfinite(loss.data):
-                raise TrainingDiverged(epoch)
+                raise TrainingDiverged(epoch, batch_i)
             tape.backward(loss)
             loss_sum += float(loss.data) * len(idx)
             adam_step(params, {name: p.grad for name, p in params.items()}, adam, lr)
@@ -523,20 +528,25 @@ def load_model(path: str | Path) -> GtModel:
 
     Read-only weights let eval forwards reuse the inventory half (see the
     module docstring); an in-place write raises. To fine-tune, start from
-    `load_checkpoint`, whose tensors are writeable.
+    `load_checkpoint`, whose tensors are writeable. A checkpoint without
+    the model metadata or without one of `PARAMETER_NAMES` (such as one
+    written with per-head weights, `layer1.head0.w1`) raises BadCheckpoint.
     """
     params, _, _, extra = load_checkpoint(path)
     for p in params.values():
         p.data.flags.writeable = False
     try:
         meta = extra["model"]
+        missing = [name for name in PARAMETER_NAMES if name not in params]
+        if missing:
+            raise BadCheckpoint(
+                path, f"no parameter {missing[0]}: the weights are in a layout this "
+                      "version no longer reads (per head, as in layer1.head0.w1); "
+                      "rerun `sacloc train`")
 
         def layer(tag: str) -> TransformerConvLayer:
-            heads = tuple(
-                HeadWeights(*(params[f"{tag}.head{hi}.{wn}"] for wn in ("w1", "w2", "w3", "w4")))
-                for hi in range(meta["n_heads"])
-            )
-            return TransformerConvLayer(heads=heads, merge=params[f"{tag}.merge"])
+            return TransformerConvLayer(*(params[f"{tag}.{wn}"] for wn in LAYER_WEIGHTS),
+                                        n_heads=meta["n_heads"])
 
         return GtModel(
             encoders=NodeEncoders(

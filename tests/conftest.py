@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sacloc.autodiff import Tensor, load_checkpoint, save_checkpoint
 from sacloc.dataset import ApInventory, FingerprintSample, SyntheticConfig, generate_synthetic
 from sacloc.graphbuild import GraphConfig
 
@@ -33,3 +34,20 @@ def line_inventory():
 
 def make_sample(rssi, truth=(0.0, 0.0)):
     return FingerprintSample(rssi=np.asarray(rssi, dtype=float), truth=np.asarray(truth))
+
+
+def write_per_head_layout(path):
+    """Rewrite a model checkpoint under the per-head parameter names of the
+    layout before the heads were fused: `layer1.head0.w1` (root), `w2`
+    (value), `w3` (query) and `w4` (key), one (in, head_dim) block each."""
+    params, adam, step, extra = load_checkpoint(path)
+    old = {"root": "w1", "value": "w2", "query": "w3", "key": "w4"}
+    per_head = {}
+    for name, p in params.items():
+        tag, _, weight = name.rpartition(".")
+        if weight not in old:
+            per_head[name] = p
+            continue
+        for hi, block in enumerate(np.hsplit(p.data, extra["model"]["n_heads"])):
+            per_head[f"{tag}.head{hi}.{old[weight]}"] = Tensor(block)
+    save_checkpoint(path, per_head, adam=adam, step=step, extra=extra)

@@ -37,7 +37,6 @@ from sacloc.graphbuild import GraphConfig
 from sacloc.gtmodel import (
     TrainConfig,
     TransformerConvLayer,
-    HeadWeights,
     _prepare_arrays,
     denormalize_pred,
     forward_batch,
@@ -151,15 +150,13 @@ def test_criterion_2_transformer_conv_identities():
     # (a) singleton neighbor: output is the plain head average of
     # root + message, exactly
     dim, n_heads = 5, 2
-    heads = tuple(
-        HeadWeights(*[Tensor(rng.normal(size=(dim, dim)) * 0.5) for _ in range(4)])
-        for _ in range(n_heads))
-    layer = TransformerConvLayer(heads=heads, merge=Tensor(np.eye(dim)))
+    blocks = _head_blocks(rng, dim, dim, n_heads)
+    layer = _fused_layer(blocks, Tensor(np.eye(dim)))
     feats = rng.normal(size=(2, dim))
     adj = np.array([[False, True], [False, False]])
     out = transformer_conv(Tape(record=False), layer, Tensor(feats), adj).data
     expected = np.mean(
-        [feats[0] @ h.w1.data + feats[1] @ h.w2.data for h in layer.heads], axis=0)
+        [feats[0] @ root + feats[1] @ value for root, value, _, _ in blocks], axis=0)
     singleton_err = float(np.max(np.abs(out[0] - expected)))
     assert singleton_err <= 1e-12
 
@@ -195,12 +192,22 @@ def test_criterion_2_transformer_conv_identities():
               f"permutation {perm_err:.1e}")
 
 
+def _head_blocks(rng, dim, head_dim, n_heads):
+    """Per head: the (root, value, query, key) blocks, each (dim, head_dim)."""
+    return [[rng.normal(size=(dim, head_dim)) * 0.5 for _ in range(4)]
+            for _ in range(n_heads)]
+
+
+def _fused_layer(blocks, merge):
+    """The layer whose head i has the projections `blocks[i]`."""
+    root, value, query, key = (Tensor(np.hstack(ws)) for ws in zip(*blocks))
+    return TransformerConvLayer(query=query, key=key, value=value, root=root,
+                                merge=merge, n_heads=len(blocks))
+
+
 def _random_layer(rng, dim, head_dim, n_heads):
-    heads = tuple(
-        HeadWeights(*[Tensor(rng.normal(size=(dim, head_dim)) * 0.5) for _ in range(4)])
-        for _ in range(n_heads))
-    return TransformerConvLayer(
-        heads=heads, merge=Tensor(rng.normal(size=(head_dim, dim)) * 0.5))
+    blocks = _head_blocks(rng, dim, head_dim, n_heads)
+    return _fused_layer(blocks, Tensor(rng.normal(size=(head_dim, dim)) * 0.5))
 
 
 # -- criterion 3 ---------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sacloc.autodiff import (
+    ADAM_BLOCK,
     AdamState,
     CosineSchedule,
     Tape,
@@ -107,6 +108,17 @@ class TestBackward:
             t.backward(t.sum_all(x))
         assert np.array_equal(x.grad, [2.0, 2.0])
 
+    def test_shared_swept_gradient_is_not_written_through(self):
+        # `add` hands one gradient array to both leaves; accumulating into
+        # one leaf must leave the other's grad alone
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        y = Tensor([3.0, 4.0], requires_grad=True)
+        for _ in range(3):
+            t = Tape()
+            t.backward(t.sum_all(t.add(x, y)))
+        assert np.array_equal(x.grad, [3.0, 3.0])
+        assert np.array_equal(y.grad, [3.0, 3.0])
+
 
 class TestGradientOracle:
     """Analytic gradients vs central finite differences (the independent route)."""
@@ -171,7 +183,88 @@ class TestGradientOracle:
             assert err < 1e-4, f"trial {trial}: rel err {err}"
 
 
+class TestMultiHead:
+    """The fused-head primitives: gradients against finite differences, and
+    the forward against the per-head composition of 2-D primitives."""
+
+    MASKS = {
+        "B=1": np.array([[True, False, True, True, False]]),
+        "empty row": np.array([[True] * 5, [False] * 5, [True, False, True, False, True]]),
+    }
+
+    @pytest.mark.parametrize("case", MASKS)
+    def test_attention_gradients(self, case):
+        mask = self.MASKS[case]
+        rng = stream(1, "fd", "attention", case)
+        b, n = mask.shape
+        q, k, v = (Tensor(rng.normal(size=(rows, 6)), requires_grad=True)
+                   for rows in (b, n, n))
+        weights = Tensor(rng.normal(size=(b, 6)))
+
+        def forward(t):
+            return t.sum_all(t.mul(t.multi_head_attention(q, k, v, mask, 2), weights))
+
+        t = Tape()
+        t.backward(forward(t))
+        leaves = [q, k, v]
+        numeric = finite_diff(lambda: float(forward(Tape(record=False)).data), leaves)
+        err = max_rel_err([x.grad for x in leaves], numeric)
+        assert err < 1e-4, f"rel err {err}"
+        if case == "empty row":
+            assert np.array_equal(q.grad[1], np.zeros(6))
+
+    @pytest.mark.parametrize("b", [1, 3])
+    def test_head_mean_gradients(self, b):
+        rng = stream(b, "fd", "head-mean")
+        x = Tensor(rng.normal(size=(b, 6)), requires_grad=True)
+        weights = Tensor(rng.normal(size=(b, 2)))
+
+        def forward(t):
+            return t.sum_all(t.mul(t.head_mean(x, 3), weights))
+
+        t = Tape()
+        t.backward(forward(t))
+        numeric = finite_diff(lambda: float(forward(Tape(record=False)).data), [x])
+        assert max_rel_err([x.grad], numeric) < 1e-4
+
+    def test_forward_matches_per_head_composition(self):
+        mask = self.MASKS["empty row"]
+        rng = stream(2, "attention", "per-head")
+        q, k, v = (Tensor(rng.normal(size=(rows, 6))) for rows in (3, 5, 5))
+        t = Tape(record=False)
+        fused = t.head_mean(t.multi_head_attention(q, k, v, mask, 3), 3).data
+        per_head = []
+        for cols in (slice(0, 2), slice(2, 4), slice(4, 6)):
+            logits = t.scale(t.matmul(Tensor(q.data[:, cols]),
+                                      t.transpose(Tensor(k.data[:, cols]))), 2 ** -0.5)
+            attn = t.masked_row_softmax(logits, mask)
+            per_head.append(t.matmul(attn, Tensor(v.data[:, cols])).data)
+        assert np.max(np.abs(fused - np.mean(per_head, axis=0))) <= 1e-15
+        assert np.array_equal(fused[1], np.zeros(2))
+
+
 class TestAdam:
+    def test_blocked_update_matches_textbook_bitwise(self):
+        # more than two blocks and a ragged tail, with blocks crossing rows
+        shape = (3, 23000)
+        assert 2 * ADAM_BLOCK < 3 * 23000 < 3 * ADAM_BLOCK
+        rng = stream(4, "adam", "blocks")
+        p = Tensor(rng.normal(size=shape), requires_grad=True)
+        ref, m, v = p.data.copy(), np.zeros(shape), np.zeros(shape)
+        state = AdamState(weight_decay=1e-2)
+        b1, b2, eps, wd = state.beta1, state.beta2, state.eps, state.weight_decay
+        for t in range(1, 5):
+            g = rng.normal(size=shape) * 10.0 ** (t - 2)
+            lr = 0.01 / t
+            adam_step({"p": p}, {"p": g}, state, lr)
+            m = m * b1 + (1.0 - b1) * g
+            v = v * b2 + (1.0 - b2) * g * g
+            m_hat = m / (1.0 - b1 ** t)
+            v_hat = v / (1.0 - b2 ** t)
+            ref = ref - lr * (m_hat / (np.sqrt(v_hat) + eps) + wd * ref)
+            assert np.array_equal(p.data, ref), t
+            assert np.array_equal(state.m["p"], m) and np.array_equal(state.v["p"], v)
+
     def test_zero_grad_zero_decay_is_identity(self):
         p = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
         before = p.data.copy()

@@ -4,6 +4,8 @@ import pytest
 
 from sacloc.cli import CHECKPOINT_NAME, main
 
+from conftest import write_per_head_layout
+
 TINY_CONFIG = {
     "graph": {"d_p": 25.0, "tau": -80.0},
     "model": {"hidden": 8, "heads": 2},
@@ -98,6 +100,16 @@ class TestPipeline:
         assert run("calibrate", "--config", config) == 1
         err = capsys.readouterr().err
         assert "checkpoint version 1 is no longer read; rerun `sacloc train`" in err
+
+    def test_per_head_checkpoint_rejected(self, workdir, capsys):
+        tmp, config = workdir
+        assert run("synth", "--config", config) == 0
+        assert run("train", "--config", config) == 0
+        write_per_head_layout(tmp / "out" / CHECKPOINT_NAME)
+        capsys.readouterr()
+        assert run("calibrate", "--config", config) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "rerun `sacloc train`" in err
 
     def test_nan_truth_fails_calibrate(self, workdir, capsys):
         tmp, config = workdir

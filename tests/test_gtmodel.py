@@ -16,7 +16,6 @@ from sacloc.errors import (
 )
 from sacloc.graphbuild import GraphConfig, build_ap_adjacency, build_sample_graph
 from sacloc.gtmodel import (
-    HeadWeights,
     TrainConfig,
     TransformerConvLayer,
     _prepare_arrays,
@@ -35,43 +34,61 @@ from sacloc.gtmodel import (
 )
 from sacloc.rng import stream
 
-from conftest import make_sample
+from conftest import make_sample, write_per_head_layout
 
 
 def random_layer(in_dim, out_dim, n_heads, head_dim, seed, scale=0.5):
-    heads = tuple(
-        HeadWeights(*[
-            Tensor(stream(seed, "layer", h, w).normal(size=(in_dim, head_dim)) * scale,
-                   requires_grad=True)
-            for w in range(4)
-        ])
-        for h in range(n_heads)
-    )
+    def fused(w):
+        return Tensor(np.hstack([
+            stream(seed, "layer", h, w).normal(size=(in_dim, head_dim)) * scale
+            for h in range(n_heads)]), requires_grad=True)
+
     merge = Tensor(stream(seed, "merge").normal(size=(head_dim, out_dim)) * scale,
                    requires_grad=True)
-    return TransformerConvLayer(heads=heads, merge=merge)
+    return TransformerConvLayer(query=fused(2), key=fused(3), value=fused(1), root=fused(0),
+                                merge=merge, n_heads=n_heads)
+
+
+def head_blocks(layer, name):
+    """The per-head (in_dim, head_dim) column blocks of one fused projection."""
+    return np.hsplit(getattr(layer, name).data, layer.n_heads)
+
+
+def dense_layer(layer, feats, adjacency):
+    """Reference layer application, head by head and node by node from the
+    per-head weight blocks, in plain numpy: the mean over heads of the root
+    transform plus the attention-weighted values, then the merge."""
+    total = np.zeros((feats.shape[0], layer.head_dim))
+    for head, (root, value) in enumerate(zip(head_blocks(layer, "root"),
+                                             head_blocks(layer, "value"))):
+        total += feats @ root
+        values = feats @ value
+        for node in range(feats.shape[0]):
+            neighbors = np.nonzero(adjacency[node])[0]
+            if len(neighbors):
+                beta = attention_coefficients(layer, head, feats, node, list(neighbors))
+                total[node] += beta @ values[neighbors]
+    return (total / layer.n_heads) @ layer.merge.data
 
 
 def dense_forward(model, graph):
     """Reference single-scan forward over the full (m+1)-node adjacency: both
     layers update every node, and the user row feeds the head -> (2,)."""
-    t = Tape(record=False)
     enc = model.encoders
-    aps = t.add_bias(t.matmul(Tensor(graph.ap_features), enc.ap_w), enc.ap_b)
-    user = t.add_bias(
-        t.matmul(Tensor(graph.user_features[None, :]), enc.user_w), enc.user_b)
-    feats = t.concat_rows([aps, user])
+    aps = graph.ap_features @ enc.ap_w.data + enc.ap_b.data
+    user = graph.user_features[None, :] @ enc.user_w.data + enc.user_b.data
+    feats = np.vstack([aps, user])
     for layer in (model.layer1, model.layer2):
-        feats = t.relu(transformer_conv(t, layer, feats, graph.adjacency))
-    user_row = t.select_rows(feats, np.array([graph.user_index]))
-    return t.add_bias(t.matmul(user_row, model.head_w), model.head_b).data[0]
+        feats = np.maximum(dense_layer(layer, feats, graph.adjacency), 0.0)
+    return feats[graph.user_index] @ model.head_w.data + model.head_b.data
 
 
 def identity_merge_layer(dim, n_heads, seed):
     """Heads at full width with an identity merge, so the layer output is the
     plain head average."""
     layer = random_layer(dim, dim, n_heads, dim, seed)
-    return TransformerConvLayer(heads=layer.heads, merge=Tensor(np.eye(dim)))
+    layer.merge = Tensor(np.eye(dim))
+    return layer
 
 
 class TestAttention:
@@ -91,8 +108,7 @@ class TestAttention:
     def test_scalar_softmax_oracle(self):
         # one-dimensional head with identity projections: logits are the raw
         # neighbor values, so beta = softmax([0, ln 2]) = [1/3, 2/3]
-        head = HeadWeights(*[Tensor(np.eye(1)) for _ in range(4)])
-        layer = TransformerConvLayer(heads=(head,), merge=Tensor(np.eye(1)))
+        layer = TransformerConvLayer(*[Tensor(np.eye(1)) for _ in range(5)], n_heads=1)
         feats = np.array([[1.0], [0.0], [math.log(2.0)]])
         beta = attention_coefficients(layer, 0, feats, node=0, neighbors=[1, 2])
         assert np.allclose(beta, [1.0 / 3.0, 2.0 / 3.0], atol=1e-12)
@@ -123,8 +139,8 @@ class TestTransformerConv:
         adj = np.array([[False, True], [False, False]])
         out = transformer_conv(Tape(record=False), layer, Tensor(feats_np), adj).data
         expected = np.mean(
-            [feats_np[0] @ h.w1.data + feats_np[1] @ h.w2.data for h in layer.heads],
-            axis=0)
+            [feats_np[0] @ root + feats_np[1] @ value for root, value in
+             zip(head_blocks(layer, "root"), head_blocks(layer, "value"))], axis=0)
         assert np.max(np.abs(out[0] - expected)) <= 1e-12
 
     def test_isolated_node_root_term_only(self):
@@ -132,14 +148,14 @@ class TestTransformerConv:
         feats_np = stream(8, "x").normal(size=(3, 5))
         adj = np.zeros((3, 3), dtype=bool)
         out = transformer_conv(Tape(record=False), layer, Tensor(feats_np), adj).data
-        expected = np.mean([feats_np @ h.w1.data for h in layer.heads], axis=0)
+        expected = np.mean([feats_np @ root for root in head_blocks(layer, "root")], axis=0)
         assert np.max(np.abs(out - expected)) <= 1e-12
 
     def test_identity_configuration(self):
         # one head, root = identity, zero messages, identity merge
-        head = HeadWeights(w1=Tensor(np.eye(4)), w2=Tensor(np.zeros((4, 4))),
-                           w3=Tensor(np.eye(4)), w4=Tensor(np.eye(4)))
-        layer = TransformerConvLayer(heads=(head,), merge=Tensor(np.eye(4)))
+        layer = TransformerConvLayer(
+            query=Tensor(np.eye(4)), key=Tensor(np.eye(4)), value=Tensor(np.zeros((4, 4))),
+            root=Tensor(np.eye(4)), merge=Tensor(np.eye(4)), n_heads=1)
         feats_np = stream(9, "x").normal(size=(5, 4))
         adj = stream(10, "adj").random((5, 5)) < 0.5
         out = transformer_conv(Tape(record=False), layer, Tensor(feats_np), adj).data
@@ -147,7 +163,10 @@ class TestTransformerConv:
 
     def test_duplicated_heads_match_single_head(self):
         single = random_layer(6, 6, 1, 3, seed=11)
-        multi = TransformerConvLayer(heads=single.heads * 4, merge=single.merge)
+        multi = TransformerConvLayer(
+            *(Tensor(np.tile(getattr(single, wn).data, 4))
+              for wn in ("query", "key", "value", "root")),
+            merge=single.merge, n_heads=4)
         feats = Tensor(stream(12, "x").normal(size=(7, 6)))
         adj = stream(13, "adj").random((7, 7)) < 0.4
         t = Tape(record=False)
@@ -394,14 +413,29 @@ class TestTrain:
             logs.append(train(model, samples, tc, graph_cfg, inventory))
         assert logs[0] == logs[1]
 
-    def test_diverged_reports_epoch(self, small_world, graph_cfg):
+    def test_diverged_reports_epoch(self, small_world, graph_cfg, monkeypatch):
         _, inventory, samples = small_world
         model = model_for_inventory(inventory, hidden=8, n_heads=2, seed=5)
         model.head_w.data[0, 0] = np.nan
         tc = TrainConfig(epochs=2, batch_size=16, seed=5)
         with pytest.raises(TrainingDiverged) as err:
             train(model, samples, tc, graph_cfg, inventory)
-        assert err.value.epoch == 0
+        assert (err.value.epoch, err.value.batch) == (0, 0)
+
+        # 40 scans in batches of 16 are 3 batches an epoch, so the fifth
+        # loss is epoch 1, batch 1
+        losses = []
+        mae = gtmodel.mae_loss
+
+        def nan_on_fifth(tape, pred, truth):
+            losses.append(mae(tape, pred, truth))
+            return tape.scale(losses[-1], np.nan) if len(losses) == 5 else losses[-1]
+
+        monkeypatch.setattr(gtmodel, "mae_loss", nan_on_fifth)
+        model = model_for_inventory(inventory, hidden=8, n_heads=2, seed=5)
+        with pytest.raises(TrainingDiverged, match="epoch 1, batch 1") as err:
+            train(model, samples, tc, graph_cfg, inventory)
+        assert (err.value.epoch, err.value.batch) == (1, 1)
 
     def test_loss_decreases(self, small_world, graph_cfg):
         _, inventory, samples = small_world
@@ -436,6 +470,24 @@ class TestTrain:
             assert dead == 0
 
 
+    def test_step_tape_size_does_not_depend_on_heads(self, small_world, graph_cfg,
+                                                     monkeypatch):
+        # the heads of a projection are one weight and one primitive call,
+        # not one set of tape nodes per head
+        _, inventory, samples = small_world
+        gradients = Tape.gradients
+        sizes = {}
+        for n_heads in (1, 2, 4):
+            seen = sizes.setdefault(n_heads, [])
+            monkeypatch.setattr(Tape, "gradients", lambda tape, loss, seen=seen:
+                                seen.append(len(tape._nodes)) or gradients(tape, loss))
+            model = model_for_inventory(inventory, hidden=8, n_heads=n_heads, seed=5)
+            tc = TrainConfig(epochs=1, batch_size=16, dropout=0.2, seed=5)
+            train(model, samples[:16], tc, graph_cfg, inventory)
+        assert len(sizes[1]) == 1
+        assert sizes[1] == sizes[2] == sizes[4]
+
+
 class TestCheckpointing:
     def test_desk_scale_file(self, tmp_path, graph_cfg):
         """h=64 on 20 APs: resave is byte-identical, the file is the raw floats
@@ -465,6 +517,17 @@ class TestCheckpointing:
         graph = build_sample_graph(samples[0], inventory, ap_adj, graph_cfg)
         assert np.array_equal(forward_graph(Tape(record=False), model, graph).data,
                               forward_graph(Tape(record=False), loaded, graph).data)
+
+    def test_per_head_layout_rejected(self, tmp_path, small_world):
+        _, inventory, _ = small_world
+        path = tmp_path / "model.bin"
+        save_model(path, model_for_inventory(inventory, hidden=8, n_heads=2, seed=5))
+        write_per_head_layout(path)
+        assert "layer1.head0.w1" in load_checkpoint(path)[0]
+        with pytest.raises(BadCheckpoint, match="rerun `sacloc train`") as exc:
+            load_model(path)
+        assert "no parameter layer1.query" in str(exc.value)
+        assert exc.value.path == path
 
     def test_load_model_needs_model_metadata(self, tmp_path):
         path = tmp_path / "bare.bin"
