@@ -8,7 +8,6 @@ confidence radii.
 from .conformal import (
     PredictionSet,
     SacpCalibration,
-    ScoreSet,
     calibrate,
     conformal_rank,
     load_calibration,
@@ -44,7 +43,6 @@ from .gtmodel import (
     TrainConfig,
     load_model,
     model_for_inventory,
-    model_forward,
     predict_positions,
     save_model,
     train,

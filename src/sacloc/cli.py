@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .conformal import calibrate, load_calibration, predict_set, save_calibration
+from .conformal import SacpCalibration, calibrate, load_calibration, predict_set, save_calibration
 from .dataset import (
     ApInventory,
     FingerprintSample,
@@ -35,7 +35,10 @@ from .dataset import (
 )
 from .errors import ConfigError, MissingArtifact, SaclocError
 from .evalreport import (
+    CoverageReport,
     ErrorMapData,
+    PointMetrics,
+    SweepResult,
     alpha_sweep,
     baseline_positions,
     coverage_by_region,
@@ -62,17 +65,30 @@ CHECKPOINT_NAME = "checkpoint.bin"
 LOSS_LOG_NAME = "loss_log.txt"
 CALIBRATION_NAME = "calibration.json"
 
+# Config keys that map onto a dataclass field: key -> (field, type). A key the
+# file leaves out is not passed, so the dataclass default is the only default.
+GRAPH_FIELDS = {"d_p": ("d_p", float), "tau": ("tau", float)}
+TRAIN_FIELDS = {
+    "epochs": ("epochs", int), "batch_size": ("batch_size", int), "lr": ("base_lr", float),
+    "weight_decay": ("weight_decay", float), "dropout": ("dropout", float),
+}
+SYNTH_FIELDS = {
+    "path_loss_exponent": ("path_loss_exponent", float),
+    "ref_power_dbm": ("ref_power_dbm", float),
+    "noise_sigma_db": ("noise_sigma_db", float),
+    "detection_floor_dbm": ("detection_floor_dbm", float),
+    "train_samples": ("sample_count", int),
+}
+
 # Every key a config file may set, by section; anything else is a typo.
 CONFIG_KEYS: dict[str, frozenset[str]] = {
     "dataset": frozenset({"fingerprints", "inventory", "test"}),
-    "graph": frozenset({"d_p", "tau"}),
+    "graph": frozenset(GRAPH_FIELDS),
     "model": frozenset({"hidden", "heads"}),
     # `workers` (ignored) names a removed option the benchmark's config still sets
-    "train": frozenset({"epochs", "batch_size", "lr", "weight_decay", "dropout",
-                        "calibration_fraction", "workers"}),
+    "train": frozenset({*TRAIN_FIELDS, "calibration_fraction", "workers"}),
     "conformal": frozenset({"alpha", "k"}),
-    "synth": frozenset({"ap_count", "area", "path_loss_exponent", "ref_power_dbm",
-                        "noise_sigma_db", "detection_floor_dbm", "train_samples"}),
+    "synth": frozenset({*SYNTH_FIELDS, "ap_count", "area"}),
 }
 CONFIG_SCALARS = frozenset({"seed", "output_dir"})
 
@@ -108,7 +124,6 @@ def load_config(path: str | Path) -> RunConfig:
 
     try:
         ds = raw.get("dataset", {})
-        graph = raw.get("graph", {})
         model = raw.get("model", {})
         tr = raw.get("train", {})
         conf = raw.get("conformal", {})
@@ -119,29 +134,17 @@ def load_config(path: str | Path) -> RunConfig:
             synth = SyntheticConfig(
                 ap_count=int(s["ap_count"]),
                 area=(float(s["area"][0]), float(s["area"][1])),
-                path_loss_exponent=float(s.get("path_loss_exponent", 2.0)),
-                ref_power_dbm=float(s.get("ref_power_dbm", -40.0)),
-                noise_sigma_db=float(s.get("noise_sigma_db", 0.0)),
-                detection_floor_dbm=float(s.get("detection_floor_dbm", -95.0)),
-                sample_count=int(s.get("train_samples", 1000)),
                 seed=seed,
+                **_set_fields(s, SYNTH_FIELDS),
             )
         return RunConfig(
             fingerprints=Path(ds["fingerprints"]) if "fingerprints" in ds else None,
             inventory=Path(ds["inventory"]) if "inventory" in ds else None,
             test=Path(ds["test"]) if "test" in ds else None,
-            graph=GraphConfig(
-                d_p=float(graph.get("d_p", 20.0)), tau=float(graph.get("tau", -75.0))),
+            graph=GraphConfig(**_set_fields(raw.get("graph", {}), GRAPH_FIELDS)),
             hidden=int(model.get("hidden", 500)),
             n_heads=int(model.get("heads", 4)),
-            train=TrainConfig(
-                epochs=int(tr.get("epochs", 100)),
-                batch_size=int(tr.get("batch_size", 64)),
-                base_lr=float(tr.get("lr", 0.001)),
-                weight_decay=float(tr.get("weight_decay", 1e-4)),
-                dropout=float(tr.get("dropout", 0.4)),
-                seed=seed,
-            ),
+            train=TrainConfig(seed=seed, **_set_fields(tr, TRAIN_FIELDS)),
             calibration_fraction=float(tr.get("calibration_fraction", 0.2)),
             alpha=float(conf.get("alpha", 0.1)),
             k=int(conf.get("k", 5)),
@@ -151,6 +154,10 @@ def load_config(path: str | Path) -> RunConfig:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"config file {path}: {exc}") from exc
+
+
+def _set_fields(section: dict, fields: dict) -> dict:
+    return {name: kind(section[key]) for key, (name, kind) in fields.items() if key in section}
 
 
 def _check_keys(path: str | Path, raw) -> None:
@@ -330,21 +337,10 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
     test_samples = load_fingerprints(_require_path(cfg.test, "test file"), inventory)
 
     preds = predict_positions(model, test_samples, inventory, cfg.graph)
-    truths = truth_matrix(test_samples)
-    metrics = point_metrics(preds, truths)
-    base = point_metrics(baseline_positions(test_samples, inventory), truths)
-    coverage = coverage_by_region(preds, truths, calibration, args.assignment)
-    regions = assign_regions(
-        calibration.region_model, preds if args.assignment == "predicted" else truths)
-    error_map = ErrorMapData(
-        x=truths[:, 0], y=truths[:, 1],
-        error_m=np.linalg.norm(preds - truths, axis=1), region=regions)
-    written = emit_report(
-        cfg.output_dir, metrics=metrics, coverage=coverage,
-        error_map=error_map, baseline_metrics=base)
-    cov = coverage.global_row.coverage
+    metrics, coverage, written = _write_report(
+        cfg.output_dir, inventory, test_samples, preds, calibration, args.assignment)
     print(f"test MAE {metrics.mae:.3f} m, median {metrics.median:.3f} m, "
-          f"global coverage {100 * cov:.1f}% "
+          f"global coverage {100 * coverage.global_row.coverage:.1f}% "
           f"(target {100 * (1 - calibration.alpha):.0f}%)")
     for path in written:
         print(f"wrote {path}")
@@ -363,29 +359,50 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
     cal_preds = predict_positions(model, cal_samples, inventory, cfg.graph)
     cal_truths = truth_matrix(cal_samples)
     test_preds = predict_positions(model, test_samples, inventory, cfg.graph)
-    test_truths = truth_matrix(test_samples)
     sweep = alpha_sweep(
-        cal_preds, cal_truths, test_preds, test_truths, alphas, cfg.k, cfg.seed)
-
+        cal_preds, cal_truths, test_preds, truth_matrix(test_samples), alphas,
+        cfg.k, cfg.seed)
     # the report carries the point metrics and the configured-alpha coverage
     # as well, so sweeping after evaluate never discards report sections
-    metrics = point_metrics(test_preds, test_truths)
-    base = point_metrics(baseline_positions(test_samples, inventory), test_truths)
     calibration = calibrate(cal_preds, cal_truths, cfg.alpha, cfg.k, cfg.seed)
-    coverage = coverage_by_region(test_preds, test_truths, calibration)
-    regions = assign_regions(calibration.region_model, test_preds)
-    error_map = ErrorMapData(
-        x=test_truths[:, 0], y=test_truths[:, 1],
-        error_m=np.linalg.norm(test_preds - test_truths, axis=1), region=regions)
-    written = emit_report(
-        cfg.output_dir, metrics=metrics, coverage=coverage, sweep=sweep,
-        error_map=error_map, baseline_metrics=base)
+    _, _, written = _write_report(
+        cfg.output_dir, inventory, test_samples, test_preds, calibration, "predicted", sweep)
     lo, hi = sweep.global_radii[-1], sweep.global_radii[0]
     print(f"global radius {lo:.2f} m at alpha={sweep.alphas[-1]:g} to "
           f"{hi:.2f} m at alpha={sweep.alphas[0]:g}")
     for path in written:
         print(f"wrote {path}")
     return 0
+
+
+def _write_report(
+    out_dir: Path,
+    inventory: ApInventory,
+    test_samples: list[FingerprintSample],
+    preds: np.ndarray,
+    calibration: SacpCalibration,
+    assignment: str,
+    sweep: Optional[SweepResult] = None,
+) -> tuple[PointMetrics, CoverageReport, list[Path]]:
+    """Score test predictions, with the weighted-centroid baseline, and write
+    the report files; returns the model's metrics, the coverage and the paths.
+
+    Test scans are routed to regions by `assignment` ("predicted" or
+    "truth"), in the coverage table and in the error map alike.
+    """
+    truths = truth_matrix(test_samples)
+    metrics = point_metrics(preds, truths)
+    base = point_metrics(baseline_positions(test_samples, inventory), truths)
+    coverage = coverage_by_region(preds, truths, calibration, assignment)
+    regions = assign_regions(
+        calibration.region_model, preds if assignment == "predicted" else truths)
+    error_map = ErrorMapData(
+        x=truths[:, 0], y=truths[:, 1],
+        error_m=np.linalg.norm(preds - truths, axis=1), region=regions)
+    written = emit_report(
+        out_dir, metrics=metrics, coverage=coverage, sweep=sweep,
+        error_map=error_map, baseline_metrics=base)
+    return metrics, coverage, written
 
 
 # -- entry point ---------------------------------------------------------------

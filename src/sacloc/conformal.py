@@ -37,20 +37,6 @@ CALIBRATION_VERSION = 1
 
 
 @dataclass(frozen=True)
-class ScoreSet:
-    """Nonconformity scores with their region assignments."""
-
-    scores: np.ndarray  # (n,) nonnegative meters
-    region_ids: np.ndarray  # (n,) ints
-
-    def __post_init__(self):
-        if self.scores.shape != self.region_ids.shape:
-            raise ValueError("scores and region_ids lengths differ")
-        if np.any(self.scores < 0):
-            raise ValueError("scores must be nonnegative")
-
-
-@dataclass(frozen=True)
 class SacpCalibration:
     """Per-region conformal radii plus the region model that produced them."""
 
@@ -126,16 +112,13 @@ def calibrate(
         raise ValueError(f"unknown assignment mode {assignment!r}")
     if region_model is None:
         region_model = kmeans_fit(truths, k, seed)
-    basis = truths if assignment == "truth" else preds
-    score_set = ScoreSet(
-        scores=nonconformity_scores(preds, truths),
-        region_ids=assign_regions(region_model, basis),
-    )
+    scores = nonconformity_scores(preds, truths)
+    region_ids = assign_regions(region_model, truths if assignment == "truth" else preds)
 
     radii = np.empty(region_model.k)
     counts = np.empty(region_model.k, dtype=int)
     for r in range(region_model.k):
-        region_scores = score_set.scores[score_set.region_ids == r]
+        region_scores = scores[region_ids == r]
         counts[r] = len(region_scores)
         radii[r] = radius_from_scores(region_scores, alpha)
         if math.isinf(radii[r]):
@@ -147,8 +130,8 @@ def calibrate(
         region_model=region_model,
         radii=radii,
         counts=counts,
-        global_radius=radius_from_scores(score_set.scores, alpha),
-        global_count=len(score_set.scores),
+        global_radius=radius_from_scores(scores, alpha),
+        global_count=len(scores),
     )
 
 

@@ -91,7 +91,7 @@ class SyntheticConfig:
     ref_power_dbm: float = -40.0  # received power at 1 m
     noise_sigma_db: float = 0.0
     detection_floor_dbm: float = -95.0
-    sample_count: int = 100
+    sample_count: int = 1000
     seed: int = 0
 
     def __post_init__(self):

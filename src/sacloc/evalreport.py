@@ -154,10 +154,12 @@ def alpha_sweep(
     alphas: Sequence[float],
     k: int,
     seed: int,
-    cal_assignment: str = "truth",
-    test_assignment: str = "predicted",
 ) -> SweepResult:
-    """Recalibrate radii across an alpha grid; the region fit is done once."""
+    """Recalibrate radii across an alpha grid; the region fit is done once.
+
+    Calibration scores are grouped by true region and test scans routed by
+    predicted region, as `calibrate` and `coverage_by_region` default to.
+    """
     alphas = np.asarray(list(alphas), dtype=np.float64)
     if len(alphas) == 0 or np.any(np.diff(alphas) <= 0):
         raise ValueError("alpha grid must be nonempty and strictly increasing")
@@ -171,10 +173,8 @@ def alpha_sweep(
     global_coverages = np.empty(len(alphas))
     region_counts = None
     for i, alpha in enumerate(alphas):
-        cal = calibrate(
-            cal_preds, cal_truths, float(alpha), k, seed,
-            assignment=cal_assignment, region_model=region_model)
-        report = coverage_by_region(test_preds, test_truths, cal, test_assignment)
+        cal = calibrate(cal_preds, cal_truths, float(alpha), k, seed, region_model=region_model)
+        report = coverage_by_region(test_preds, test_truths, cal)
         radii[i] = cal.radii
         global_radii[i] = cal.global_radius
         for row in report.rows:

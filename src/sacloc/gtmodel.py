@@ -373,12 +373,6 @@ def forward_graph(tape: Tape, model: GtModel, graph: LocGraph) -> Tensor:
         graph.ap_features, graph.adjacency[:m, :m])
 
 
-def model_forward(model: GtModel, graph: LocGraph) -> np.ndarray:
-    """Eval-mode prediction for one graph, normalized coordinates (2,)."""
-    tape = Tape(record=False)
-    return forward_graph(tape, model, graph).data[0]
-
-
 def denormalize_pred(tape: Tape, pred_norm: Tensor, model: GtModel) -> Tensor:
     """Map normalized (B, 2) predictions to meters through the stored affine."""
     n = pred_norm.shape[0]

@@ -58,26 +58,26 @@ def report(criterion: int, message: str) -> None:
 # -- shared desk-scale experiment (criteria 6 and 7) ---------------------------
 
 DESK_GRAPH = GraphConfig(d_p=20.0, tau=-75.0)
+DESK_SYNTH = SyntheticConfig(
+    ap_count=20, area=(100.0, 40.0), path_loss_exponent=2.2,
+    ref_power_dbm=-40.0, noise_sigma_db=4.0, detection_floor_dbm=-95.0,
+    sample_count=3750, seed=11,
+)
+DESK_TRAIN = TrainConfig(epochs=30, batch_size=64, base_lr=3e-3, weight_decay=1e-4,
+                         dropout=0.1, seed=11)
 
 
 @pytest.fixture(scope="module")
 def desk_scale():
     """20 APs over 100 x 40 m, 3000/750/750 split, sigma = 4 dB, h=64, E=4."""
-    cfg = SyntheticConfig(
-        ap_count=20, area=(100.0, 40.0), path_loss_exponent=2.2,
-        ref_power_dbm=-40.0, noise_sigma_db=4.0, detection_floor_dbm=-95.0,
-        sample_count=3750, seed=11,
-    )
     started = time.monotonic()
-    inventory, pool = generate_synthetic(cfg)
-    test_samples = synthesize_scans(inventory, cfg, 750, "test")
+    inventory, pool = generate_synthetic(DESK_SYNTH)
+    test_samples = synthesize_scans(inventory, DESK_SYNTH, 750, "test")
     train_samples, cal_samples = split_train_calibration(pool, 0.8, seed=11)
     assert (len(train_samples), len(cal_samples), len(test_samples)) == (3000, 750, 750)
 
     model = model_for_inventory(inventory, hidden=64, n_heads=4, seed=11)
-    tc = TrainConfig(epochs=30, batch_size=64, base_lr=3e-3, weight_decay=1e-4,
-                     dropout=0.1, seed=11)
-    train(model, train_samples, tc, DESK_GRAPH, inventory)
+    train(model, train_samples, DESK_TRAIN, DESK_GRAPH, inventory)
 
     cal_preds = predict_positions(model, cal_samples, inventory, DESK_GRAPH)
     test_preds = predict_positions(model, test_samples, inventory, DESK_GRAPH)

@@ -2,7 +2,10 @@ import json
 
 import pytest
 
-from sacloc.cli import CHECKPOINT_NAME, main
+from sacloc.cli import CHECKPOINT_NAME, load_config, main
+from sacloc.dataset import SyntheticConfig
+from sacloc.graphbuild import GraphConfig
+from sacloc.gtmodel import TrainConfig
 
 from conftest import write_per_head_layout
 
@@ -245,6 +248,14 @@ class TestFlags:
         assert run("train", "--config", config) == 1
         err = capsys.readouterr().err
         assert "train.dropuot" in err and "train.epoch" in err
+
+    def test_unset_keys_take_dataclass_defaults(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"synth": {"ap_count": 7, "area": [30, 20]}, "seed": 4}))
+        cfg = load_config(path)
+        assert cfg.synth == SyntheticConfig(7, (30.0, 20.0), seed=4)
+        assert cfg.graph == GraphConfig()
+        assert cfg.train == TrainConfig(seed=4)
 
     def test_invalid_json_config(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

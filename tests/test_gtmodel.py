@@ -26,7 +26,6 @@ from sacloc.gtmodel import (
     load_model,
     mae_loss,
     model_for_inventory,
-    model_forward,
     predict_positions,
     save_model,
     train,
@@ -199,8 +198,8 @@ class TestModelForward:
         ap_adj = build_ap_adjacency(inventory, graph_cfg)
         graph = build_sample_graph(samples[0], inventory, ap_adj, graph_cfg)
         model = model_for_inventory(inventory, hidden=16, n_heads=2, seed=5)
-        a = model_forward(model, graph)
-        b = model_forward(model, graph)
+        a = forward_graph(Tape(record=False), model, graph).data[0]
+        b = forward_graph(Tape(record=False), model, graph).data[0]
         assert np.array_equal(a, b)
 
     def test_zero_weights_predict_origin(self, small_world, graph_cfg):
@@ -210,7 +209,8 @@ class TestModelForward:
         model = model_for_inventory(inventory, hidden=16, n_heads=2, seed=5)
         for p in model.parameters().values():
             p.data[...] = 0.0
-        assert np.array_equal(model_forward(model, graph), [0.0, 0.0])
+        pred = forward_graph(Tape(record=False), model, graph).data[0]
+        assert np.array_equal(pred, [0.0, 0.0])
 
     def test_dimension_mismatch(self, small_world, graph_cfg, line_inventory):
         _, inventory, samples = small_world
@@ -218,7 +218,7 @@ class TestModelForward:
         graph = build_sample_graph(samples[0], inventory, ap_adj, graph_cfg)
         wrong = model_for_inventory(line_inventory, hidden=8, n_heads=2, seed=0)
         with pytest.raises(DimensionMismatch):
-            model_forward(wrong, graph)
+            forward_graph(Tape(record=False), wrong, graph)
 
     def test_messages_change_prediction(self, small_world):
         # identical user features, edges present vs filtered out by tau
@@ -237,8 +237,8 @@ class TestModelForward:
         assert with_edges.adjacency[with_edges.user_index].any()
         assert not without.adjacency[without.user_index].any()
         assert np.array_equal(with_edges.user_features, without.user_features)
-        pa = model_forward(model, with_edges)
-        pb = model_forward(model, without)
+        pa = forward_graph(Tape(record=False), model, with_edges).data[0]
+        pb = forward_graph(Tape(record=False), model, without).data[0]
         assert not np.allclose(pa, pb)
 
     def test_dense_matches_factorized(self, small_world, graph_cfg, tmp_path):
@@ -304,7 +304,8 @@ class TestInventoryMemo:
         model = model_for_inventory(inventory, hidden=16, n_heads=2, seed=5)
         predict_positions(model, samples, inventory, graph_cfg)
         ap_adj = build_ap_adjacency(inventory, graph_cfg)
-        model_forward(model, build_sample_graph(samples[0], inventory, ap_adj, graph_cfg))
+        graph = build_sample_graph(samples[0], inventory, ap_adj, graph_cfg)
+        forward_graph(Tape(record=False), model, graph)
         assert model.inventory_memo is None
 
     def test_warm_predict_set_encodes_nothing(self, loaded, graph_cfg, monkeypatch):
