@@ -18,6 +18,7 @@ from .conformal import (
 from .dataset import (
     ApInventory,
     FingerprintSample,
+    ScanSet,
     SyntheticConfig,
     generate_synthetic,
     load_fingerprints,

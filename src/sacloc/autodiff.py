@@ -356,8 +356,11 @@ def adam_step(
         g = grads[name]
         if g.shape != p.data.shape:
             raise ShapeMismatch(f"adam_step {name}: {g.shape} vs {p.data.shape}")
-        m = state.m.setdefault(name, np.zeros_like(p.data))
-        v = state.v.setdefault(name, np.zeros_like(p.data))
+        m, v = state.m.get(name), state.v.get(name)
+        if m is None:  # zero moments on a parameter's first step only
+            m = state.m[name] = np.zeros_like(p.data)
+        if v is None:
+            v = state.v[name] = np.zeros_like(p.data)
         pf, mf, vf = (a.reshape(-1, copy=False) for a in (p.data, m, v))
         gf = g.reshape(-1)
         for lo in range(0, pf.size, ADAM_BLOCK):

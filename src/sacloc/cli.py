@@ -23,6 +23,7 @@ from .conformal import SacpCalibration, calibrate, load_calibration, predict_set
 from .dataset import (
     ApInventory,
     FingerprintSample,
+    ScanSet,
     SyntheticConfig,
     generate_synthetic,
     load_fingerprints,
@@ -31,7 +32,6 @@ from .dataset import (
     save_inventory,
     split_train_calibration,
     synthesize_scans,
-    truth_matrix,
 )
 from .errors import ConfigError, MissingArtifact, SaclocError
 from .evalreport import (
@@ -212,7 +212,7 @@ def _require_path(path: Optional[Path], what: str) -> Path:
     return path
 
 
-def _load_train_pool(cfg: RunConfig) -> tuple[ApInventory, list[FingerprintSample]]:
+def _load_train_pool(cfg: RunConfig) -> tuple[ApInventory, ScanSet]:
     inventory = load_inventory(_require_path(cfg.inventory, "AP inventory file"))
     samples = load_fingerprints(
         _require_path(cfg.fingerprints, "fingerprint file"), inventory)
@@ -272,7 +272,7 @@ def cmd_calibrate(cfg: RunConfig, args: argparse.Namespace) -> int:
     _, cal_samples = _split(cfg, pool)
     preds = predict_positions(model, cal_samples, inventory, cfg.graph)
     cal = calibrate(
-        preds, truth_matrix(cal_samples), cfg.alpha, cfg.k, cfg.seed,
+        preds, cal_samples.truth, cfg.alpha, cfg.k, cfg.seed,
         assignment=args.assignment)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     save_calibration(cfg.output_dir / CALIBRATION_NAME, cal)
@@ -357,14 +357,13 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
         tuple(float(a) for a in args.alphas.split(",")) if args.alphas else DEFAULT_ALPHAS
     )
     cal_preds = predict_positions(model, cal_samples, inventory, cfg.graph)
-    cal_truths = truth_matrix(cal_samples)
     test_preds = predict_positions(model, test_samples, inventory, cfg.graph)
-    sweep = alpha_sweep(
-        cal_preds, cal_truths, test_preds, truth_matrix(test_samples), alphas,
-        cfg.k, cfg.seed)
     # the report carries the point metrics and the configured-alpha coverage
     # as well, so sweeping after evaluate never discards report sections
-    calibration = calibrate(cal_preds, cal_truths, cfg.alpha, cfg.k, cfg.seed)
+    calibration = calibrate(cal_preds, cal_samples.truth, cfg.alpha, cfg.k, cfg.seed)
+    sweep = alpha_sweep(
+        cal_preds, cal_samples.truth, test_preds, test_samples.truth, alphas,
+        cfg.k, cfg.seed, region_model=calibration.region_model)
     _, _, written = _write_report(
         cfg.output_dir, inventory, test_samples, test_preds, calibration, "predicted", sweep)
     lo, hi = sweep.global_radii[-1], sweep.global_radii[0]
@@ -378,7 +377,7 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
 def _write_report(
     out_dir: Path,
     inventory: ApInventory,
-    test_samples: list[FingerprintSample],
+    test_samples: ScanSet,
     preds: np.ndarray,
     calibration: SacpCalibration,
     assignment: str,
@@ -390,7 +389,7 @@ def _write_report(
     Test scans are routed to regions by `assignment` ("predicted" or
     "truth"), in the coverage table and in the error map alike.
     """
-    truths = truth_matrix(test_samples)
+    truths = test_samples.truth
     metrics = point_metrics(preds, truths)
     base = point_metrics(baseline_positions(test_samples, inventory), truths)
     coverage = coverage_by_region(preds, truths, calibration, assignment)

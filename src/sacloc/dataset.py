@@ -1,23 +1,37 @@
 """Fingerprint dataset ingestion, splits, normalization, synthetic generator.
 
-CSV schema for fingerprint files: one RSSI column per AP id (in inventory
-order), then `x`, `y` coordinate columns in meters. An optional
-`ref_point_id` column is parsed when present; any other extra column is
-ignored with a warning. The AP inventory file has columns `ap_id,x,y`.
+A set of scans is a `ScanSet`: one (N, m) RSSI matrix and one (N, 2) truth
+matrix, checked once as a whole. `FingerprintSample` is a single scan, as
+`scans[i]` returns it; both apply the same validation rule.
+
+CSV schema for fingerprint files: a header row naming one RSSI column per
+AP id and the `x`, `y` coordinate columns in meters, in any order. No
+column may be named twice. `ref_point_id` is ignored silently, any other
+extra column with a warning. The body is parsed in one bulk read; a file it
+cannot take is rescanned row by row, so a bad row is reported with its
+1-based data-row index (blank lines not counted). The AP inventory file has
+columns `ap_id,x,y`.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
-import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .errors import EmptyFile, EmptyInput, MalformedRow, MissingColumn
+from .errors import (
+    BadInventory,
+    DuplicateColumn,
+    EmptyFile,
+    EmptyInput,
+    MalformedRow,
+    MissingColumn,
+)
 from .rng import stream
 
 log = logging.getLogger(__name__)
@@ -46,13 +60,37 @@ class ApInventory:
         if coords.shape[0] != len(self.ap_ids):
             raise ValueError("coordinates and ap_ids lengths differ")
         if len(set(self.ap_ids)) != len(self.ap_ids):
-            raise ValueError("ap_ids are not unique")
-        if not np.all(np.isfinite(coords)):
-            raise ValueError("AP coordinates must be finite")
+            repeated = next(a for i, a in enumerate(self.ap_ids) if a in self.ap_ids[:i])
+            raise ValueError(f"ap_ids are not unique: {repeated!r} appears more than once")
+        bad = ~np.isfinite(coords).all(axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(
+                f"AP coordinates must be finite; {self.ap_ids[i]!r} is at {coords[i].tolist()}")
 
     @property
     def count(self) -> int:
         return len(self.ap_ids)
+
+
+def _first_bad_scan(rssi: np.ndarray, truth: np.ndarray) -> Optional[tuple[int, str]]:
+    """(row, message) for the first of N scans that breaks the scan rule, or None.
+
+    The rule: the truth position is finite, and every detected RSSI entry
+    (not the sentinel) is finite and at most 0 dBm. Within a row the truth
+    is checked first. `rssi` is (N, m), `truth` (N, 2).
+    """
+    bad_truth = ~np.isfinite(truth).all(axis=1)
+    bad_entry = (rssi != SENTINEL) & ~(np.isfinite(rssi) & (rssi <= 0.0))
+    bad = bad_truth | bad_entry.any(axis=1)
+    if not bad.any():
+        return None
+    i = int(np.argmax(bad))
+    if bad_truth[i]:
+        return i, f"truth must be finite, got {truth[i].tolist()}"
+    j = int(np.argmax(bad_entry[i]))
+    return i, (f"detected RSSI entries must be finite and <= 0 dBm; "
+               f"entry {j + 1} is {rssi[i, j]:g}")
 
 
 @dataclass(frozen=True)
@@ -61,7 +99,6 @@ class FingerprintSample:
 
     rssi: np.ndarray  # (m,) dBm or sentinel
     truth: np.ndarray  # (2,) meters
-    ref_point_id: Optional[int] = None
 
     def __post_init__(self):
         rssi = np.asarray(self.rssi, dtype=np.float64)
@@ -70,15 +107,46 @@ class FingerprintSample:
         object.__setattr__(self, "truth", truth)
         if truth.shape != (2,):
             raise ValueError(f"truth must be 2D position, got shape {truth.shape}")
-        # two scalar checks, not a ufunc: this runs once per CSV row
-        if not (math.isfinite(truth[0]) and math.isfinite(truth[1])):
-            raise ValueError(f"truth must be finite, got {truth.tolist()}")
-        det = rssi != SENTINEL
-        bad = det & (~np.isfinite(rssi) | (rssi > 0.0))
-        if np.any(bad):
-            i = int(np.argmax(bad))
+        bad = _first_bad_scan(rssi.reshape(1, -1), truth.reshape(1, 2))
+        if bad is not None:
+            raise ValueError(bad[1])
+
+
+@dataclass(frozen=True, eq=False)
+class ScanSet:
+    """N Wi-Fi scans as one (N, m) RSSI matrix and one (N, 2) truth matrix.
+
+    Every row is checked once, on construction, by the `FingerprintSample`
+    rule; the first bad row raises ValueError naming `scans[i]` and the
+    entry. `scans[i]` is one `FingerprintSample`; a slice, index array or
+    boolean mask gives a `ScanSet` of those rows.
+    """
+
+    rssi: np.ndarray  # (N, m) dBm or sentinel
+    truth: np.ndarray  # (N, 2) meters
+
+    def __post_init__(self):
+        rssi = np.ascontiguousarray(self.rssi, dtype=np.float64)
+        truth = np.ascontiguousarray(self.truth, dtype=np.float64)
+        object.__setattr__(self, "rssi", rssi)
+        object.__setattr__(self, "truth", truth)
+        if rssi.ndim != 2 or truth.shape != (rssi.shape[0], 2):
             raise ValueError(
-                f"detected RSSI entries must be finite and <= 0 dBm; entry {i + 1} is {rssi[i]:g}")
+                f"need (N, m) RSSI and (N, 2) truth, got {rssi.shape} and {truth.shape}")
+        bad = _first_bad_scan(rssi, truth)
+        if bad is not None:
+            raise ValueError(f"scans[{bad[0]}]: {bad[1]}")
+
+    def __len__(self) -> int:
+        return self.rssi.shape[0]
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            return FingerprintSample(rssi=self.rssi[index], truth=self.truth[index])
+        return ScanSet(rssi=self.rssi[index], truth=self.truth[index])
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
 
 @dataclass(frozen=True)
@@ -141,12 +209,27 @@ def denormalize_coords(points: np.ndarray, affine: tuple[np.ndarray, np.ndarray]
     return np.asarray(points, dtype=np.float64) * scale + offset
 
 
+def _read_header(reader, path) -> list[str]:
+    """The header row; EmptyFile when there is none, DuplicateColumn when a
+    name appears twice (which of the two columns is meant is unknowable)."""
+    header = next(reader, None)
+    if header is None:
+        raise EmptyFile(f"{path}: no header row")
+    seen: set[str] = set()
+    for name in header:
+        if name in seen:
+            raise DuplicateColumn(f"{path}: column {name!r} appears more than once")
+        seen.add(name)
+    return header
+
+
 def load_inventory(path: str | Path) -> ApInventory:
-    """Read an AP inventory CSV with columns ap_id,x,y."""
+    """Read an AP inventory CSV with columns ap_id,x,y.
+
+    A duplicated AP id or a non-finite coordinate raises BadInventory.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise EmptyFile(f"{path}: no header row")
+        reader = csv.DictReader(fh, _read_header(csv.reader(fh), path))
         for col in ("ap_id", "x", "y"):
             if col not in reader.fieldnames:
                 raise MissingColumn(f"{path}: missing column {col!r}")
@@ -160,7 +243,10 @@ def load_inventory(path: str | Path) -> ApInventory:
                 raise MalformedRow(i, str(exc)) from exc
     if not ids:
         raise EmptyFile(f"{path}: no data rows")
-    return ApInventory(ap_ids=tuple(ids), coordinates=np.array(coords))
+    try:
+        return ApInventory(ap_ids=tuple(ids), coordinates=np.array(coords))
+    except ValueError as exc:
+        raise BadInventory(f"{path}: {exc}") from exc
 
 
 def save_inventory(path: str | Path, inventory: ApInventory) -> None:
@@ -171,13 +257,16 @@ def save_inventory(path: str | Path, inventory: ApInventory) -> None:
             writer.writerow([ap_id, repr(float(x)), repr(float(y))])
 
 
-def load_fingerprints(path: str | Path, inventory: ApInventory) -> list[FingerprintSample]:
-    """Read fingerprint scans, one sample per row; sentinel kept verbatim."""
+def load_fingerprints(path: str | Path, inventory: ApInventory) -> ScanSet:
+    """Read fingerprint scans, one per row; the sentinel is kept verbatim.
+
+    The body is parsed in one `np.loadtxt` call and checked as one
+    `ScanSet`. When either step fails, the file is rescanned row by row to
+    raise MalformedRow with the failing row's index and message (or to take
+    numerals only Python's `float` reads, such as `1_000`).
+    """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames
-        if header is None:
-            raise EmptyFile(f"{path}: no header row")
+        header = _read_header(csv.reader(fh), path)
         for col in (*inventory.ap_ids, "x", "y"):
             if col not in header:
                 raise MissingColumn(f"{path}: missing column {col!r}")
@@ -185,50 +274,76 @@ def load_fingerprints(path: str | Path, inventory: ApInventory) -> list[Fingerpr
         extra = [c for c in header if c not in known]
         if extra:
             log.warning("%s: ignoring extra columns %s", path, extra)
-        samples: list[FingerprintSample] = []
-        for i, row in enumerate(reader, start=1):
+        at = {name: j for j, name in enumerate(header)}
+        cols = [at[name] for name in (*inventory.ap_ids, "x", "y")]
+        try:
+            with warnings.catch_warnings():
+                # an empty body warns; the rescan below raises EmptyFile for it
+                warnings.simplefilter("ignore", UserWarning)
+                table = np.loadtxt(
+                    fh, dtype=np.float64, delimiter=",", comments=None, quotechar='"',
+                    usecols=cols, ndmin=2)
+            if len(table):
+                return ScanSet(rssi=table[:, :-2], truth=table[:, -2:])
+        except ValueError:
+            pass
+    return _rescan_rows(path, len(header), cols)
+
+
+def _rescan_rows(path: str | Path, width: int, cols: list[int]) -> ScanSet:
+    """Row-by-row parse of a fingerprint body: Python `float` per cell, blank
+    lines skipped, a missing cell read as None (as `csv.DictReader` gives
+    it), and the first bad row, by parse or by the scan rule, raised as
+    MalformedRow."""
+    rows: list[list[float]] = []
+    failure: Optional[MalformedRow] = None
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for i, row in enumerate((r for r in reader if r), start=1):
+            cells = row + [None] * (width - len(row))
             try:
-                rssi = np.array([float(row[ap]) for ap in inventory.ap_ids])
-                truth = np.array([float(row["x"]), float(row["y"])])
-                ref = row.get("ref_point_id")
-                ref_id = int(ref) if ref not in (None, "") else None
-                samples.append(FingerprintSample(rssi=rssi, truth=truth, ref_point_id=ref_id))
+                rows.append([float(cells[j]) for j in cols])
             except (TypeError, ValueError) as exc:
-                raise MalformedRow(i, str(exc)) from exc
-    if not samples:
+                failure = MalformedRow(i, str(exc))
+                break
+    table = np.array(rows, dtype=np.float64).reshape(len(rows), len(cols))
+    bad = _first_bad_scan(table[:, :-2], table[:, -2:])
+    if bad is not None:
+        raise MalformedRow(bad[0] + 1, bad[1])
+    if failure is not None:
+        raise failure
+    if not rows:
         raise EmptyFile(f"{path}: no data rows")
-    return samples
+    return ScanSet(rssi=table[:, :-2], truth=table[:, -2:])
 
 
-def save_fingerprints(
-    path: str | Path, samples: Sequence[FingerprintSample], inventory: ApInventory
-) -> None:
-    """Write scans in the load_fingerprints schema (full float precision)."""
+def save_fingerprints(path: str | Path, scans: ScanSet, inventory: ApInventory) -> None:
+    """Write scans in the load_fingerprints schema: `repr` of every float
+    (full precision), CRLF line ends as `csv.writer` uses."""
+    if scans.rssi.shape[1] != inventory.count:
+        raise ValueError("sample RSSI length does not match inventory")
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([*inventory.ap_ids, "x", "y"])
-        for s in samples:
-            if s.rssi.shape[0] != inventory.count:
-                raise ValueError("sample RSSI length does not match inventory")
-            writer.writerow(
-                [repr(float(v)) for v in s.rssi]
-                + [repr(float(s.truth[0])), repr(float(s.truth[1]))]
-            )
+        csv.writer(fh).writerow([*inventory.ap_ids, "x", "y"])
+        # a row at a time: as fast as one join, without the whole file in memory
+        for row in np.hstack([scans.rssi, scans.truth]):
+            fh.write(",".join(map(repr, row.tolist())) + "\r\n")
 
 
 def split_train_calibration(
-    samples: Sequence[FingerprintSample], fraction: float, seed: int
-) -> tuple[list[FingerprintSample], list[FingerprintSample]]:
-    """Deterministically shuffle and split; |train| = round(fraction * N)."""
+    scans: ScanSet, fraction: float, seed: int
+) -> tuple[ScanSet, ScanSet]:
+    """Deterministically shuffle and split; |train| = round(fraction * N).
+
+    Each part keeps the pool's row order.
+    """
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must be in (0, 1), got {fraction}")
-    if len(samples) == 0:
-        raise EmptyInput("cannot split an empty sample list")
-    order = stream(seed, "split").permutation(len(samples))
-    n_train = int(round(fraction * len(samples)))
-    train_idx = sorted(order[:n_train])
-    cal_idx = sorted(order[n_train:])
-    return [samples[i] for i in train_idx], [samples[i] for i in cal_idx]
+    if len(scans) == 0:
+        raise EmptyInput("cannot split an empty scan set")
+    order = stream(seed, "split").permutation(len(scans))
+    n_train = int(round(fraction * len(scans)))
+    return scans[np.sort(order[:n_train])], scans[np.sort(order[n_train:])]
 
 
 def path_loss_rssi(
@@ -241,7 +356,7 @@ def path_loss_rssi(
 
 def synthesize_scans(
     inventory: ApInventory, cfg: SyntheticConfig, count: int, tag: str = "train"
-) -> list[FingerprintSample]:
+) -> ScanSet:
     """Scans at uniform random positions against an existing inventory.
 
     RSSI follows the log-distance model plus Gaussian noise, capped at
@@ -261,10 +376,10 @@ def synthesize_scans(
         rssi = rssi + noise_rng.normal(0.0, cfg.noise_sigma_db, rssi.shape)
     rssi = np.minimum(rssi, 0.0)  # keep within the dBm domain of real scans
     rssi = np.where(rssi < cfg.detection_floor_dbm, SENTINEL, rssi)
-    return [FingerprintSample(rssi=rssi[i], truth=positions[i]) for i in range(count)]
+    return ScanSet(rssi=rssi, truth=positions)
 
 
-def generate_synthetic(cfg: SyntheticConfig) -> tuple[ApInventory, list[FingerprintSample]]:
+def generate_synthetic(cfg: SyntheticConfig) -> tuple[ApInventory, ScanSet]:
     """Random APs + scans under the path-loss model; deterministic under seed."""
     width, height = cfg.area
     ap_rng = stream(cfg.seed, "synth", "aps")
@@ -276,12 +391,3 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[ApInventory, list[Fingerpr
     )
     return inventory, synthesize_scans(inventory, cfg, cfg.sample_count, "train")
 
-
-def rssi_matrix(samples: Sequence[FingerprintSample]) -> np.ndarray:
-    """Stack raw RSSI vectors into an (N, m) matrix."""
-    return np.stack([s.rssi for s in samples])
-
-
-def truth_matrix(samples: Sequence[FingerprintSample]) -> np.ndarray:
-    """Stack ground-truth positions into an (N, 2) matrix."""
-    return np.stack([s.truth for s in samples])

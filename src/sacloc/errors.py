@@ -11,6 +11,14 @@ class MissingColumn(SaclocError):
     """A required CSV column is absent."""
 
 
+class DuplicateColumn(SaclocError):
+    """A CSV header names the same column more than once."""
+
+
+class BadInventory(SaclocError):
+    """An AP inventory file repeats an AP id or gives a non-finite position."""
+
+
 class MalformedRow(SaclocError):
     """A CSV data row could not be parsed; carries the 1-based row index."""
 

@@ -18,9 +18,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .conformal import SacpCalibration, calibrate, nonconformity_scores
-from .dataset import ApInventory, FingerprintSample, detected_mask
+from .dataset import ApInventory, ScanSet, detected_mask
 from .errors import EmptyInput, IoError
-from .regions import assign_regions, kmeans_fit
+from .regions import RegionModel, assign_regions, kmeans_fit
 
 # Reference power for baseline weighting: a scan at the ceiling of the usable
 # dBm range counts most.
@@ -154,8 +154,10 @@ def alpha_sweep(
     alphas: Sequence[float],
     k: int,
     seed: int,
+    region_model: Optional[RegionModel] = None,
 ) -> SweepResult:
-    """Recalibrate radii across an alpha grid; the region fit is done once.
+    """Recalibrate radii across an alpha grid; the region fit is done once,
+    or not at all when a `region_model` fitted on `cal_truths` is passed.
 
     Calibration scores are grouped by true region and test scans routed by
     predicted region, as `calibrate` and `coverage_by_region` default to.
@@ -165,7 +167,8 @@ def alpha_sweep(
         raise ValueError("alpha grid must be nonempty and strictly increasing")
     if np.any((alphas <= 0) | (alphas >= 1)):
         raise ValueError("alphas must lie in (0, 1)")
-    region_model = kmeans_fit(np.asarray(cal_truths, dtype=np.float64), k, seed)
+    if region_model is None:
+        region_model = kmeans_fit(np.asarray(cal_truths, dtype=np.float64), k, seed)
 
     radii = np.empty((len(alphas), region_model.k))
     global_radii = np.empty(len(alphas))
@@ -198,21 +201,19 @@ def alpha_sweep(
     )
 
 
-def weighted_centroid_baseline(
-    sample: FingerprintSample, inventory: ApInventory
-) -> np.ndarray:
-    """RSSI-weighted mean of detected AP positions; inventory mean if none."""
-    det = detected_mask(sample.rssi)
+def weighted_centroid_baseline(rssi: np.ndarray, inventory: ApInventory) -> np.ndarray:
+    """RSSI-weighted mean of detected AP positions for one scan's (m,) RSSI
+    row; the inventory mean if no AP is detected."""
+    det = detected_mask(rssi)
     if not det.any():
         return inventory.coordinates.mean(axis=0)
-    weights = 1.0 / (np.abs(sample.rssi[det] - BASELINE_REF_DBM) + 1.0)
+    weights = 1.0 / (np.abs(rssi[det] - BASELINE_REF_DBM) + 1.0)
     return weights @ inventory.coordinates[det] / weights.sum()
 
 
-def baseline_positions(
-    samples: Sequence[FingerprintSample], inventory: ApInventory
-) -> np.ndarray:
-    return np.stack([weighted_centroid_baseline(s, inventory) for s in samples])
+def baseline_positions(scans: ScanSet, inventory: ApInventory) -> np.ndarray:
+    # one scan at a time: a batched weighted sum rounds differently
+    return np.stack([weighted_centroid_baseline(row, inventory) for row in scans.rssi])
 
 
 # -- report files -------------------------------------------------------------

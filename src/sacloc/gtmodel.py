@@ -51,15 +51,7 @@ from .autodiff import (
     load_checkpoint,
     save_checkpoint,
 )
-from .dataset import (
-    ApInventory,
-    FingerprintSample,
-    coord_affine,
-    normalize_coords,
-    normalize_rssi,
-    rssi_matrix,
-    truth_matrix,
-)
+from .dataset import ApInventory, ScanSet, coord_affine, normalize_coords, normalize_rssi
 from .errors import (
     BadCheckpoint,
     DimensionMismatch,
@@ -395,18 +387,17 @@ def mae_loss(tape: Tape, pred_m: Tensor, truth_m: np.ndarray) -> Tensor:
 
 
 def _prepare_arrays(
-    samples: Sequence[FingerprintSample],
+    scans: ScanSet,
     inventory: ApInventory,
     graph_cfg: GraphConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(rssi_norm, user_adj, truth_m, ap_feats_norm, ap_adj) for a sample list."""
-    raw = rssi_matrix(samples)
-    rssi_norm = normalize_rssi(raw)
-    user_adj = user_edge_mask(raw, graph_cfg.tau)
+    """(rssi_norm, user_adj, truth_m, ap_feats_norm, ap_adj) for a scan set."""
+    rssi_norm = normalize_rssi(scans.rssi)
+    user_adj = user_edge_mask(scans.rssi, graph_cfg.tau)
     affine = coord_affine(inventory)
     ap_feats = normalize_coords(inventory.coordinates, affine)
     ap_adj = build_ap_adjacency(inventory, graph_cfg)
-    return rssi_norm, user_adj, truth_matrix(samples), ap_feats, ap_adj
+    return rssi_norm, user_adj, scans.truth, ap_feats, ap_adj
 
 
 def _batch_masks(
@@ -426,7 +417,7 @@ def _batch_masks(
 
 def train(
     model: GtModel,
-    train_samples: Sequence[FingerprintSample],
+    train_samples: ScanSet,
     cfg: TrainConfig,
     graph_cfg: GraphConfig,
     inventory: ApInventory,
@@ -472,7 +463,7 @@ def train(
 
 def predict_positions(
     model: GtModel,
-    samples: Sequence[FingerprintSample],
+    samples: ScanSet,
     inventory: ApInventory,
     graph_cfg: GraphConfig,
     batch_size: int = 512,

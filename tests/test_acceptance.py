@@ -19,13 +19,13 @@ from sacloc.conformal import calibrate, radius_from_scores
 from sacloc.dataset import (
     ApInventory,
     SENTINEL,
+    ScanSet,
     SyntheticConfig,
     generate_synthetic,
     load_fingerprints,
     load_inventory,
     split_train_calibration,
     synthesize_scans,
-    truth_matrix,
 )
 from sacloc.evalreport import (
     alpha_sweep,
@@ -47,8 +47,6 @@ from sacloc.gtmodel import (
     transformer_conv,
 )
 from sacloc.rng import stream
-
-from conftest import make_sample
 
 
 def report(criterion: int, message: str) -> None:
@@ -84,8 +82,8 @@ def desk_scale():
     elapsed = time.monotonic() - started
     return {
         "inventory": inventory,
-        "cal_truths": truth_matrix(cal_samples),
-        "test_truths": truth_matrix(test_samples),
+        "cal_truths": cal_samples.truth,
+        "test_truths": test_samples.truth,
         "cal_preds": cal_preds,
         "test_preds": test_preds,
         "test_samples": test_samples,
@@ -105,10 +103,9 @@ def test_criterion_1_full_model_gradients():
         coordinates=rng.uniform(0, 30, (4, 2)))
     graph_cfg = GraphConfig(d_p=25.0, tau=-75.0)
     model = model_for_inventory(inventory, hidden=8, n_heads=2, seed=23)
-    samples = [
-        make_sample([-55.0, -65.0, SENTINEL, -72.0], truth=(4.0, 9.0)),
-        make_sample([-80.0, SENTINEL, -60.0, -70.0], truth=(11.0, 3.0)),
-    ]
+    samples = ScanSet(
+        rssi=[[-55.0, -65.0, SENTINEL, -72.0], [-80.0, SENTINEL, -60.0, -70.0]],
+        truth=[[4.0, 9.0], [11.0, 3.0]])
     rssi_norm, user_adj, truth, ap_feats, ap_adj = _prepare_arrays(
         samples, inventory, graph_cfg)
 
@@ -348,7 +345,7 @@ def test_criterion_8_hcxy_reproduction():
                      weight_decay=1e-4, dropout=0.4, seed=11)
     train(model, train_samples, tc, graph_cfg, inventory)
 
-    test_truths = truth_matrix(test_samples)
+    test_truths = test_samples.truth
     metrics = point_metrics(
         predict_positions(model, test_samples, inventory, graph_cfg), test_truths)
     base = point_metrics(baseline_positions(test_samples, inventory), test_truths)
@@ -357,7 +354,7 @@ def test_criterion_8_hcxy_reproduction():
 
     if full:
         cal_preds = predict_positions(model, cal_samples, inventory, graph_cfg)
-        cal = calibrate(cal_preds, truth_matrix(cal_samples), 0.1, 5, seed=11)
+        cal = calibrate(cal_preds, cal_samples.truth, 0.1, 5, seed=11)
         rep = coverage_by_region(
             predict_positions(model, test_samples, inventory, graph_cfg),
             test_truths, cal)

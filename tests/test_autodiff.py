@@ -297,6 +297,20 @@ class TestAdam:
         with pytest.raises(ShapeMismatch):
             adam_step({"p": p}, {"p": np.zeros(4)}, AdamState(), lr=0.1)
 
+    def test_moments_allocated_on_first_step_only(self, monkeypatch):
+        params = {name: Tensor(np.ones((2, 3)), requires_grad=True) for name in "ab"}
+        grads = {name: np.full((2, 3), 0.5) for name in "ab"}
+        state = AdamState()
+        adam_step(params, grads, state, lr=0.1)
+        moments = {name: (state.m[name], state.v[name]) for name in "ab"}
+        calls = []
+        zeros_like = np.zeros_like
+        monkeypatch.setattr(np, "zeros_like", lambda *a, **k: calls.append(a) or zeros_like(*a, **k))
+        adam_step(params, grads, state, lr=0.1)
+        assert calls == []
+        for name in "ab":  # updated in place, not replaced
+            assert state.m[name] is moments[name][0] and state.v[name] is moments[name][1]
+
 
 class TestCosine:
     def test_endpoints_and_midpoint(self):

@@ -1,16 +1,24 @@
-"""Every function the benchmark's tracer wraps must exist in sacloc.
+"""What the benchmark calls in sacloc must exist and keep working.
 
 The tracer records a target it cannot resolve as absent instead of failing,
-so a rename would silently turn per-module metrics into "absent" lines.
+so a rename would silently turn per-module metrics into "absent" lines. A
+break in the calls the warm worker makes would show up only as failed
+benchmark operations.
 """
 
 import importlib
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from test_cli import run, write_config
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
 import tracer  # noqa: E402
 
 
@@ -21,3 +29,23 @@ def test_target_resolves(module_name, path, name):
     for part in path.split("."):
         owner = getattr(owner, part)
     assert callable(owner), f"{module_name}.{path} is not callable"
+
+
+def test_warm_worker_walks_test_scans(tmp_path):
+    # the worker loads the test CSV, takes len(scans), and walks scans[i]
+    # (cycling) through build_sample_graph and predict_set, reading .truth
+    _, config = write_config(tmp_path)
+    assert run("synth", "--config", config, "--test-samples", "5") == 0
+    for command in ("train", "calibrate"):
+        assert run(command, "--config", config) == 0
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "worker.py"), "warm", "--config", config],
+        input="7\n", capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    ready, block, result = (json.loads(line) for line in proc.stdout.splitlines())
+    assert ready == {"ready": True} and result == {"blocks": 1}
+    assert block["failures"] == []
+    assert len(block["latencies_ms"]) == 7
+    assert len(block["first_pass"]) == len(block["errors_m"]) == 5

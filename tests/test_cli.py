@@ -1,7 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from sacloc import conformal, evalreport, regions
 from sacloc.cli import CHECKPOINT_NAME, load_config, main
 from sacloc.dataset import SyntheticConfig
 from sacloc.graphbuild import GraphConfig
@@ -210,6 +212,66 @@ class TestPredictInput:
         _, config = calibrated
         err = self.predict_error(capsys, config, f"--rssi=-60,-70,100,{bad},100")
         assert "finite and <= 0 dBm" in err and "entry 4" in err
+
+
+class TestCsvBoundary:
+    """A bad fingerprint or inventory CSV exits 1 with one `error:` line naming the file."""
+
+    def cli_error(self, capsys, calibrated, command, key, rewrite):
+        tmp, config = calibrated
+        cfg = json.loads(Path(config).read_text())
+        source = Path(cfg["dataset"][key])
+        bad = tmp / f"{rewrite.__name__}.csv"
+        bad.write_text(rewrite(source.read_text().splitlines()))
+        cfg["dataset"][key] = str(bad)
+        bad_config = tmp / f"{rewrite.__name__}.json"
+        bad_config.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert run(command, "--config", str(bad_config)) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert str(bad) in captured.err
+        return captured.err
+
+    def test_duplicate_ap_id(self, calibrated, capsys):
+        def duplicate_ap_id(lines):
+            first_id = lines[1].split(",")[0]
+            lines[2] = ",".join([first_id, *lines[2].split(",")[1:]])
+            return "\n".join(lines) + "\n"
+
+        err = self.cli_error(capsys, calibrated, "evaluate", "inventory", duplicate_ap_id)
+        assert "ap_ids are not unique" in err
+
+    def test_non_finite_ap_coordinate(self, calibrated, capsys):
+        def nan_ap_x(lines):
+            ap_id, _, y = lines[1].split(",")
+            lines[1] = f"{ap_id},nan,{y}"
+            return "\n".join(lines) + "\n"
+
+        err = self.cli_error(capsys, calibrated, "evaluate", "inventory", nan_ap_x)
+        assert "must be finite" in err
+
+    def test_duplicate_fingerprint_column(self, calibrated, capsys):
+        def duplicate_x(lines):
+            return "\n".join([lines[0] + ",x"] + [row + ",0.0" for row in lines[1:]]) + "\n"
+
+        err = self.cli_error(capsys, calibrated, "train", "fingerprints", duplicate_x)
+        assert "column 'x' appears more than once" in err
+
+
+class TestSweep:
+    def test_regions_fitted_once(self, calibrated, monkeypatch):
+        _, config = calibrated
+        calls = []
+
+        def counting_fit(*args, **kwargs):
+            calls.append(args)
+            return regions.kmeans_fit(*args, **kwargs)
+
+        monkeypatch.setattr(conformal, "kmeans_fit", counting_fit)
+        monkeypatch.setattr(evalreport, "kmeans_fit", counting_fit)
+        assert run("sweep", "--config", config, "--alphas", "0.1,0.2") == 0
+        assert len(calls) == 1
 
 
 class TestFlags:

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,6 +9,8 @@ from hypothesis import strategies as st
 from sacloc.dataset import (
     SENTINEL,
     ApInventory,
+    FingerprintSample,
+    ScanSet,
     SyntheticConfig,
     coord_affine,
     denormalize_coords,
@@ -20,7 +25,14 @@ from sacloc.dataset import (
     split_train_calibration,
     synthesize_scans,
 )
-from sacloc.errors import EmptyFile, EmptyInput, MalformedRow, MissingColumn
+from sacloc.errors import (
+    BadInventory,
+    DuplicateColumn,
+    EmptyFile,
+    EmptyInput,
+    MalformedRow,
+    MissingColumn,
+)
 
 from conftest import make_sample
 
@@ -103,6 +115,193 @@ class TestLoadFingerprints:
         assert np.array_equal(back.coordinates, inventory.coordinates)
 
 
+class TestLoaderValues:
+    """The bulk reader against a per-cell `float()` reference."""
+
+    def test_matches_per_cell_float_reference(self, tmp_path, line_inventory, caplog):
+        # columns out of inventory order, a quoted extra column holding the
+        # delimiter, ref_point_id, quoted numbers, integers, exponents,
+        # sentinels and blank lines
+        text = (
+            'ref_point_id,c,y,note,b,x,a\r\n'
+            '7,100,2.5,"left, door",-70,1.25,-60\r\n'
+            '\r\n'
+            '8,"-61.5",1E+01,plain,100,-3,-6.05e1\r\n'
+            '9,-1e2,0.1,"say ""hi""",-99.999,1e-3,100\r\n'
+            '\r\n'
+        )
+        path = tmp_path / "fp.csv"
+        path.write_text(text, newline="")
+        with caplog.at_level("WARNING"):
+            scans = load_fingerprints(path, line_inventory)
+        header, *body = [r for r in csv.reader(io.StringIO(text, newline="")) if r]
+
+        def cells(names):
+            return [[float(row[header.index(name)]) for name in names] for row in body]
+
+        assert np.array_equal(scans.rssi, cells("abc"))
+        assert np.array_equal(scans.truth, cells("xy"))
+        assert "note" in caplog.text and "ref_point_id" not in caplog.text
+
+    def test_ref_point_id_is_ignored(self, tmp_path, line_inventory, caplog):
+        path = tmp_path / "fp.csv"
+        path.write_text("a,b,c,x,y,ref_point_id\n-60,-70,100,1,2,not-an-int\n")
+        with caplog.at_level("WARNING"):
+            scans = load_fingerprints(path, line_inventory)
+        assert scans.truth.tolist() == [[1.0, 2.0]]
+        assert caplog.text == ""
+        assert not hasattr(scans[0], "ref_point_id")
+
+    def test_numerals_only_float_reads(self, tmp_path, line_inventory):
+        # np.loadtxt rejects these; the row-by-row rescan takes them as float() does
+        path = tmp_path / "fp.csv"
+        path.write_text("a,b,c,x,y\n-6_0,-70,100,1,2\n")
+        assert load_fingerprints(path, line_inventory).rssi.tolist() == [[-60.0, -70.0, 100.0]]
+
+    @pytest.mark.parametrize("text", ["a,b,c,a,x,y\n-60,-70,100,-50,1,2\n",
+                                      "a,b,c,x,y,note,note\n-60,-70,100,1,2,p,q\n"])
+    def test_duplicate_column_rejected(self, tmp_path, line_inventory, text):
+        path = tmp_path / "fp.csv"
+        path.write_text(text)
+        with pytest.raises(DuplicateColumn, match="appears more than once") as err:
+            load_fingerprints(path, line_inventory)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("body, row_index, message", [
+        ("-60,-70,100,1,2\n-60,oops,100,1,2\n", 2, "could not convert string to float: 'oops'"),
+        ("-60,-70,100,1,2\n-60,-70,100\n", 2,
+         "float() argument must be a string or a real number, not 'NoneType'"),
+        ("-60,-70,100,1,2\n-60,-70,100,nan,2\n", 2, "truth must be finite, got [nan, 2.0]"),
+        ("-60,-70,100,1,inf\n", 1, "truth must be finite, got [1.0, inf]"),
+        ("-60,-70,100,1,2\n\n-60,12,100,1,2\n", 2,
+         "detected RSSI entries must be finite and <= 0 dBm; entry 2 is 12"),
+        ("-60,-70,nan,1,2\n", 1, "detected RSSI entries must be finite and <= 0 dBm; entry 3 is nan"),
+        # the first bad row wins, whether it fails to parse or breaks the scan rule
+        ("-60,5,100,1,2\n-60,x,100,1,2\n", 1,
+         "detected RSSI entries must be finite and <= 0 dBm; entry 2 is 5"),
+        ("-60,x,100,1,2\n-60,5,100,1,2\n", 1, "could not convert string to float: 'x'"),
+        ("-60,5,100,nan,2\n", 1, "truth must be finite, got [nan, 2.0]"),
+        ("-60,-70,100,1,2\n   \n", 2, "could not convert string to float: '   '"),
+    ], ids=["non-number", "short-row", "nan-truth", "inf-truth", "positive-rssi", "nan-rssi",
+            "rule-before-parse", "parse-before-rule", "truth-before-rssi", "whitespace-line"])
+    def test_bad_row_index_and_message(self, tmp_path, line_inventory, body, row_index, message):
+        path = tmp_path / "fp.csv"
+        path.write_text("a,b,c,x,y\n" + body)
+        with pytest.raises(MalformedRow) as err:
+            load_fingerprints(path, line_inventory)
+        assert err.value.row_index == row_index
+        assert str(err.value) == f"row {row_index}: {message}"
+
+    def test_blank_body_is_empty_file(self, tmp_path, line_inventory):
+        path = tmp_path / "fp.csv"
+        path.write_text("a,b,c,x,y\n\n\n")
+        with pytest.raises(EmptyFile):
+            load_fingerprints(path, line_inventory)
+
+    def test_save_load_save_byte_identical(self, tmp_path, small_world):
+        _, inventory, scans = small_world
+        first, second = tmp_path / "one.csv", tmp_path / "two.csv"
+        save_fingerprints(first, scans, inventory)
+        save_fingerprints(second, load_fingerprints(first, inventory), inventory)
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_save_writes_repr_and_crlf(self, tmp_path, small_world):
+        _, inventory, scans = small_world
+        path = tmp_path / "fp.csv"
+        save_fingerprints(path, scans, inventory)
+        lines = path.read_bytes().decode().split("\r\n")
+        assert lines[0] == ",".join([*inventory.ap_ids, "x", "y"])
+        assert lines[1] == ",".join(repr(float(v)) for v in [*scans.rssi[0], *scans.truth[0]])
+        assert len(lines) == len(scans) + 2 and lines[-1] == ""
+
+    def test_bulk_paths_build_no_sample(self, tmp_path, monkeypatch):
+        cfg = SyntheticConfig(ap_count=4, area=(30.0, 20.0), noise_sigma_db=2.0,
+                              sample_count=1000, seed=6)
+        inventory, scans = generate_synthetic(cfg)
+        path = tmp_path / "fp.csv"
+        save_fingerprints(path, scans, inventory)
+
+        def no_sample(*args, **kwargs):
+            raise AssertionError("built a FingerprintSample")
+
+        monkeypatch.setattr(FingerprintSample, "__init__", no_sample)
+        assert len(load_fingerprints(path, inventory)) == 1000
+        assert len(synthesize_scans(inventory, cfg, 1000, "test")) == 1000
+
+
+class TestLoadInventory:
+    def _write(self, tmp_path, text):
+        path = tmp_path / "aps.csv"
+        path.write_text(text)
+        return path
+
+    def test_duplicate_ap_id(self, tmp_path):
+        path = self._write(tmp_path, "ap_id,x,y\na,0,0\nb,1,0\na,2,0\n")
+        with pytest.raises(BadInventory, match="ap_ids are not unique: 'a'") as err:
+            load_inventory(path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_coordinate(self, tmp_path, cell):
+        path = self._write(tmp_path, f"ap_id,x,y\na,0,0\nb,{cell},0\n")
+        with pytest.raises(BadInventory, match=r"must be finite; 'b' is at \[") as err:
+            load_inventory(path)
+        assert str(path) in str(err.value)
+
+    def test_duplicate_column(self, tmp_path):
+        path = self._write(tmp_path, "ap_id,x,y,x\na,0,0,5\n")
+        with pytest.raises(DuplicateColumn):
+            load_inventory(path)
+
+
+class TestScanSet:
+    def _scans(self):
+        return ScanSet(rssi=[[-60.0, 100.0], [-70.0, -80.0], [100.0, 100.0]],
+                       truth=[[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
+
+    def test_int_index_gives_sample(self):
+        scans = self._scans()
+        for i in (1, np.int64(1), -2):
+            sample = scans[i]
+            assert isinstance(sample, FingerprintSample)
+            assert sample.rssi.tolist() == [-70.0, -80.0] and sample.truth.tolist() == [2.0, 3.0]
+
+    @pytest.mark.parametrize("index", [slice(1, 3), np.array([1, 2]), np.array([False, True, True])])
+    def test_slices_and_index_arrays_give_scan_sets(self, index):
+        part = self._scans()[index]
+        assert isinstance(part, ScanSet) and len(part) == 2
+        assert part.truth.tolist() == [[2.0, 3.0], [4.0, 5.0]]
+
+    def test_len_and_iteration(self):
+        scans = self._scans()
+        assert len(scans) == 3
+        assert [s.truth.tolist() for s in scans] == scans.truth.tolist()
+
+    def test_matrices_are_contiguous_float64(self):
+        table = np.arange(12.0).reshape(3, 4) - 20.0
+        scans = ScanSet(rssi=table[:, :2], truth=table[:, 2:])
+        for a in (scans.rssi, scans.truth):
+            assert a.dtype == np.float64 and a.flags.c_contiguous
+
+    @pytest.mark.parametrize("rssi, truth, row, message", [
+        ([[-60.0], [12.0]], [[0.0, 0.0], [0.0, 0.0]], 1,
+         "detected RSSI entries must be finite and <= 0 dBm; entry 1 is 12"),
+        ([[-60.0, np.nan]], [[np.inf, 0.0]], 0, "truth must be finite, got [inf, 0.0]"),
+    ])
+    def test_first_bad_row_named(self, rssi, truth, row, message):
+        with pytest.raises(ValueError) as err:
+            ScanSet(rssi=rssi, truth=truth)
+        assert str(err.value) == f"scans[{row}]: {message}"
+        # one rule: the single-scan type says the same about that row
+        with pytest.raises(ValueError) as single:
+            make_sample(rssi[row], truth[row])
+        assert str(single.value) == message
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError, match="need"):
+            ScanSet(rssi=np.zeros((3, 2)) - 1, truth=np.zeros((2, 2)))
+
+
 class TestSampleValidation:
     def test_rejects_positive_non_sentinel(self):
         with pytest.raises(ValueError):
@@ -119,7 +318,8 @@ class TestSampleValidation:
 
 class TestSplit:
     def _pool(self, n):
-        return [make_sample([-50.0], truth=(i, 0.0)) for i in range(n)]
+        return ScanSet(rssi=np.full((n, 1), -50.0),
+                       truth=np.column_stack([np.arange(n), np.zeros(n)]))
 
     def test_reference_sizes(self):
         train, cal = split_train_calibration(self._pool(11370), 0.8, seed=1)
@@ -130,16 +330,22 @@ class TestSplit:
         pool = self._pool(10)
         train, cal = split_train_calibration(pool, 0.8, seed=9)
         assert len(train) == 8 and len(cal) == 2
-        ids = sorted(int(s.truth[0]) for s in train + cal)
+        ids = sorted(np.concatenate([train.truth[:, 0], cal.truth[:, 0]]).astype(int))
         assert ids == list(range(10))
+
+    def test_parts_keep_pool_order(self):
+        train, cal = split_train_calibration(self._pool(37), 0.8, seed=4)
+        assert np.all(np.diff(train.truth[:, 0]) > 0)
+        assert np.all(np.diff(cal.truth[:, 0]) > 0)
 
     def test_determinism_over_seeds(self):
         pool = self._pool(37)
         for seed in range(100):
             a = split_train_calibration(pool, 0.8, seed)
             b = split_train_calibration(pool, 0.8, seed)
-            assert [id(s) for s in a[0]] == [id(s) for s in b[0]]
-            assert [id(s) for s in a[1]] == [id(s) for s in b[1]]
+            for part_a, part_b in zip(a, b):
+                assert np.array_equal(part_a.rssi, part_b.rssi)
+                assert np.array_equal(part_a.truth, part_b.truth)
 
     def test_different_seeds_same_sizes(self):
         pool = self._pool(10)
@@ -149,7 +355,7 @@ class TestSplit:
 
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
-            split_train_calibration([], 0.8, 0)
+            split_train_calibration(self._pool(0), 0.8, 0)
 
 
 class TestNormalizeRssi:

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sacloc import evalreport
 from sacloc.conformal import SacpCalibration, calibrate, nonconformity_scores
-from sacloc.dataset import ApInventory
+from sacloc.dataset import ApInventory, ScanSet
 from sacloc.errors import EmptyInput
 from sacloc.evalreport import (
     ErrorMapData,
@@ -21,8 +22,6 @@ from sacloc.evalreport import (
 )
 from sacloc.regions import assign_regions
 from sacloc.rng import stream
-
-from conftest import make_sample
 
 
 class TestPointMetrics:
@@ -143,6 +142,20 @@ class TestAlphaSweep:
         assert sweep.global_radii[0] >= sweep.global_radii[1]
         assert sweep.region_counts.sum() == 200
 
+    def test_given_region_model_is_not_refitted(self, monkeypatch):
+        rng = stream(4, "sweep-reuse")
+        truths = rng.uniform(0, 40, size=(300, 2))
+        preds = truths + rng.normal(scale=2, size=(300, 2))
+        args = (preds[:200], truths[:200], preds[200:], truths[200:], (0.05, 0.2))
+        fitted = alpha_sweep(*args, k=3, seed=5)
+        region_model = calibrate(preds[:200], truths[:200], 0.1, 3, 5).region_model
+        monkeypatch.setattr(evalreport, "kmeans_fit", None)  # a call would raise
+        reused = alpha_sweep(*args, k=3, seed=5, region_model=region_model)
+        for field in ("radii", "global_radii", "coverages", "global_coverages",
+                      "region_counts"):
+            assert np.array_equal(getattr(fitted, field), getattr(reused, field),
+                                  equal_nan=True), field
+
     def test_exchangeable_coverage_tracks_alpha(self):
         # conformal oracle: on exchangeable data, global coverage lands
         # within a few points of 1 - alpha for every alpha
@@ -186,29 +199,31 @@ class TestBaseline:
 
     def test_single_detected_ap(self):
         inv = self._inventory()
-        pred = weighted_centroid_baseline(make_sample([-60.0, 100.0, 100.0]), inv)
+        pred = weighted_centroid_baseline(np.array([-60.0, 100.0, 100.0]), inv)
         assert np.allclose(pred, [0.0, 0.0])
 
     def test_equal_rssi_midpoint(self):
         inv = self._inventory()
-        pred = weighted_centroid_baseline(make_sample([-60.0, -60.0, 100.0]), inv)
+        pred = weighted_centroid_baseline(np.array([-60.0, -60.0, 100.0]), inv)
         assert np.allclose(pred, [5.0, 0.0])
 
     def test_no_detection_falls_back_to_centroid(self):
         inv = self._inventory()
-        pred = weighted_centroid_baseline(make_sample([100.0] * 3), inv)
+        pred = weighted_centroid_baseline(np.array([100.0] * 3), inv)
         assert np.allclose(pred, inv.coordinates.mean(axis=0))
 
     def test_stronger_ap_pulls_harder(self):
         inv = self._inventory()
-        pred = weighted_centroid_baseline(make_sample([-40.0, -90.0, 100.0]), inv)
+        pred = weighted_centroid_baseline(np.array([-40.0, -90.0, 100.0]), inv)
         assert np.linalg.norm(pred - [0, 0]) < np.linalg.norm(pred - [10, 0])
 
     def test_batch_helper(self):
         inv = self._inventory()
-        samples = [make_sample([-60.0, 100.0, 100.0]), make_sample([100.0] * 3)]
-        out = baseline_positions(samples, inv)
+        scans = ScanSet(rssi=[[-60.0, 100.0, 100.0], [100.0] * 3], truth=np.zeros((2, 2)))
+        out = baseline_positions(scans, inv)
         assert out.shape == (2, 2)
+        for row, pred in zip(scans.rssi, out):
+            assert np.array_equal(pred, weighted_centroid_baseline(row, inv))
 
 
 class TestEmitReport:

@@ -6,7 +6,7 @@ import pytest
 from sacloc import gtmodel
 from sacloc.autodiff import Tape, Tensor, load_checkpoint, save_checkpoint
 from sacloc.conformal import calibrate, predict_set
-from sacloc.dataset import SENTINEL, SyntheticConfig, generate_synthetic
+from sacloc.dataset import SENTINEL, ScanSet, SyntheticConfig, generate_synthetic
 from sacloc.errors import (
     BadCheckpoint,
     DimensionMismatch,
@@ -33,7 +33,7 @@ from sacloc.gtmodel import (
 )
 from sacloc.rng import stream
 
-from conftest import make_sample, write_per_head_layout
+from conftest import write_per_head_layout
 
 
 def random_layer(in_dim, out_dim, n_heads, head_dim, seed, scale=0.5):
@@ -362,10 +362,9 @@ class TestFullModelGradient:
             ap_ids=tuple(f"g{i}" for i in range(4)),
             coordinates=rng.uniform(0, 30, (4, 2)))
         model = model_for_inventory(inventory, hidden=8, n_heads=2, seed=21)
-        samples = [
-            make_sample([-55.0, -65.0, SENTINEL, -72.0], truth=(4.0, 9.0)),
-            make_sample([-80.0, SENTINEL, -60.0, -70.0], truth=(11.0, 3.0)),
-        ]
+        samples = ScanSet(
+            rssi=[[-55.0, -65.0, SENTINEL, -72.0], [-80.0, SENTINEL, -60.0, -70.0]],
+            truth=[[4.0, 9.0], [11.0, 3.0]])
         rssi_norm, user_adj, truth, ap_feats, ap_adj = _prepare_arrays(
             samples, inventory, graph_cfg)
 
