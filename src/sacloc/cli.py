@@ -3,7 +3,9 @@
 All commands read one JSON config file; individual flags override the file
 (flag > file > built-in default). Every random choice flows from the
 config's seed through named streams, so reruns with identical inputs are
-byte-identical. `SACLOC_LOG` sets the log level (DEBUG/INFO/WARNING/...).
+byte-identical. The seed has no flag: every stage must split the pool the
+same way, so it is read from the file only. `SACLOC_LOG` sets the log level
+(DEBUG/INFO/WARNING/...).
 """
 
 from __future__ import annotations
@@ -180,10 +182,6 @@ def _check_keys(path: str | Path, raw) -> None:
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     if getattr(args, "out", None) is not None:
         cfg = replace(cfg, output_dir=Path(args.out))
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, seed=args.seed, train=replace(cfg.train, seed=args.seed))
-        if cfg.synth is not None:
-            cfg = replace(cfg, synth=replace(cfg.synth, seed=args.seed))
     if getattr(args, "alpha", None) is not None:
         cfg = replace(cfg, alpha=args.alpha)
     if getattr(args, "k", None) is not None:
@@ -297,7 +295,7 @@ def cmd_predict(cfg: RunConfig, args: argparse.Namespace) -> int:
     sample = _scan_from_args(args, inventory.count)
     ap_adj = build_ap_adjacency(inventory, cfg.graph)
     graph = build_sample_graph(sample, inventory, ap_adj, cfg.graph)
-    if not graph.adjacency[graph.user_index].any():
+    if not graph.user_adjacency.any():
         print("warning: no_connected_aps", file=sys.stderr)
     ps = predict_set(model, calibration, graph)
     radius = "inf" if not np.isfinite(ps.radius) else f"{ps.radius:.6f}"
@@ -363,7 +361,7 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
     calibration = calibrate(cal_preds, cal_samples.truth, cfg.alpha, cfg.k, cfg.seed)
     sweep = alpha_sweep(
         cal_preds, cal_samples.truth, test_preds, test_samples.truth, alphas,
-        cfg.k, cfg.seed, region_model=calibration.region_model)
+        calibration.region_model)
     _, _, written = _write_report(
         cfg.output_dir, inventory, test_samples, test_preds, calibration, "predicted", sweep)
     lo, hi = sweep.global_radii[-1], sweep.global_radii[0]
@@ -417,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", help="output directory (overrides config)")
-        p.add_argument("--seed", type=int, help="master seed (overrides config)")
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     common(p)

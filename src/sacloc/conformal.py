@@ -136,7 +136,10 @@ def calibrate(
 
 
 def predict_set(model: GtModel, calibration: SacpCalibration, graph: LocGraph) -> PredictionSet:
-    """Point prediction + region lookup + that region's radius."""
+    """Point prediction + region lookup + that region's radius, for a one-scan graph."""
+    scans = graph.user_features.shape[0]
+    if scans != 1:
+        raise ValueError(f"predict_set takes a one-scan graph, got {scans} scans")
     tape = Tape(record=False)
     pred_norm = forward_graph(tape, model, graph)
     center = denormalize_pred(tape, pred_norm, model).data[0]

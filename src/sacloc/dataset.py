@@ -8,8 +8,8 @@ CSV schema for fingerprint files: a header row naming one RSSI column per
 AP id and the `x`, `y` coordinate columns in meters, in any order. No
 column may be named twice. `ref_point_id` is ignored silently, any other
 extra column with a warning. The body is parsed in one bulk read; a file it
-cannot take is rescanned row by row, so a bad row is reported with its
-1-based data-row index (blank lines not counted). The AP inventory file has
+cannot take is rescanned row by row, so a bad row is reported with the file
+and its 1-based data-row index (blank lines not counted). The AP inventory file has
 columns `ap_id,x,y`.
 """
 
@@ -240,7 +240,7 @@ def load_inventory(path: str | Path) -> ApInventory:
                 ids.append(row["ap_id"])
                 coords.append((float(row["x"]), float(row["y"])))
             except (TypeError, ValueError) as exc:
-                raise MalformedRow(i, str(exc)) from exc
+                raise MalformedRow(path, i, str(exc)) from exc
     if not ids:
         raise EmptyFile(f"{path}: no data rows")
     try:
@@ -305,12 +305,12 @@ def _rescan_rows(path: str | Path, width: int, cols: list[int]) -> ScanSet:
             try:
                 rows.append([float(cells[j]) for j in cols])
             except (TypeError, ValueError) as exc:
-                failure = MalformedRow(i, str(exc))
+                failure = MalformedRow(path, i, str(exc))
                 break
     table = np.array(rows, dtype=np.float64).reshape(len(rows), len(cols))
     bad = _first_bad_scan(table[:, :-2], table[:, -2:])
     if bad is not None:
-        raise MalformedRow(bad[0] + 1, bad[1])
+        raise MalformedRow(path, bad[0] + 1, bad[1])
     if failure is not None:
         raise failure
     if not rows:

@@ -20,11 +20,12 @@ class BadInventory(SaclocError):
 
 
 class MalformedRow(SaclocError):
-    """A CSV data row could not be parsed; carries the 1-based row index."""
+    """A CSV data row could not be parsed; carries the file and the 1-based row index."""
 
-    def __init__(self, row_index: int, message: str):
+    def __init__(self, path, row_index: int, message: str):
+        self.path = path
         self.row_index = row_index
-        super().__init__(f"row {row_index}: {message}")
+        super().__init__(f"{path}: row {row_index}: {message}")
 
 
 class EmptyFile(SaclocError):

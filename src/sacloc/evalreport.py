@@ -20,7 +20,9 @@ import numpy as np
 from .conformal import SacpCalibration, calibrate, nonconformity_scores
 from .dataset import ApInventory, ScanSet, detected_mask
 from .errors import EmptyInput, IoError
-from .regions import RegionModel, assign_regions, kmeans_fit
+from .regions import RegionModel, assign_regions
+# unused here; perfbench's tracer still patches this name
+from .regions import kmeans_fit  # noqa: F401
 
 # Reference power for baseline weighting: a scan at the ceiling of the usable
 # dBm range counts most.
@@ -152,12 +154,10 @@ def alpha_sweep(
     test_preds: np.ndarray,
     test_truths: np.ndarray,
     alphas: Sequence[float],
-    k: int,
-    seed: int,
-    region_model: Optional[RegionModel] = None,
+    region_model: RegionModel,
 ) -> SweepResult:
-    """Recalibrate radii across an alpha grid; the region fit is done once,
-    or not at all when a `region_model` fitted on `cal_truths` is passed.
+    """Recalibrate radii across an alpha grid with one `region_model` fitted
+    on `cal_truths`.
 
     Calibration scores are grouped by true region and test scans routed by
     predicted region, as `calibrate` and `coverage_by_region` default to.
@@ -167,8 +167,6 @@ def alpha_sweep(
         raise ValueError("alpha grid must be nonempty and strictly increasing")
     if np.any((alphas <= 0) | (alphas >= 1)):
         raise ValueError("alphas must lie in (0, 1)")
-    if region_model is None:
-        region_model = kmeans_fit(np.asarray(cal_truths, dtype=np.float64), k, seed)
 
     radii = np.empty((len(alphas), region_model.k))
     global_radii = np.empty(len(alphas))
@@ -176,7 +174,9 @@ def alpha_sweep(
     global_coverages = np.empty(len(alphas))
     region_counts = None
     for i, alpha in enumerate(alphas):
-        cal = calibrate(cal_preds, cal_truths, float(alpha), k, seed, region_model=region_model)
+        # given a region model, calibrate fits nothing and reads no seed
+        cal = calibrate(cal_preds, cal_truths, float(alpha), region_model.k, 0,
+                        region_model=region_model)
         report = coverage_by_region(test_preds, test_truths, cal)
         radii[i] = cal.radii
         global_radii[i] = cal.global_radius

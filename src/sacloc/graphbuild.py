@@ -1,9 +1,10 @@
-"""Per-scan localization graphs.
+"""Localization graphs: the AP topology plus one user node per scan.
 
-Nodes 0..m-1 are the APs in inventory order; node m is the user. AP-AP
-links are static (inter-AP distance <= d_p, symmetric); user->AP links are
-per scan (detected RSSI >= tau). The user row is kept unsymmetrized: the
-user aggregates from APs, APs never aggregate from the user.
+AP-AP links are static (inter-AP distance <= d_p, symmetric); user->AP
+links are per scan (detected RSSI >= tau). APs never aggregate from a user,
+so the graph of B scans is their B user rows (features and links to the
+APs) plus the AP blocks every scan shares. `build_sample_graph` is the one
+place that assembles it, for one scan or for a whole scan set.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from .dataset import (
     SENTINEL,
     ApInventory,
     FingerprintSample,
+    ScanSet,
     coord_affine,
     detected_mask,
     normalize_coords,
@@ -39,20 +41,12 @@ class GraphConfig:
 
 @dataclass(frozen=True)
 class LocGraph:
-    """One scan's graph: (m+1)-node adjacency plus per-node feature rows."""
+    """The graph of B scans: B user rows plus the AP blocks they share."""
 
-    adjacency: np.ndarray  # (m+1, m+1) bool
-    user_index: int
-    user_features: np.ndarray  # (m,) normalized RSSI
+    user_features: np.ndarray  # (B, m) normalized RSSI
+    user_adjacency: np.ndarray  # (B, m) bool, user -> AP links
     ap_features: np.ndarray  # (m, 2) normalized coordinates
-
-    @property
-    def node_count(self) -> int:
-        return self.adjacency.shape[0]
-
-    @property
-    def ap_count(self) -> int:
-        return self.node_count - 1
+    ap_adjacency: np.ndarray  # (m, m) bool
 
 
 def build_ap_adjacency(inventory: ApInventory, cfg: GraphConfig) -> np.ndarray:
@@ -76,22 +70,19 @@ def user_edge_mask(
 
 
 def build_sample_graph(
-    sample: FingerprintSample,
+    scans: FingerprintSample | ScanSet,
     inventory: ApInventory,
     ap_adj: np.ndarray,
     cfg: GraphConfig,
-    sentinel: float = SENTINEL,
 ) -> LocGraph:
-    """Assemble the (m+1)-node graph for one scan; user node is last."""
+    """The graph of one scan (B=1) or of a scan set (B=N), user row i for scan i."""
+    rssi = np.atleast_2d(scans.rssi)
     m = inventory.count
-    if sample.rssi.shape[0] != m:
-        raise ValueError(f"sample has {sample.rssi.shape[0]} RSSI entries, inventory has {m}")
-    adj = np.zeros((m + 1, m + 1), dtype=bool)
-    adj[:m, :m] = ap_adj
-    adj[m, :m] = user_edge_mask(sample.rssi, cfg.tau, sentinel)
+    if rssi.shape[1] != m:
+        raise ValueError(f"scans have {rssi.shape[1]} RSSI entries, inventory has {m}")
     return LocGraph(
-        adjacency=adj,
-        user_index=m,
-        user_features=normalize_rssi(sample.rssi, sentinel=sentinel),
+        user_features=normalize_rssi(rssi),
+        user_adjacency=user_edge_mask(rssi, cfg.tau),
         ap_features=normalize_coords(inventory.coordinates, coord_affine(inventory)),
+        ap_adjacency=ap_adj,
     )

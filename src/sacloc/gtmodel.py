@@ -13,7 +13,8 @@ node types carry different raw dimensions; the prediction is read off the
 user node and mapped to coordinates by a final linear head.
 
 One forward, `forward_batch`, serves training, calibration and single-scan
-prediction, in two halves. AP nodes never receive messages from the user,
+prediction, on the fields of a `graphbuild.LocGraph` (B user rows and the
+AP blocks they share), in two halves. AP nodes never receive messages from the user,
 so everything on the AP side is the same for every scan sharing an
 inventory: the AP encoder, the layer-1 AP update and the keys and values
 both layers attend over. `encode_inventory` computes that inventory
@@ -51,7 +52,7 @@ from .autodiff import (
     load_checkpoint,
     save_checkpoint,
 )
-from .dataset import ApInventory, ScanSet, coord_affine, normalize_coords, normalize_rssi
+from .dataset import ApInventory, ScanSet, coord_affine
 from .errors import (
     BadCheckpoint,
     DimensionMismatch,
@@ -59,7 +60,9 @@ from .errors import (
     EmptyNeighborhood,
     TrainingDiverged,
 )
-from .graphbuild import GraphConfig, LocGraph, build_ap_adjacency, user_edge_mask
+from .graphbuild import GraphConfig, LocGraph, build_ap_adjacency, build_sample_graph
+# unused here; perfbench's tracer still patches this name
+from .graphbuild import user_edge_mask  # noqa: F401
 from .rng import stream
 
 
@@ -334,13 +337,16 @@ def forward_batch(
     ap_adj: np.ndarray,
     masks: Optional[Sequence[Tensor]] = None,
 ) -> Tensor:
-    """Batched forward pass -> (B, 2) normalized predictions.
+    """Batched forward pass on a `LocGraph`'s fields -> (B, 2) normalized predictions.
 
     `masks` are the dropout masks (user1, ap1, user2), or None for no
     dropout. The inventory half comes from `encode_inventory` (or the
     model's memo); the B user rows then attend over its keys and values in
-    both layers.
+    both layers. A graph for another AP count raises DimensionMismatch.
     """
+    if ap_feats_norm.shape[0] != model.ap_count:
+        raise DimensionMismatch(
+            f"graph has {ap_feats_norm.shape[0]} APs, model expects {model.ap_count}")
     user_mask1, ap_mask1, user_mask2 = masks if masks is not None else (None,) * 3
     kv1, kv2 = _inventory(tape, model, ap_feats_norm, ap_adj, ap_mask1)
     enc = model.encoders
@@ -353,16 +359,9 @@ def forward_batch(
 
 
 def forward_graph(tape: Tape, model: GtModel, graph: LocGraph) -> Tensor:
-    """Single-scan forward: `forward_batch` with B=1 on the graph's blocks -> (1, 2)."""
-    if graph.ap_count != model.ap_count:
-        raise DimensionMismatch(
-            f"graph has {graph.ap_count} APs, model expects {model.ap_count}")
-    if graph.user_index != graph.ap_count:
-        raise DimensionMismatch("graphs must place the user node last")
-    m = graph.ap_count
-    return forward_batch(
-        tape, model, graph.user_features[None, :], graph.adjacency[m:, :m],
-        graph.ap_features, graph.adjacency[:m, :m])
+    """`forward_batch` on all of a graph's user rows -> (B, 2)."""
+    return forward_batch(tape, model, graph.user_features, graph.user_adjacency,
+                         graph.ap_features, graph.ap_adjacency)
 
 
 def denormalize_pred(tape: Tape, pred_norm: Tensor, model: GtModel) -> Tensor:
@@ -384,20 +383,6 @@ def mae_loss(tape: Tape, pred_m: Tensor, truth_m: np.ndarray) -> Tensor:
 
 
 # -- training ----------------------------------------------------------------
-
-
-def _prepare_arrays(
-    scans: ScanSet,
-    inventory: ApInventory,
-    graph_cfg: GraphConfig,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(rssi_norm, user_adj, truth_m, ap_feats_norm, ap_adj) for a scan set."""
-    rssi_norm = normalize_rssi(scans.rssi)
-    user_adj = user_edge_mask(scans.rssi, graph_cfg.tau)
-    affine = coord_affine(inventory)
-    ap_feats = normalize_coords(inventory.coordinates, affine)
-    ap_adj = build_ap_adjacency(inventory, graph_cfg)
-    return rssi_norm, user_adj, scans.truth, ap_feats, ap_adj
 
 
 def _batch_masks(
@@ -429,8 +414,9 @@ def train(
     """
     if len(train_samples) == 0:
         raise EmptyBatch("no training samples")
-    rssi_norm, user_adj, truth, ap_feats, ap_adj = _prepare_arrays(
-        train_samples, inventory, graph_cfg)
+    graph = build_sample_graph(
+        train_samples, inventory, build_ap_adjacency(inventory, graph_cfg), graph_cfg)
+    rssi_norm, user_adj = graph.user_features, graph.user_adjacency
     params = model.parameters()
     schedule = CosineSchedule(cfg.base_lr, cfg.epochs, cfg.min_lr)
     adam = AdamState(weight_decay=cfg.weight_decay)
@@ -447,9 +433,10 @@ def train(
                 drop_rng = stream(cfg.seed, "dropout", epoch, batch_i)
                 masks = _batch_masks(model, len(idx), cfg.dropout, drop_rng)
             tape = Tape()
-            pred = forward_batch(
-                tape, model, rssi_norm[idx], user_adj[idx], ap_feats, ap_adj, masks)
-            loss = mae_loss(tape, denormalize_pred(tape, pred, model), truth[idx])
+            pred = forward_batch(tape, model, rssi_norm[idx], user_adj[idx],
+                                 graph.ap_features, graph.ap_adjacency, masks)
+            loss = mae_loss(tape, denormalize_pred(tape, pred, model),
+                            train_samples.truth[idx])
             if not np.isfinite(loss.data):
                 raise TrainingDiverged(epoch, batch_i)
             tape.backward(loss)
@@ -469,16 +456,15 @@ def predict_positions(
     batch_size: int = 512,
 ) -> np.ndarray:
     """Eval-mode predictions in meters, (N, 2)."""
-    if inventory.count != model.ap_count:
-        raise DimensionMismatch(
-            f"inventory has {inventory.count} APs, model expects {model.ap_count}")
-    rssi_norm, user_adj, _, ap_feats, ap_adj = _prepare_arrays(
-        samples, inventory, graph_cfg)
+    graph = build_sample_graph(
+        samples, inventory, build_ap_adjacency(inventory, graph_cfg), graph_cfg)
+    rssi_norm, user_adj = graph.user_features, graph.user_adjacency
     out = np.empty((len(samples), 2))
     tape = Tape(record=False)
     for start in range(0, len(samples), batch_size):
         sl = slice(start, start + batch_size)
-        pred = forward_batch(tape, model, rssi_norm[sl], user_adj[sl], ap_feats, ap_adj)
+        pred = forward_batch(tape, model, rssi_norm[sl], user_adj[sl],
+                             graph.ap_features, graph.ap_adjacency)
         out[sl] = denormalize_pred(tape, pred, model).data
     return out
 

@@ -33,19 +33,19 @@ from sacloc.evalreport import (
     coverage_by_region,
     point_metrics,
 )
-from sacloc.graphbuild import GraphConfig
+from sacloc.graphbuild import GraphConfig, build_ap_adjacency, build_sample_graph
 from sacloc.gtmodel import (
     TrainConfig,
     TransformerConvLayer,
-    _prepare_arrays,
     denormalize_pred,
-    forward_batch,
+    forward_graph,
     mae_loss,
     model_for_inventory,
     predict_positions,
     train,
     transformer_conv,
 )
+from sacloc.regions import kmeans_fit
 from sacloc.rng import stream
 
 
@@ -106,12 +106,12 @@ def test_criterion_1_full_model_gradients():
     samples = ScanSet(
         rssi=[[-55.0, -65.0, SENTINEL, -72.0], [-80.0, SENTINEL, -60.0, -70.0]],
         truth=[[4.0, 9.0], [11.0, 3.0]])
-    rssi_norm, user_adj, truth, ap_feats, ap_adj = _prepare_arrays(
-        samples, inventory, graph_cfg)
+    graph = build_sample_graph(
+        samples, inventory, build_ap_adjacency(inventory, graph_cfg), graph_cfg)
 
     def forward(tape):
-        pred = forward_batch(tape, model, rssi_norm, user_adj, ap_feats, ap_adj)
-        return mae_loss(tape, denormalize_pred(tape, pred, model), truth)
+        pred = forward_graph(tape, model, graph)
+        return mae_loss(tape, denormalize_pred(tape, pred, model), samples.truth)
 
     tape = Tape()
     tape.backward(forward(tape))
@@ -290,7 +290,7 @@ def test_criterion_6_radius_monotonicity(desk_scale):
     sweep = alpha_sweep(
         desk_scale["cal_preds"], desk_scale["cal_truths"],
         desk_scale["test_preds"], desk_scale["test_truths"],
-        grid, k=5, seed=11)
+        grid, kmeans_fit(desk_scale["cal_truths"], 5, 11))
     assert np.all(np.diff(sweep.radii, axis=0) <= 0), "per-region radii increased"
     assert np.all(np.diff(sweep.global_radii) <= 0), "global radius increased"
     report(6, f"radii non-increasing over alpha grid {grid} "

@@ -258,6 +258,15 @@ class TestCsvBoundary:
         err = self.cli_error(capsys, calibrated, "train", "fingerprints", duplicate_x)
         assert "column 'x' appears more than once" in err
 
+    def test_malformed_fingerprint_row(self, calibrated, capsys):
+        # calibrate reads three CSVs; the error names the one with the bad cell
+        def bad_cell(lines):
+            lines[2] = ",".join(["oops", *lines[2].split(",")[1:]])
+            return "\n".join(lines) + "\n"
+
+        err = self.cli_error(capsys, calibrated, "calibrate", "fingerprints", bad_cell)
+        assert "bad_cell.csv: row 2: could not convert string to float: 'oops'" in err
+
 
 class TestSweep:
     def test_regions_fitted_once(self, calibrated, monkeypatch):
@@ -295,7 +304,10 @@ class TestFlags:
             with pytest.raises(SystemExit) as exc:
                 run(cmd, "--help")
             assert exc.value.code == 0
-            assert "--config" in capsys.readouterr().out
+            out = capsys.readouterr().out
+            # the seed comes from the config only: a per-stage seed could
+            # split the pool differently in train and calibrate
+            assert "--config" in out and "--seed" not in out
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert run("train", "--config", str(tmp_path / "nope.json")) == 1

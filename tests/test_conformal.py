@@ -183,6 +183,14 @@ class TestPredictSet:
             global_radius=cal.global_radius, global_count=cal.global_count)
         assert math.isinf(predict_set(model, rigged, graph).radius)
 
+    def test_rejects_scan_set_graph(self, small_world, graph_cfg):
+        model, cal, _ = self._fitted(small_world, graph_cfg)
+        _, inventory, samples = small_world
+        graph = build_sample_graph(samples[:2], inventory,
+                                   build_ap_adjacency(inventory, graph_cfg), graph_cfg)
+        with pytest.raises(ValueError, match="one-scan graph, got 2 scans"):
+            predict_set(model, cal, graph)
+
 
 class TestMarginalCoverage:
     def test_split_conformal_guarantee(self):

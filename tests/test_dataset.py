@@ -189,8 +189,8 @@ class TestLoaderValues:
         path.write_text("a,b,c,x,y\n" + body)
         with pytest.raises(MalformedRow) as err:
             load_fingerprints(path, line_inventory)
-        assert err.value.row_index == row_index
-        assert str(err.value) == f"row {row_index}: {message}"
+        assert (err.value.path, err.value.row_index) == (path, row_index)
+        assert str(err.value) == f"{path}: row {row_index}: {message}"
 
     def test_blank_body_is_empty_file(self, tmp_path, line_inventory):
         path = tmp_path / "fp.csv"
@@ -247,6 +247,13 @@ class TestLoadInventory:
         with pytest.raises(BadInventory, match=r"must be finite; 'b' is at \[") as err:
             load_inventory(path)
         assert str(path) in str(err.value)
+
+    def test_malformed_row_names_file(self, tmp_path):
+        path = self._write(tmp_path, "ap_id,x,y\na,0,0\nb,oops,0\n")
+        with pytest.raises(MalformedRow) as err:
+            load_inventory(path)
+        assert (err.value.path, err.value.row_index) == (path, 2)
+        assert str(err.value) == f"{path}: row 2: could not convert string to float: 'oops'"
 
     def test_duplicate_column(self, tmp_path):
         path = self._write(tmp_path, "ap_id,x,y,x\na,0,0,5\n")

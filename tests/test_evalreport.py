@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sacloc import evalreport
+from sacloc import conformal, evalreport
 from sacloc.conformal import SacpCalibration, calibrate, nonconformity_scores
 from sacloc.dataset import ApInventory, ScanSet
 from sacloc.errors import EmptyInput
@@ -20,7 +20,7 @@ from sacloc.evalreport import (
     point_metrics,
     weighted_centroid_baseline,
 )
-from sacloc.regions import assign_regions
+from sacloc.regions import assign_regions, kmeans_fit
 from sacloc.rng import stream
 
 
@@ -136,7 +136,7 @@ class TestAlphaSweep:
         test_preds = test_truths + rng.normal(scale=2, size=(200, 2))
         alphas = (0.05, 0.20)
         sweep = alpha_sweep(cal_preds, cal_truths, test_preds, test_truths,
-                            alphas, k=3, seed=5)
+                            alphas, kmeans_fit(cal_truths, 3, 5))
         assert sweep.radii.shape == (2, 3)
         assert np.all(sweep.radii[0] >= sweep.radii[1])
         assert sweep.global_radii[0] >= sweep.global_radii[1]
@@ -147,10 +147,12 @@ class TestAlphaSweep:
         truths = rng.uniform(0, 40, size=(300, 2))
         preds = truths + rng.normal(scale=2, size=(300, 2))
         args = (preds[:200], truths[:200], preds[200:], truths[200:], (0.05, 0.2))
-        fitted = alpha_sweep(*args, k=3, seed=5)
+        fitted = alpha_sweep(*args, kmeans_fit(truths[:200], 3, 5))
         region_model = calibrate(preds[:200], truths[:200], 0.1, 3, 5).region_model
-        monkeypatch.setattr(evalreport, "kmeans_fit", None)  # a call would raise
-        reused = alpha_sweep(*args, k=3, seed=5, region_model=region_model)
+        # a call would raise
+        monkeypatch.setattr(evalreport, "kmeans_fit", None)
+        monkeypatch.setattr(conformal, "kmeans_fit", None)
+        reused = alpha_sweep(*args, region_model)
         for field in ("radii", "global_radii", "coverages", "global_coverages",
                       "region_counts"):
             assert np.array_equal(getattr(fitted, field), getattr(reused, field),
@@ -164,7 +166,7 @@ class TestAlphaSweep:
         truths = rng.uniform(0, 50, size=(2 * n, 2))
         preds = truths + rng.normal(scale=3, size=(2 * n, 2))
         sweep = alpha_sweep(preds[:n], truths[:n], preds[n:], truths[n:],
-                            (0.05, 0.1, 0.2, 0.3), k=1, seed=7)
+                            (0.05, 0.1, 0.2, 0.3), kmeans_fit(truths[:n], 1, 7))
         for alpha, cov in zip(sweep.alphas, sweep.global_coverages):
             assert abs(cov - (1.0 - alpha)) <= 0.03
 
@@ -177,7 +179,7 @@ class TestAlphaSweep:
                                 rng.uniform(90, 100, size=(5, 2))])
         cal_preds = cal_truths + rng.normal(scale=1, size=cal_truths.shape)
         sweep = alpha_sweep(cal_preds, cal_truths, cal_preds, cal_truths,
-                            (0.01, 0.05, 0.2), k=2, seed=3)
+                            (0.01, 0.05, 0.2), kmeans_fit(cal_truths, 2, 3))
         assert isinstance(sweep, SweepResult)
         small = int(np.argmin(sweep.region_counts))
         assert sweep.region_counts[small] == 5
@@ -188,7 +190,7 @@ class TestAlphaSweep:
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):
             alpha_sweep(np.zeros((5, 2)), np.zeros((5, 2)), np.zeros((5, 2)),
-                        np.zeros((5, 2)), (0.2, 0.1), k=1, seed=0)
+                        np.zeros((5, 2)), (0.2, 0.1), kmeans_fit(np.zeros((5, 2)), 1, 0))
 
 
 class TestBaseline:
@@ -234,7 +236,7 @@ class TestEmitReport:
         rng = stream(9, "sw")
         sweep = alpha_sweep(preds, truths,
                             truths + rng.normal(scale=2, size=truths.shape), truths,
-                            (0.01, 0.05, 0.1, 0.15, 0.2), k=5, seed=8)
+                            (0.01, 0.05, 0.1, 0.15, 0.2), cal.region_model)
         regions = assign_regions(cal.region_model, preds)
         errs = nonconformity_scores(preds, truths)
         error_map = ErrorMapData(x=truths[:, 0], y=truths[:, 1],

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -48,20 +49,20 @@ class TestSampleGraph:
         ap_adj = build_ap_adjacency(line_inventory, cfg)
         g = build_sample_graph(make_sample([-60.0, -80.0, SENTINEL]),
                                line_inventory, ap_adj, cfg)
-        assert g.adjacency[g.user_index].tolist() == [True, False, False, False]
+        assert g.user_adjacency.tolist() == [[True, False, False]]
 
     def test_all_sentinel_no_user_edges(self, line_inventory):
         cfg = GraphConfig(d_p=20.0, tau=-75.0)
         ap_adj = build_ap_adjacency(line_inventory, cfg)
         g = build_sample_graph(make_sample([SENTINEL] * 3), line_inventory, ap_adj, cfg)
-        assert not g.adjacency[g.user_index].any()
+        assert not g.user_adjacency.any()
 
     def test_permissive_tau_connects_all(self, line_inventory):
         cfg = GraphConfig(d_p=20.0, tau=-120.0)
         ap_adj = build_ap_adjacency(line_inventory, cfg)
         g = build_sample_graph(make_sample([-60.0, -80.0, -100.0]),
                                line_inventory, ap_adj, cfg)
-        assert g.adjacency[g.user_index, :3].all()
+        assert g.user_adjacency.all()
 
     def test_sentinel_never_passes_tau(self):
         # 100 >= -75 numerically; a naive comparison would create this edge.
@@ -71,26 +72,48 @@ class TestSampleGraph:
     def test_ap_block_bit_equal(self, small_world, graph_cfg):
         _, inventory, samples = small_world
         ap_adj = build_ap_adjacency(inventory, graph_cfg)
-        for s in samples[:10]:
-            g = build_sample_graph(s, inventory, ap_adj, graph_cfg)
-            m = inventory.count
-            assert np.array_equal(g.adjacency[:m, :m], ap_adj)
+        for scans in (samples[0], samples[:10]):
+            g = build_sample_graph(scans, inventory, ap_adj, graph_cfg)
+            assert np.array_equal(g.ap_adjacency, ap_adj)
 
     def test_user_is_sink(self, small_world, graph_cfg):
+        # nothing on the AP side depends on the scans: no AP hears from a user
         _, inventory, samples = small_world
         ap_adj = build_ap_adjacency(inventory, graph_cfg)
-        g = build_sample_graph(samples[0], inventory, ap_adj, graph_cfg)
-        assert not g.adjacency[:, g.user_index].any()
-        assert not np.diagonal(g.adjacency).any()
+        a = build_sample_graph(samples[0], inventory, ap_adj, graph_cfg)
+        b = build_sample_graph(samples[1:], inventory, ap_adj, graph_cfg)
+        assert np.array_equal(a.ap_features, b.ap_features)
+        assert np.array_equal(a.ap_adjacency, b.ap_adjacency)
 
     def test_features_shapes(self, small_world, graph_cfg):
         _, inventory, samples = small_world
         ap_adj = build_ap_adjacency(inventory, graph_cfg)
-        g = build_sample_graph(samples[0], inventory, ap_adj, graph_cfg)
         m = inventory.count
-        assert g.user_features.shape == (m,)
-        assert g.ap_features.shape == (m, 2)
-        assert g.node_count == m + 1 and g.user_index == m
+        for scans, b in ((samples[0], 1), (samples, len(samples))):
+            g = build_sample_graph(scans, inventory, ap_adj, graph_cfg)
+            assert g.user_features.shape == g.user_adjacency.shape == (b, m)
+            assert g.user_adjacency.dtype == bool
+            assert g.ap_features.shape == (m, 2)
+            assert g.ap_adjacency.shape == (m, m)
+
+    def test_rssi_length_checked(self, line_inventory):
+        cfg = GraphConfig(d_p=20.0, tau=-75.0)
+        ap_adj = build_ap_adjacency(line_inventory, cfg)
+        with pytest.raises(ValueError, match="2 RSSI entries, inventory has 3"):
+            build_sample_graph(make_sample([-60.0, -70.0]), line_inventory, ap_adj, cfg)
+
+    def test_rows_equal_single_scan_graphs(self, small_world, graph_cfg):
+        # the scan-set graph training and calibration use is, row for row, the
+        # single-scan graph prediction uses
+        _, inventory, samples = small_world
+        ap_adj = build_ap_adjacency(inventory, graph_cfg)
+        whole = build_sample_graph(samples, inventory, ap_adj, graph_cfg)
+        for i in range(len(samples)):
+            one = build_sample_graph(samples[i], inventory, ap_adj, graph_cfg)
+            assert np.array_equal(whole.user_features[i:i + 1], one.user_features)
+            assert np.array_equal(whole.user_adjacency[i:i + 1], one.user_adjacency)
+            assert np.array_equal(whole.ap_features, one.ap_features)
+            assert np.array_equal(whole.ap_adjacency, one.ap_adjacency)
 
     def test_alternative_sentinel_code(self, line_inventory):
         # Edge construction keys on the detection flag, not on the stored 100.
@@ -99,7 +122,7 @@ class TestSampleGraph:
         ref = build_sample_graph(make_sample([-60.0, SENTINEL, -70.0]),
                                  line_inventory, ap_adj, cfg)
         mask = user_edge_mask(np.array([-60.0, -1.0, -70.0]), tau=cfg.tau, sentinel=-1.0)
-        assert np.array_equal(mask, ref.adjacency[ref.user_index, :3])
+        assert np.array_equal(mask, ref.user_adjacency[0])
 
 
 @given(

@@ -18,10 +18,8 @@ from sacloc.graphbuild import GraphConfig, build_ap_adjacency, build_sample_grap
 from sacloc.gtmodel import (
     TrainConfig,
     TransformerConvLayer,
-    _prepare_arrays,
     attention_coefficients,
     denormalize_pred,
-    forward_batch,
     forward_graph,
     load_model,
     mae_loss,
@@ -71,15 +69,21 @@ def dense_layer(layer, feats, adjacency):
 
 
 def dense_forward(model, graph):
-    """Reference single-scan forward over the full (m+1)-node adjacency: both
-    layers update every node, and the user row feeds the head -> (2,)."""
+    """Reference single-scan forward over the full (m+1)-node graph of a
+    one-scan `LocGraph`, assembled here from its blocks with the user node
+    last and no AP -> user link: both layers update every node, and the
+    user row feeds the head -> (2,)."""
+    m = graph.ap_features.shape[0]
+    adjacency = np.zeros((m + 1, m + 1), dtype=bool)
+    adjacency[:m, :m] = graph.ap_adjacency
+    (adjacency[m, :m],) = graph.user_adjacency
     enc = model.encoders
     aps = graph.ap_features @ enc.ap_w.data + enc.ap_b.data
-    user = graph.user_features[None, :] @ enc.user_w.data + enc.user_b.data
+    user = graph.user_features @ enc.user_w.data + enc.user_b.data
     feats = np.vstack([aps, user])
     for layer in (model.layer1, model.layer2):
-        feats = np.maximum(dense_layer(layer, feats, graph.adjacency), 0.0)
-    return feats[graph.user_index] @ model.head_w.data + model.head_b.data
+        feats = np.maximum(dense_layer(layer, feats, adjacency), 0.0)
+    return feats[m] @ model.head_w.data + model.head_b.data
 
 
 def identity_merge_layer(dim, n_heads, seed):
@@ -217,8 +221,12 @@ class TestModelForward:
         ap_adj = build_ap_adjacency(inventory, graph_cfg)
         graph = build_sample_graph(samples[0], inventory, ap_adj, graph_cfg)
         wrong = model_for_inventory(line_inventory, hidden=8, n_heads=2, seed=0)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch, match="graph has 6 APs, model expects 3"):
             forward_graph(Tape(record=False), wrong, graph)
+        with pytest.raises(DimensionMismatch, match="graph has 6 APs, model expects 3"):
+            predict_positions(wrong, samples, inventory, graph_cfg)
+        with pytest.raises(DimensionMismatch, match="graph has 6 APs, model expects 3"):
+            train(wrong, samples, TrainConfig(epochs=1, batch_size=16), graph_cfg, inventory)
 
     def test_messages_change_prediction(self, small_world):
         # identical user features, edges present vs filtered out by tau
@@ -234,8 +242,8 @@ class TestModelForward:
         sample = samples[0]
         with_edges = build_sample_graph(sample, inventory, ap_adj, loose)
         without = build_sample_graph(sample, inventory, ap_adj, strict)
-        assert with_edges.adjacency[with_edges.user_index].any()
-        assert not without.adjacency[without.user_index].any()
+        assert with_edges.user_adjacency.any()
+        assert not without.user_adjacency.any()
         assert np.array_equal(with_edges.user_features, without.user_features)
         pa = forward_graph(Tape(record=False), model, with_edges).data[0]
         pb = forward_graph(Tape(record=False), model, without).data[0]
@@ -244,10 +252,10 @@ class TestModelForward:
     def test_dense_matches_factorized(self, small_world, graph_cfg, tmp_path):
         _, inventory, samples = small_world
         model = model_for_inventory(inventory, hidden=16, n_heads=2, seed=5)
-        rssi_norm, user_adj, _, ap_feats, ap_adj = _prepare_arrays(
-            samples, inventory, graph_cfg)
+        ap_adj = build_ap_adjacency(inventory, graph_cfg)
+        whole = build_sample_graph(samples, inventory, ap_adj, graph_cfg)
         t = Tape(record=False)
-        batched = forward_batch(t, model, rssi_norm, user_adj, ap_feats, ap_adj).data
+        batched = forward_graph(t, model, whole).data
         graphs = [build_sample_graph(s, inventory, ap_adj, graph_cfg) for s in samples]
         dense = np.stack([dense_forward(model, g) for g in graphs])
         per_scan = np.stack([forward_graph(t, model, g).data[0] for g in graphs])
@@ -260,7 +268,7 @@ class TestModelForward:
         cold = forward_graph(t, loaded, graphs[0]).data[0]
         assert loaded.inventory_memo is not None
         warm = np.stack([forward_graph(t, loaded, g).data[0] for g in graphs])
-        batched = forward_batch(t, loaded, rssi_norm, user_adj, ap_feats, ap_adj).data
+        batched = forward_graph(t, loaded, whole).data
         assert np.max(np.abs(cold - dense[0])) <= 1e-12
         assert np.max(np.abs(warm - dense)) <= 1e-12
         assert np.max(np.abs(batched - dense)) <= 1e-12
@@ -365,17 +373,17 @@ class TestFullModelGradient:
         samples = ScanSet(
             rssi=[[-55.0, -65.0, SENTINEL, -72.0], [-80.0, SENTINEL, -60.0, -70.0]],
             truth=[[4.0, 9.0], [11.0, 3.0]])
-        rssi_norm, user_adj, truth, ap_feats, ap_adj = _prepare_arrays(
-            samples, inventory, graph_cfg)
+        graph = build_sample_graph(
+            samples, inventory, build_ap_adjacency(inventory, graph_cfg), graph_cfg)
 
         def loss_fn():
             t = Tape(record=False)
-            pred = forward_batch(t, model, rssi_norm, user_adj, ap_feats, ap_adj)
-            return float(mae_loss(t, denormalize_pred(t, pred, model), truth).data)
+            pred = forward_graph(t, model, graph)
+            return float(mae_loss(t, denormalize_pred(t, pred, model), samples.truth).data)
 
         t = Tape()
-        pred = forward_batch(t, model, rssi_norm, user_adj, ap_feats, ap_adj)
-        t.backward(mae_loss(t, denormalize_pred(t, pred, model), truth))
+        pred = forward_graph(t, model, graph)
+        t.backward(mae_loss(t, denormalize_pred(t, pred, model), samples.truth))
 
         step = 1e-5
         worst = 0.0
