@@ -19,6 +19,7 @@ import csv
 import logging
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
@@ -53,7 +54,8 @@ class ApInventory:
     coordinates: np.ndarray  # (m, 2) float64
 
     def __post_init__(self):
-        coords = np.asarray(self.coordinates, dtype=np.float64)
+        coords = np.array(self.coordinates, dtype=np.float64)
+        coords.flags.writeable = False
         object.__setattr__(self, "coordinates", coords)
         if coords.ndim != 2 or coords.shape[1] != 2:
             raise ValueError(f"coordinates must be (m, 2), got {coords.shape}")
@@ -71,6 +73,14 @@ class ApInventory:
     @property
     def count(self) -> int:
         return len(self.ap_ids)
+
+    @cached_property
+    def normalized_coordinates(self) -> np.ndarray:
+        """(m, 2) positions mapped by `coord_affine`, read-only: the AP
+        features of every graph over this inventory, computed once."""
+        feats = normalize_coords(self.coordinates, coord_affine(self))
+        feats.flags.writeable = False
+        return feats
 
 
 def _first_bad_scan(rssi: np.ndarray, truth: np.ndarray) -> Optional[tuple[int, str]]:

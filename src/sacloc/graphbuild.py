@@ -18,9 +18,7 @@ from .dataset import (
     ApInventory,
     FingerprintSample,
     ScanSet,
-    coord_affine,
     detected_mask,
-    normalize_coords,
     normalize_rssi,
 )
 
@@ -45,17 +43,19 @@ class LocGraph:
 
     user_features: np.ndarray  # (B, m) normalized RSSI
     user_adjacency: np.ndarray  # (B, m) bool, user -> AP links
-    ap_features: np.ndarray  # (m, 2) normalized coordinates
+    ap_features: np.ndarray  # (m, 2) normalized coordinates, the inventory's own
     ap_adjacency: np.ndarray  # (m, m) bool
 
 
 def build_ap_adjacency(inventory: ApInventory, cfg: GraphConfig) -> np.ndarray:
-    """Static AP-AP block: linked iff 0 < distance(i, j) in index and <= d_p."""
+    """Static AP-AP block, read-only: linked iff 0 < distance(i, j) in index
+    and <= d_p."""
     coords = inventory.coordinates
     diff = coords[:, None, :] - coords[None, :, :]
     dist = np.linalg.norm(diff, axis=2)
     adj = dist <= cfg.d_p
     np.fill_diagonal(adj, False)
+    adj.flags.writeable = False
     return adj
 
 
@@ -83,6 +83,6 @@ def build_sample_graph(
     return LocGraph(
         user_features=normalize_rssi(rssi),
         user_adjacency=user_edge_mask(rssi, cfg.tau),
-        ap_features=normalize_coords(inventory.coordinates, coord_affine(inventory)),
+        ap_features=inventory.normalized_coordinates,
         ap_adjacency=ap_adj,
     )

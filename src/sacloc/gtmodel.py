@@ -1,16 +1,23 @@
 """Two-layer multi-head graph-transformer regressor and its trainer.
 
-Per layer and head, a node's update is a root transform of its own features
-plus an attention-weighted sum of transformed neighbor features; attention
-is scaled dot-product over the neighbor set. Head outputs are averaged and
-mapped back to the layer width. A layer keeps one weight per projection
-(query, key, value, root) with every head fused into it, head i in columns
-[i*d, (i+1)*d), as in the TransformerConv of Shi et al. (arXiv 2009.03509):
-each projection is one matmul, and the heads' attention is one
-`Tape.multi_head_attention` call. Node features enter through per-type
-linear encoders (user: RSSI vector, APs: 2D coordinates) since the two
-node types carry different raw dimensions; the prediction is read off the
-user node and mapped to coordinates by a final linear head.
+Per layer and head, a node receives an attention-weighted sum of
+transformed neighbor features; attention is scaled dot-product over the
+neighbor set. The head outputs are averaged, a root transform of the
+node's own features is added and the sum is mapped back to the layer
+width:
+
+    out = (X @ root + mean_i softmax(Q_i K_i^T / sqrt(d)) V_i) @ merge
+
+A layer keeps one weight per projection. `query`, `key` and `value` fuse
+every head, head i in columns [i*d, (i+1)*d), as in the TransformerConv of
+Shi et al. (arXiv 2009.03509): each projection is one matmul, and the
+heads' attention is one `Tape.multi_head_attention` call. `root` is one
+(in, d) weight shared by the heads (PyG's `lin_skip`): per-head roots R_i
+averaged over the heads give X @ mean_i R_i, so they would add parameters
+and no expressiveness. Node features enter through
+per-type linear encoders (user: RSSI vector, APs: 2D coordinates) since
+the two node types carry different raw dimensions; the prediction is read
+off the user node and mapped to coordinates by a final linear head.
 
 One forward, `forward_batch`, serves training, calibration and single-scan
 prediction, on the fields of a `graphbuild.LocGraph` (B user rows and the
@@ -66,22 +73,23 @@ from .graphbuild import user_edge_mask  # noqa: F401
 from .rng import stream
 
 
-# The fused projections of one layer, in checkpoint order.
+# The weights of one layer, in checkpoint order.
 LAYER_WEIGHTS = ("query", "key", "value", "root", "merge")
 
 
 @dataclass
 class TransformerConvLayer:
-    """One layer, every head fused into one weight per projection.
+    """One layer: every head fused into one weight per attention projection.
 
-    `query`, `key`, `value` and `root` are (in_dim, n_heads * head_dim);
-    head i owns columns [i * head_dim, (i + 1) * head_dim) of each.
+    `query`, `key` and `value` are (in_dim, n_heads * head_dim); head i owns
+    columns [i * head_dim, (i + 1) * head_dim) of each. `root` is
+    (in_dim, head_dim), shared by the heads.
     """
 
     query: Tensor
     key: Tensor
     value: Tensor  # the message transform
-    root: Tensor
+    root: Tensor  # added after the head mean
     merge: Tensor  # (head_dim, out_dim), restores width after head averaging
     n_heads: int
 
@@ -162,7 +170,7 @@ class TrainConfig:
 
 
 def _xavier(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    fan_in = shape[0] if len(shape) > 1 else shape[0]
+    fan_in = shape[0]
     fan_out = shape[1] if len(shape) > 1 else shape[0]
     limit = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, shape)
@@ -170,18 +178,37 @@ def _xavier(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
 
 def _init_layer(in_dim: int, out_dim: int, n_heads: int, head_dim: int,
                 seed: int, tag: str) -> TransformerConvLayer:
-    """Each head's block drawn from its own stream, the blocks side by side."""
+    """Each head's block of a projection drawn from its own stream, the blocks
+    side by side; the shared root is the mean of the per-head root draws, so
+    a fresh layer computes what per-head roots averaged over the heads would."""
 
-    def fused(name: str, stream_tag: str) -> Tensor:
-        blocks = [_xavier((in_dim, head_dim), stream(seed, "init", tag, hi, stream_tag))
-                  for hi in range(n_heads)]
-        return Tensor(np.hstack(blocks), requires_grad=True, name=f"{tag}.{name}")
+    def blocks(stream_tag: str) -> list[np.ndarray]:
+        return [_xavier((in_dim, head_dim), stream(seed, "init", tag, hi, stream_tag))
+                for hi in range(n_heads)]
 
-    merge = Tensor(_xavier((head_dim, out_dim), stream(seed, "init", tag, "merge")),
-                   requires_grad=True, name=f"{tag}.merge")
+    def param(name: str, data: np.ndarray) -> Tensor:
+        return Tensor(data, requires_grad=True, name=f"{tag}.{name}")
+
     return TransformerConvLayer(
-        query=fused("query", "w3"), key=fused("key", "w4"), value=fused("value", "w2"),
-        root=fused("root", "w1"), merge=merge, n_heads=n_heads)
+        query=param("query", np.hstack(blocks("w3"))),
+        key=param("key", np.hstack(blocks("w4"))),
+        value=param("value", np.hstack(blocks("w2"))),
+        root=param("root", np.mean(blocks("w1"), axis=0)),
+        merge=param("merge", _xavier((head_dim, out_dim), stream(seed, "init", tag, "merge"))),
+        n_heads=n_heads)
+
+
+def _parameter_shapes(ap_count: int, hidden: int, n_heads: int) -> dict[str, tuple[int, ...]]:
+    """The shape of each parameter `init_model` gives, without drawing weights."""
+    head_dim = hidden // n_heads
+    layer = {"query": (hidden, hidden), "key": (hidden, hidden), "value": (hidden, hidden),
+             "root": (hidden, head_dim), "merge": (head_dim, hidden)}
+    return {
+        "enc.user.w": (ap_count, hidden), "enc.user.b": (hidden,),
+        "enc.ap.w": (2, hidden), "enc.ap.b": (hidden,),
+        **{f"layer{li}.{wn}": layer[wn] for li in (1, 2) for wn in LAYER_WEIGHTS},
+        "head.w": (hidden, 2), "head.b": (2,),
+    }
 
 
 def init_model(
@@ -264,13 +291,13 @@ def _attend(
     adjacency: np.ndarray,
 ) -> Tensor:
     """Attention aggregation of the sources behind `kv` into `targets` along
-    `adjacency` rows; rows whose adjacency is empty receive their root
-    transform only."""
+    `adjacency` rows, averaged over the heads, plus the root transform;
+    rows whose adjacency is empty receive their root transform only."""
     keys, values = kv
     messages = tape.multi_head_attention(
         tape.matmul(targets, layer.query), keys, values, adjacency, layer.n_heads)
-    z = tape.add(tape.matmul(targets, layer.root), messages)
-    return tape.matmul(tape.head_mean(z, layer.n_heads), layer.merge)
+    z = tape.add(tape.matmul(targets, layer.root), tape.head_mean(messages, layer.n_heads))
+    return tape.matmul(z, layer.merge)
 
 
 def transformer_conv(
@@ -308,6 +335,20 @@ def _read_only(model: GtModel) -> bool:
     return not any(t.data.flags.writeable for t in _parameter_tensors(model))
 
 
+def _pinned(a: np.ndarray) -> np.ndarray:
+    """`a` itself when nothing can write to it (read-only and owning its
+    data, as the inventory's AP features and `build_ap_adjacency` give it),
+    else a read-only copy."""
+    if a.flags.writeable or a.base is not None:
+        a = np.array(a)
+        a.flags.writeable = False
+    return a
+
+
+def _same(pinned: np.ndarray, a: np.ndarray) -> bool:
+    return pinned is a or np.array_equal(pinned, a)
+
+
 def _inventory(
     tape: Tape,
     model: GtModel,
@@ -316,15 +357,15 @@ def _inventory(
     ap_mask: Optional[Tensor],
 ) -> tuple[KeysValues, KeysValues]:
     """`encode_inventory`, reused from the model's memo in eval mode when
-    every weight is read-only and the AP features and adjacency match."""
+    every weight is read-only and the AP features and adjacency match: the
+    very arrays the memo pinned, or equal ones."""
     if tape.record or ap_mask is not None or not _read_only(model):
         return encode_inventory(tape, model, ap_feats_norm, ap_adj, ap_mask)
     memo = model.inventory_memo
-    if (memo is not None and np.array_equal(memo[0], ap_feats_norm)
-            and np.array_equal(memo[1], ap_adj)):
+    if memo is not None and _same(memo[0], ap_feats_norm) and _same(memo[1], ap_adj):
         return memo[2]
     kv = encode_inventory(tape, model, ap_feats_norm, ap_adj)
-    model.inventory_memo = (np.array(ap_feats_norm), np.array(ap_adj), kv)
+    model.inventory_memo = (_pinned(ap_feats_norm), _pinned(ap_adj), kv)
     return kv
 
 
@@ -500,8 +541,10 @@ def load_model(path: str | Path) -> GtModel:
     Read-only weights let eval forwards reuse the inventory half (see the
     module docstring); an in-place write raises. To fine-tune, start from
     `load_checkpoint`, whose tensors are writeable. A checkpoint without
-    the model metadata or without one of `PARAMETER_NAMES` (such as one
-    written with per-head weights, `layer1.head0.w1`) raises BadCheckpoint.
+    the model metadata, without one of `PARAMETER_NAMES` (such as one
+    written with per-head weights, `layer1.head0.w1`) or with a parameter
+    of another shape than `init_model` gives for its metadata (such as a
+    `layer1.root` with one block per head) raises BadCheckpoint.
     """
     params, _, _, extra = load_checkpoint(path)
     for p in params.values():
@@ -514,6 +557,15 @@ def load_model(path: str | Path) -> GtModel:
                 path, f"no parameter {missing[0]}: the weights are in a layout this "
                       "version no longer reads (per head, as in layer1.head0.w1); "
                       "rerun `sacloc train`")
+        shapes = _parameter_shapes(meta["ap_count"], meta["hidden"], meta["n_heads"])
+        for name, shape in shapes.items():
+            if params[name].shape != shape:
+                raise BadCheckpoint(
+                    path, f"parameter {name} has shape {params[name].shape}, but the "
+                          f"header's ap_count {meta['ap_count']}, hidden {meta['hidden']} "
+                          f"and n_heads {meta['n_heads']} need {shape} (a checkpoint "
+                          "written before the heads shared one root has one root block "
+                          "per head); rerun `sacloc train`")
 
         def layer(tag: str) -> TransformerConvLayer:
             return TransformerConvLayer(*(params[f"{tag}.{wn}"] for wn in LAYER_WEIGHTS),

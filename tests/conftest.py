@@ -39,8 +39,10 @@ def make_sample(rssi, truth=(0.0, 0.0)):
 def write_per_head_layout(path):
     """Rewrite a model checkpoint under the per-head parameter names of the
     layout before the heads were fused: `layer1.head0.w1` (root), `w2`
-    (value), `w3` (query) and `w4` (key), one (in, head_dim) block each."""
+    (value), `w3` (query) and `w4` (key), one (in, head_dim) block each;
+    every head's root block is the shared root."""
     params, adam, step, extra = load_checkpoint(path)
+    n_heads = extra["model"]["n_heads"]
     old = {"root": "w1", "value": "w2", "query": "w3", "key": "w4"}
     per_head = {}
     for name, p in params.items():
@@ -48,6 +50,19 @@ def write_per_head_layout(path):
         if weight not in old:
             per_head[name] = p
             continue
-        for hi, block in enumerate(np.hsplit(p.data, extra["model"]["n_heads"])):
+        blocks = [p.data] * n_heads if weight == "root" else np.hsplit(p.data, n_heads)
+        for hi, block in enumerate(blocks):
             per_head[f"{tag}.head{hi}.{old[weight]}"] = Tensor(block)
     save_checkpoint(path, per_head, adam=adam, step=step, extra=extra)
+
+
+def write_fused_root_layout(path):
+    """Rewrite a model checkpoint's shared `layer*.root` (in, head_dim) as the
+    (in, n_heads * head_dim) root of the layout before the root was shared,
+    one block per head (every block the shared root), under the same names.
+    Optimizer state is dropped."""
+    params, _, step, extra = load_checkpoint(path)
+    n_heads = extra["model"]["n_heads"]
+    save_checkpoint(path, {name: Tensor(np.tile(p.data, n_heads) if name.endswith(".root")
+                                        else p.data) for name, p in params.items()},
+                    step=step, extra=extra)

@@ -196,9 +196,13 @@ def _head_blocks(rng, dim, head_dim, n_heads):
 
 
 def _fused_layer(blocks, merge):
-    """The layer whose head i has the projections `blocks[i]`."""
-    root, value, query, key = (Tensor(np.hstack(ws)) for ws in zip(*blocks))
-    return TransformerConvLayer(query=query, key=key, value=value, root=root,
+    """The layer whose head i has the projections `blocks[i]`; its shared
+    root is the mean of the heads' roots, which the head mean makes the same
+    function."""
+    roots, *attention = zip(*blocks)
+    value, query, key = (Tensor(np.hstack(ws)) for ws in attention)
+    return TransformerConvLayer(query=query, key=key, value=value,
+                                root=Tensor(np.mean(roots, axis=0)),
                                 merge=merge, n_heads=len(blocks))
 
 

@@ -9,7 +9,7 @@ from sacloc.dataset import SyntheticConfig
 from sacloc.graphbuild import GraphConfig
 from sacloc.gtmodel import TrainConfig
 
-from conftest import write_per_head_layout
+from conftest import write_fused_root_layout, write_per_head_layout
 
 TINY_CONFIG = {
     "graph": {"d_p": 25.0, "tau": -80.0},
@@ -115,6 +115,21 @@ class TestPipeline:
         assert run("calibrate", "--config", config) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "rerun `sacloc train`" in err
+
+    def test_fused_root_checkpoint_rejected(self, workdir, capsys):
+        # the parameter names are unchanged, so only the root's shape tells
+        # a checkpoint of the per-head-root layout apart
+        tmp, config = workdir
+        assert run("synth", "--config", config) == 0
+        assert run("train", "--config", config) == 0
+        assert run("calibrate", "--config", config) == 0
+        write_fused_root_layout(tmp / "out" / CHECKPOINT_NAME)
+        for argv in (("calibrate",), ("predict", "--rssi=-60,-70,100,-80,100")):
+            capsys.readouterr()
+            assert run(*argv, "--config", config) == 1
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+            assert "layer1.root" in lines[0] and lines[0].endswith("rerun `sacloc train`")
 
     def test_nan_truth_fails_calibrate(self, workdir, capsys):
         tmp, config = workdir

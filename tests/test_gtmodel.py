@@ -6,7 +6,7 @@ import pytest
 from sacloc import gtmodel
 from sacloc.autodiff import Tape, Tensor, load_checkpoint, save_checkpoint
 from sacloc.conformal import calibrate, predict_set
-from sacloc.dataset import SENTINEL, ScanSet, SyntheticConfig, generate_synthetic
+from sacloc.dataset import SENTINEL, ApInventory, ScanSet, SyntheticConfig, generate_synthetic
 from sacloc.errors import (
     BadCheckpoint,
     DimensionMismatch,
@@ -31,19 +31,32 @@ from sacloc.gtmodel import (
 )
 from sacloc.rng import stream
 
-from conftest import write_per_head_layout
+from conftest import write_fused_root_layout, write_per_head_layout
+
+
+def random_blocks(in_dim, n_heads, head_dim, seed, w, scale=0.5):
+    """One random (in_dim, head_dim) block per head of projection `w`."""
+    return [stream(seed, "layer", h, w).normal(size=(in_dim, head_dim)) * scale
+            for h in range(n_heads)]
 
 
 def random_layer(in_dim, out_dim, n_heads, head_dim, seed, scale=0.5):
+    """Random heads; the shared root is the mean of `random_roots`."""
     def fused(w):
-        return Tensor(np.hstack([
-            stream(seed, "layer", h, w).normal(size=(in_dim, head_dim)) * scale
-            for h in range(n_heads)]), requires_grad=True)
+        return Tensor(np.hstack(random_blocks(in_dim, n_heads, head_dim, seed, w, scale)),
+                      requires_grad=True)
 
+    root = np.mean(random_roots(in_dim, n_heads, head_dim, seed, scale), axis=0)
     merge = Tensor(stream(seed, "merge").normal(size=(head_dim, out_dim)) * scale,
                    requires_grad=True)
-    return TransformerConvLayer(query=fused(2), key=fused(3), value=fused(1), root=fused(0),
+    return TransformerConvLayer(query=fused(2), key=fused(3), value=fused(1),
+                                root=Tensor(root, requires_grad=True),
                                 merge=merge, n_heads=n_heads)
+
+
+def random_roots(in_dim, n_heads, head_dim, seed, scale=0.5):
+    """The per-head root blocks behind `random_layer`'s shared root."""
+    return random_blocks(in_dim, n_heads, head_dim, seed, 0, scale)
 
 
 def head_blocks(layer, name):
@@ -53,19 +66,17 @@ def head_blocks(layer, name):
 
 def dense_layer(layer, feats, adjacency):
     """Reference layer application, head by head and node by node from the
-    per-head weight blocks, in plain numpy: the mean over heads of the root
-    transform plus the attention-weighted values, then the merge."""
+    per-head value blocks, in plain numpy: the root transform plus the mean
+    over heads of the attention-weighted values, then the merge."""
     total = np.zeros((feats.shape[0], layer.head_dim))
-    for head, (root, value) in enumerate(zip(head_blocks(layer, "root"),
-                                             head_blocks(layer, "value"))):
-        total += feats @ root
+    for head, value in enumerate(head_blocks(layer, "value")):
         values = feats @ value
         for node in range(feats.shape[0]):
             neighbors = np.nonzero(adjacency[node])[0]
             if len(neighbors):
                 beta = attention_coefficients(layer, head, feats, node, list(neighbors))
                 total[node] += beta @ values[neighbors]
-    return (total / layer.n_heads) @ layer.merge.data
+    return (feats @ layer.root.data + total / layer.n_heads) @ layer.merge.data
 
 
 def dense_forward(model, graph):
@@ -143,7 +154,7 @@ class TestTransformerConv:
         out = transformer_conv(Tape(record=False), layer, Tensor(feats_np), adj).data
         expected = np.mean(
             [feats_np[0] @ root + feats_np[1] @ value for root, value in
-             zip(head_blocks(layer, "root"), head_blocks(layer, "value"))], axis=0)
+             zip(random_roots(5, 2, 5, seed=3), head_blocks(layer, "value"))], axis=0)
         assert np.max(np.abs(out[0] - expected)) <= 1e-12
 
     def test_isolated_node_root_term_only(self):
@@ -151,7 +162,7 @@ class TestTransformerConv:
         feats_np = stream(8, "x").normal(size=(3, 5))
         adj = np.zeros((3, 3), dtype=bool)
         out = transformer_conv(Tape(record=False), layer, Tensor(feats_np), adj).data
-        expected = np.mean([feats_np @ root for root in head_blocks(layer, "root")], axis=0)
+        expected = np.mean([feats_np @ root for root in random_roots(5, 2, 5, seed=3)], axis=0)
         assert np.max(np.abs(out - expected)) <= 1e-12
 
     def test_identity_configuration(self):
@@ -167,9 +178,8 @@ class TestTransformerConv:
     def test_duplicated_heads_match_single_head(self):
         single = random_layer(6, 6, 1, 3, seed=11)
         multi = TransformerConvLayer(
-            *(Tensor(np.tile(getattr(single, wn).data, 4))
-              for wn in ("query", "key", "value", "root")),
-            merge=single.merge, n_heads=4)
+            *(Tensor(np.tile(getattr(single, wn).data, 4)) for wn in ("query", "key", "value")),
+            root=single.root, merge=single.merge, n_heads=4)
         feats = Tensor(stream(12, "x").normal(size=(7, 6)))
         adj = stream(13, "adj").random((7, 7)) < 0.4
         t = Tape(record=False)
@@ -194,6 +204,48 @@ class TestTransformerConv:
         perm = stream(18, "perm").permutation(n)
         permuted = run(feats_np[perm], adj[perm][:, perm])
         assert np.max(np.abs(permuted - base[perm])) <= 1e-9
+
+
+class TestSharedRoot:
+    """One root weight per layer, shared by the heads, added after the head mean."""
+
+    def test_matches_per_head_roots(self):
+        # the formula with one root block R_i per head, added to that head's
+        # messages before the head mean, against the layer whose shared root
+        # is mean_i R_i
+        n_heads, dim, head_dim, n = 4, 6, 3, 7
+        layer = random_layer(dim, dim, n_heads, head_dim, seed=19)
+        roots = Tensor(np.hstack(random_roots(dim, n_heads, head_dim, seed=19)))
+        feats = Tensor(stream(20, "x").normal(size=(n, dim)))
+        adj = stream(21, "adj").random((n, n)) < 0.4
+        adj[0] = False  # a row that receives its root transform only
+        t = Tape(record=False)
+        messages = t.multi_head_attention(
+            t.matmul(feats, layer.query), t.matmul(feats, layer.key),
+            t.matmul(feats, layer.value), adj, n_heads)
+        per_head = t.matmul(t.head_mean(t.add(t.matmul(feats, roots), messages), n_heads),
+                            layer.merge).data
+        shared = transformer_conv(t, layer, feats, adj).data
+        assert np.max(np.abs(shared - per_head)) <= 1e-12
+
+    def test_init_root_is_mean_of_per_head_draws(self, line_inventory):
+        hidden, n_heads, seed = 8, 2, 7
+        head_dim = hidden // n_heads
+        model = model_for_inventory(line_inventory, hidden=hidden, n_heads=n_heads, seed=seed)
+        limit = math.sqrt(6.0 / (hidden + head_dim))
+        for tag in ("layer1", "layer2"):
+            draws = [stream(seed, "init", tag, hi, "w1").uniform(-limit, limit, (hidden, head_dim))
+                     for hi in range(n_heads)]
+            assert np.array_equal(getattr(model, tag).root.data, np.mean(draws, axis=0))
+
+    def test_reference_width_parameter_count(self):
+        inventory = ApInventory(ap_ids=tuple(f"ap{i}" for i in range(20)),
+                                coordinates=stream(22, "aps").uniform(0.0, 50.0, (20, 2)))
+        params = model_for_inventory(inventory, hidden=500, n_heads=4, seed=11).parameters()
+        assert sum(p.data.size for p in params.values()) == 1_763_002
+        assert params["layer1.root"].shape == params["layer2.root"].shape == (500, 125)
+        assert {name: p.shape for name, p in params.items()} == \
+            gtmodel._parameter_shapes(20, 500, 4)
 
 
 class TestModelForward:
@@ -306,6 +358,32 @@ class TestInventoryMemo:
                 p.data[...] = 0.0
         with pytest.raises(ValueError, match="read-only"):
             model.head_w.data += 1.0
+
+    def test_same_arrays_skip_the_compare(self, loaded, graph_cfg, monkeypatch):
+        # graphs over one inventory and AP block share its arrays, so a warm
+        # forward matches them by identity; an equal copy still matches
+        path, inventory, samples = loaded
+        model = load_model(path)
+        ap_adj = build_ap_adjacency(inventory, graph_cfg)
+        first, second = (build_sample_graph(s, inventory, ap_adj, graph_cfg)
+                         for s in samples[:2])
+        assert second.ap_features is first.ap_features is inventory.normalized_coordinates
+        assert not first.ap_features.flags.writeable and not ap_adj.flags.writeable
+        forward_graph(Tape(record=False), model, first)
+        assert model.inventory_memo[0] is first.ap_features
+        assert model.inventory_memo[1] is ap_adj
+
+        compares = []
+        array_equal = np.array_equal
+        monkeypatch.setattr(np, "array_equal",
+                            lambda *a, **k: compares.append(1) or array_equal(*a, **k))
+        warm = forward_graph(Tape(record=False), model, second).data
+        assert compares == []
+        copied = gtmodel.forward_batch(
+            Tape(record=False), model, second.user_features, second.user_adjacency,
+            second.ap_features.copy(), ap_adj.copy())
+        assert len(compares) == 2
+        assert np.array_equal(copied.data, warm)
 
     def test_writeable_model_keeps_no_memo(self, small_world, graph_cfg):
         _, inventory, samples = small_world
@@ -452,10 +530,10 @@ class TestTrain:
         history = train(model, samples, tc, graph_cfg, inventory)
         assert history[-1]["train_mae"] < history[0]["train_mae"]
 
-    def test_step_tape_has_no_dead_nodes(self, small_world, graph_cfg, monkeypatch):
-        # every node recorded in a training step (with dropout) must feed the
-        # loss; a node the reverse sweep never reaches is discarded compute
-        _, inventory, samples = small_world
+    @staticmethod
+    def dead_nodes_per_step(model, samples, graph_cfg, inventory, monkeypatch):
+        """Per training step (one epoch, with dropout): the recorded nodes the
+        reverse sweep from the loss never reaches."""
         seen = []
         gradients = Tape.gradients
 
@@ -464,10 +542,10 @@ class TestTrain:
             return gradients(tape, loss)
 
         monkeypatch.setattr(Tape, "gradients", spy)
-        model = model_for_inventory(inventory, hidden=8, n_heads=2, seed=5)
         tc = TrainConfig(epochs=1, batch_size=16, dropout=0.2, seed=5)
         train(model, samples, tc, graph_cfg, inventory)
         assert seen
+        counts = []
         for nodes, loss in seen:
             live, dead = {id(loss)}, 0
             for out, inputs, _ in reversed(nodes):
@@ -475,7 +553,33 @@ class TestTrain:
                     live.update(id(t) for t in inputs)
                 else:
                     dead += 1
-            assert dead == 0
+            counts.append(dead)
+        return counts
+
+    def test_step_tape_has_no_dead_nodes(self, small_world, graph_cfg, monkeypatch):
+        # every node recorded in a training step (with dropout) must feed the
+        # loss; a node the reverse sweep never reaches is discarded compute
+        _, inventory, samples = small_world
+        for n_heads in (2, 4):
+            model = model_for_inventory(inventory, hidden=8, n_heads=n_heads, seed=5)
+            assert set(self.dead_nodes_per_step(
+                model, samples, graph_cfg, inventory, monkeypatch)) == {0}
+
+    def test_dead_node_walk_sees_an_unused_branch(self, small_world, graph_cfg, monkeypatch):
+        # the walk above counts a projection computed and then dropped, as a
+        # per-head root left behind by a reparametrisation would be: one per
+        # layer application (AP layer 1, user layers 1 and 2)
+        _, inventory, samples = small_world
+        attend = gtmodel._attend
+
+        def with_dead_root(tape, layer, targets, kv, adjacency):
+            tape.matmul(targets, Tensor(np.tile(layer.root.data, layer.n_heads)))
+            return attend(tape, layer, targets, kv, adjacency)
+
+        monkeypatch.setattr(gtmodel, "_attend", with_dead_root)
+        model = model_for_inventory(inventory, hidden=8, n_heads=2, seed=5)
+        assert set(self.dead_nodes_per_step(
+            model, samples, graph_cfg, inventory, monkeypatch)) == {3}
 
 
     def test_step_tape_size_does_not_depend_on_heads(self, small_world, graph_cfg,
@@ -525,6 +629,18 @@ class TestCheckpointing:
         graph = build_sample_graph(samples[0], inventory, ap_adj, graph_cfg)
         assert np.array_equal(forward_graph(Tape(record=False), model, graph).data,
                               forward_graph(Tape(record=False), loaded, graph).data)
+
+    def test_fused_root_layout_rejected(self, tmp_path, small_world):
+        _, inventory, _ = small_world
+        path = tmp_path / "model.bin"
+        save_model(path, model_for_inventory(inventory, hidden=8, n_heads=2, seed=5))
+        write_fused_root_layout(path)
+        assert load_checkpoint(path)[0]["layer1.root"].shape == (8, 8)
+        with pytest.raises(BadCheckpoint, match="rerun `sacloc train`$") as exc:
+            load_model(path)
+        assert "parameter layer1.root has shape (8, 8)" in str(exc.value)
+        assert "need (8, 4)" in str(exc.value)
+        assert exc.value.path == path
 
     def test_per_head_layout_rejected(self, tmp_path, small_world):
         _, inventory, _ = small_world
