@@ -6,6 +6,12 @@ touched its gradient (the swept array itself on a first backward, a new sum
 after that). Constants (`requires_grad=False` leaves) never receive
 gradients and their partials are not computed.
 
+A tape made with gradient destinations (`Tape(grad_out=...)`, views of one
+flat buffer in training) writes instead, with the same bits: a leaf's first
+contribution in a sweep lands in its destination (a weight's matmul partial
+through `out=`), later ones are added in place in arrival order, and a
+destination the sweep does not reach is zero-filled.
+
 Besides the 2-D algebra, two primitives serve multi-head layers whose heads
 sit side by side in the columns: `multi_head_attention` (per-head masked
 softmax attention as one batched matmul, with a hand-written backward) and
@@ -13,9 +19,11 @@ softmax attention as one batched matmul, with a hand-written backward) and
 `masked_row_softmax`.
 
 Also houses the optimizer pieces the trainer needs: bias-corrected Adam
-with decoupled weight decay (updated in place, block by block), a cosine
-learning-rate schedule, inverted dropout masks, and a versioned binary
-checkpoint format (a JSON header line plus one raw float64 blob).
+with decoupled weight decay over one flat parameter buffer (updated in
+place, block by block), the flat parameter store itself (`flat_parameters`,
+`parameter_buffer`), a cosine learning-rate schedule, inverted dropout
+masks, and a versioned binary checkpoint format (a JSON header line plus one
+raw float64 blob).
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -50,9 +58,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:
         tag = self.name or "tensor"
@@ -86,15 +91,20 @@ class Tape:
 
     Primitives are methods; each computes the forward value and, when
     recording, appends a backward rule. A non-recording tape evaluates
-    forward only (used for inference).
+    forward only (used for inference). `grad_out` maps leaves to the arrays
+    `gradients` writes their gradients into (see the module docstring).
     """
 
-    def __init__(self, record: bool = True):
+    def __init__(self, record: bool = True,
+                 grad_out: Optional[dict[Tensor, np.ndarray]] = None):
         self.record = record
         # (output, inputs, backward) with backward(g) -> per-input grads or None
         self._nodes: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
         self._on_tape: set[int] = set()
         self._leaves: dict[int, Tensor] = {}
+        self._grad_out = grad_out or {}
+        # the destinations written so far in the current sweep
+        self._filled: set[Tensor] = set()
 
     def _needs(self, t: Tensor) -> bool:
         return t.requires_grad or id(t) in self._on_tape
@@ -124,10 +134,17 @@ class Tape:
                "matmul", a.shape, b.shape)
         out = Tensor(a.data @ b.data)
         need_a, need_b = self._needs(a), self._needs(b)
+        # closed over instead of the tape: a closure holding `self` would make
+        # a reference cycle that keeps every dead tape's activations alive
+        dest, filled = self._grad_out.get(b), self._filled
 
         def backward(g):
-            return (g @ b.data.T if need_a else None,
-                    a.data.T @ g if need_b else None)
+            ga = g @ b.data.T if need_a else None
+            if not need_b or dest is None or b in filled:
+                return ga, (a.data.T @ g if need_b else None)
+            np.matmul(a.data.T, g, out=dest)
+            filled.add(b)
+            return ga, None
 
         return self._push(out, (a, b), backward)
 
@@ -267,11 +284,13 @@ class Tape:
     # -- reverse pass ------------------------------------------------------
 
     def gradients(self, loss: Tensor) -> dict[int, np.ndarray]:
-        """Reverse sweep; returns grads keyed by id() of requires_grad leaves."""
+        """Reverse sweep; writes the leaves with a destination into it and
+        returns the other leaves' grads keyed by id()."""
         if loss.data.size != 1:
             raise NonScalarLoss(f"loss has shape {loss.shape}")
         flowing: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-        on_tape = self._on_tape
+        on_tape, grad_out, filled = self._on_tape, self._grad_out, self._filled
+        filled.clear()
         for out, inputs, backward in reversed(self._nodes):
             g = flowing.pop(id(out), None)
             if g is None:
@@ -279,11 +298,21 @@ class Tape:
             for t, gt in zip(inputs, backward(g)):
                 if gt is None or not (t.requires_grad or id(t) in on_tape):
                     continue
+                if t.requires_grad and t in grad_out:
+                    if t in filled:
+                        grad_out[t] += gt
+                    else:
+                        np.copyto(grad_out[t], gt)
+                        filled.add(t)
+                    continue
                 key = id(t)
                 if key in flowing:
                     flowing[key] = flowing[key] + gt
                 else:
                     flowing[key] = gt
+        for t, dest in grad_out.items():
+            if t not in filled:
+                dest.fill(0.0)
         return {k: v for k, v in flowing.items() if k in self._leaves}
 
     def backward(self, loss: Tensor) -> None:
@@ -311,15 +340,16 @@ class Tape:
 
 @dataclass
 class AdamState:
-    """First/second moment buffers per parameter name, plus the step counter."""
+    """First/second moment buffers, flat like the parameters (allocated by
+    the first `adam_step`), plus the step counter."""
 
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     weight_decay: float = 0.0
     t: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: Optional[np.ndarray] = None
+    v: Optional[np.ndarray] = None
 
 
 # Elements per block of `adam_step`: a block's two scratch rows (512 KB)
@@ -328,58 +358,92 @@ ADAM_BLOCK = 32768
 
 
 def adam_step(
-    params: dict[str, Tensor],
-    grads: dict[str, np.ndarray],
+    params: np.ndarray,
+    grads: np.ndarray,
     state: AdamState,
     lr: float,
 ) -> None:
     """One bias-corrected Adam update with decoupled weight decay.
 
-    In place, block by block over the flattened arrays, in the operation
-    order of the textbook expression
+    `params` and `grads` are (P,) buffers, every parameter at once (Adam is
+    elementwise). In place, block by block, in the operation order of the
+    textbook expression
 
         m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
         p -= lr * ((m/bc1) / (sqrt(v/bc2) + eps) + wd*p)
 
-    so the result is bit for bit the one that expression gives. Parameters
-    and moments must be C-contiguous (every array this package makes is);
-    a gradient may have any layout.
+    so the result is bit for bit the one that expression gives.
     """
     if lr < 0:
         raise ValueError("lr must be nonnegative")
+    if params.ndim != 1 or grads.shape != params.shape:
+        raise ShapeMismatch(f"adam_step: grads {grads.shape} vs params {params.shape}")
+    if state.m is None:  # zero moments on the first step only
+        state.m, state.v = np.zeros_like(params), np.zeros_like(params)
+    elif state.m.shape != params.shape or state.v.shape != params.shape:
+        raise ShapeMismatch(f"adam_step: moments {state.m.shape} vs params {params.shape}")
     state.t += 1
     b1, b2, eps, wd = state.beta1, state.beta2, state.eps, state.weight_decay
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
     scratch = np.empty((2, ADAM_BLOCK))
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.data.shape:
-            raise ShapeMismatch(f"adam_step {name}: {g.shape} vs {p.data.shape}")
-        m, v = state.m.get(name), state.v.get(name)
-        if m is None:  # zero moments on a parameter's first step only
-            m = state.m[name] = np.zeros_like(p.data)
-        if v is None:
-            v = state.v[name] = np.zeros_like(p.data)
-        pf, mf, vf = (a.reshape(-1, copy=False) for a in (p.data, m, v))
-        gf = g.reshape(-1)
-        for lo in range(0, pf.size, ADAM_BLOCK):
-            s = slice(lo, lo + ADAM_BLOCK)
-            pb, gb, mb, vb = pf[s], gf[s], mf[s], vf[s]
-            t1, t2 = scratch[0, :pb.size], scratch[1, :pb.size]
-            mb *= b1
-            mb += np.multiply(1.0 - b1, gb, out=t1)
-            vb *= b2
-            np.multiply(1.0 - b2, gb, out=t1)
-            vb += np.multiply(t1, gb, out=t1)
-            np.divide(mb, bc1, out=t1)
-            np.divide(vb, bc2, out=t2)
-            np.sqrt(t2, out=t2)
-            t2 += eps
-            np.divide(t1, t2, out=t1)
-            t1 += np.multiply(wd, pb, out=t2)
-            t1 *= lr
-            pb -= t1
+    for lo in range(0, params.size, ADAM_BLOCK):
+        s = slice(lo, lo + ADAM_BLOCK)
+        pb, gb, mb, vb = params[s], grads[s], state.m[s], state.v[s]
+        t1, t2 = scratch[0, :pb.size], scratch[1, :pb.size]
+        mb *= b1
+        mb += np.multiply(1.0 - b1, gb, out=t1)
+        vb *= b2
+        np.multiply(1.0 - b2, gb, out=t1)
+        vb += np.multiply(t1, gb, out=t1)
+        np.divide(mb, bc1, out=t1)
+        np.divide(vb, bc2, out=t2)
+        np.sqrt(t2, out=t2)
+        t2 += eps
+        np.divide(t1, t2, out=t1)
+        t1 += np.multiply(wd, pb, out=t2)
+        t1 *= lr
+        pb -= t1
+
+
+# -- flat parameter store ---------------------------------------------------
+
+
+def flat_views(buffer: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> list[np.ndarray]:
+    """Consecutive slices of the 1-D `buffer`, from its start, reshaped to `shapes`."""
+    views, offset = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(buffer[offset:offset + size].reshape(shape))
+        offset += size
+    return views
+
+
+def flat_parameters(arrays: dict[str, np.ndarray]) -> dict[str, Tensor]:
+    """`arrays` copied, in order, into one new (P,) buffer; returns named
+    `requires_grad` tensors whose data are the views of their slices."""
+    buffer = np.concatenate([np.ravel(a) for a in arrays.values()], dtype=np.float64)
+    views = flat_views(buffer, [np.shape(a) for a in arrays.values()])
+    return {name: Tensor(view, requires_grad=True, name=name)
+            for name, view in zip(arrays, views)}
+
+
+def parameter_buffer(params: dict[str, Tensor]) -> np.ndarray:
+    """The (P,) buffer the parameters are consecutive slices of, in order, as
+    `flat_parameters` and `load_checkpoint` lay them out; read-only when a
+    parameter is. Raises ShapeMismatch for parameters laid out otherwise."""
+    arrays = [p.data for p in params.values()]
+    owner = arrays[0] if arrays[0].base is None else arrays[0].base
+    size = sum(a.size for a in arrays)
+    if not (isinstance(owner, np.ndarray) and owner.ndim == 1 and owner.size >= size):
+        raise ShapeMismatch("parameters are not views of one flat buffer")
+    flat = owner[:size]
+    for name, a, view in zip(params, arrays, flat_views(flat, [a.shape for a in arrays])):
+        if a.ctypes.data != view.ctypes.data or not a.flags.c_contiguous:
+            raise ShapeMismatch(f"parameter {name} is not its slice of one flat buffer")
+    if not all(a.flags.writeable for a in arrays):
+        flat.flags.writeable = False
+    return flat
 
 
 @dataclass(frozen=True)
@@ -437,9 +501,12 @@ def save_checkpoint(
 ) -> None:
     """Write parameters (+ optional Adam state) as a header plus a float64 blob.
 
-    A parameter without Adam moments is written with zero moments, which is
-    the state `adam_step` starts from.
+    The parameters must lie in one flat buffer (`parameter_buffer`); the
+    blob is that buffer, then the two moment buffers, one write each. A
+    state before its first step is written with zero moments, the state
+    `adam_step` starts from.
     """
+    flat = parameter_buffer(params)
     layout, offset = [], 0
     for name, p in params.items():
         layout.append([name, list(p.data.shape), offset])
@@ -451,7 +518,7 @@ def save_checkpoint(
         "dtype": CHECKPOINT_DTYPE,
         "params": layout,
     }
-    arrays = [p.data for p in params.values()]
+    arrays = [flat]
     if adam is not None:
         header["adam"] = {
             "beta1": adam.beta1,
@@ -460,9 +527,10 @@ def save_checkpoint(
             "weight_decay": adam.weight_decay,
             "t": adam.t,
         }
-        for moments in (adam.m, adam.v):
-            arrays += [moments[name] if name in moments else np.zeros_like(p.data)
-                       for name, p in params.items()]
+        moments = (adam.m, adam.v) if adam.m is not None else (np.zeros_like(flat),) * 2
+        _check(all(a.shape == flat.shape for a in moments),
+               "save_checkpoint moments", *(a.shape for a in moments), flat.shape)
+        arrays += moments
     with open(path, "wb") as fh:
         fh.write(f"{CHECKPOINT_MAGIC}\n{json.dumps(header, sort_keys=True)}\n".encode())
         for a in arrays:
@@ -472,7 +540,8 @@ def save_checkpoint(
 def load_checkpoint(path: str | Path) -> tuple[dict[str, Tensor], Optional[AdamState], int, dict]:
     """Inverse of save_checkpoint.
 
-    Reads the blob with one read; every returned array is a view into it.
+    Reads the blob with one read; every returned array is a view into it,
+    the parameters laid out as one flat buffer and the moments as two more.
     Raises BadCheckpoint for a foreign file, an older version or a blob
     whose length disagrees with the header.
     """
@@ -501,21 +570,17 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, Tensor], Optional[AdamS
                 path, f"truncated or padded blob: {nbytes} bytes, header needs {8 * count}")
         blob = np.fromfile(fh, dtype=CHECKPOINT_DTYPE, count=count)
 
-    def views(base: int) -> dict[str, np.ndarray]:
-        return {
-            name: blob[base + off:base + off + math.prod(shape)].reshape(shape)
-            for name, shape, off in header["params"]
-        }
-
+    views = flat_views(blob, [shape for _, shape, _ in header["params"]])
     params = {
-        name: Tensor(data, requires_grad=True, name=name) for name, data in views(0).items()
+        name: Tensor(data, requires_grad=True, name=name)
+        for (name, _, _), data in zip(header["params"], views)
     }
     adam = None
     if "adam" in header:
         a = header["adam"]
         adam = AdamState(
             beta1=a["beta1"], beta2=a["beta2"], eps=a["eps"],
-            weight_decay=a["weight_decay"], t=a["t"], m=views(n), v=views(2 * n),
+            weight_decay=a["weight_decay"], t=a["t"], m=blob[n:2 * n], v=blob[2 * n:],
         )
     return params, adam, header["step"], header["extra"]
 

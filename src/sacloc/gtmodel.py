@@ -56,7 +56,10 @@ from .autodiff import (
     adam_step,
     cosine_lr,
     dropout_mask,
+    flat_parameters,
+    flat_views,
     load_checkpoint,
+    parameter_buffer,
     save_checkpoint,
 )
 from .dataset import ApInventory, ScanSet, coord_affine
@@ -177,25 +180,23 @@ def _xavier(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
 
 
 def _init_layer(in_dim: int, out_dim: int, n_heads: int, head_dim: int,
-                seed: int, tag: str) -> TransformerConvLayer:
-    """Each head's block of a projection drawn from its own stream, the blocks
-    side by side; the shared root is the mean of the per-head root draws, so
-    a fresh layer computes what per-head roots averaged over the heads would."""
+                seed: int, tag: str) -> dict[str, np.ndarray]:
+    """A layer's weights by checkpoint name. Each head's block of a projection
+    is drawn from its own stream, the blocks side by side; the shared root
+    is the mean of the per-head root draws, so a fresh layer computes what
+    per-head roots averaged over the heads would."""
 
     def blocks(stream_tag: str) -> list[np.ndarray]:
         return [_xavier((in_dim, head_dim), stream(seed, "init", tag, hi, stream_tag))
                 for hi in range(n_heads)]
 
-    def param(name: str, data: np.ndarray) -> Tensor:
-        return Tensor(data, requires_grad=True, name=f"{tag}.{name}")
-
-    return TransformerConvLayer(
-        query=param("query", np.hstack(blocks("w3"))),
-        key=param("key", np.hstack(blocks("w4"))),
-        value=param("value", np.hstack(blocks("w2"))),
-        root=param("root", np.mean(blocks("w1"), axis=0)),
-        merge=param("merge", _xavier((head_dim, out_dim), stream(seed, "init", tag, "merge"))),
-        n_heads=n_heads)
+    return {
+        f"{tag}.query": np.hstack(blocks("w3")),
+        f"{tag}.key": np.hstack(blocks("w4")),
+        f"{tag}.value": np.hstack(blocks("w2")),
+        f"{tag}.root": np.mean(blocks("w1"), axis=0),
+        f"{tag}.merge": _xavier((head_dim, out_dim), stream(seed, "init", tag, "merge")),
+    }
 
 
 def _parameter_shapes(ap_count: int, hidden: int, n_heads: int) -> dict[str, tuple[int, ...]]:
@@ -218,31 +219,47 @@ def init_model(
     n_heads: int = 4,
     seed: int = 0,
 ) -> GtModel:
-    """Fresh model with Xavier-uniform weights and zero biases."""
+    """Fresh model with Xavier-uniform weights and zero biases, every weight
+    a view of one flat parameter buffer in `PARAMETER_NAMES` order."""
     if hidden % n_heads != 0:
         raise ValueError(f"head count {n_heads} must divide hidden dim {hidden}")
     head_dim = hidden // n_heads
-    encoders = NodeEncoders(
-        user_w=Tensor(_xavier((ap_count, hidden), stream(seed, "init", "enc.user")),
-                      requires_grad=True, name="enc.user.w"),
-        user_b=Tensor(np.zeros(hidden), requires_grad=True, name="enc.user.b"),
-        ap_w=Tensor(_xavier((2, hidden), stream(seed, "init", "enc.ap")),
-                    requires_grad=True, name="enc.ap.w"),
-        ap_b=Tensor(np.zeros(hidden), requires_grad=True, name="enc.ap.b"),
-    )
+    arrays = {
+        "enc.user.w": _xavier((ap_count, hidden), stream(seed, "init", "enc.user")),
+        "enc.user.b": np.zeros(hidden),
+        "enc.ap.w": _xavier((2, hidden), stream(seed, "init", "enc.ap")),
+        "enc.ap.b": np.zeros(hidden),
+        **_init_layer(hidden, hidden, n_heads, head_dim, seed, "layer1"),
+        **_init_layer(hidden, hidden, n_heads, head_dim, seed, "layer2"),
+        "head.w": _xavier((hidden, 2), stream(seed, "init", "head")),
+        "head.b": np.zeros(2),
+    }
     offset, scale = inventory_affine
+    return _assemble(flat_parameters(arrays), ap_count, hidden, n_heads, offset, scale)
+
+
+def _assemble(params: dict[str, Tensor], ap_count: int, hidden: int, n_heads: int,
+              affine_offset, affine_scale) -> GtModel:
+    """The model whose parameters are `params`, by checkpoint name."""
+
+    def layer(tag: str) -> TransformerConvLayer:
+        return TransformerConvLayer(*(params[f"{tag}.{wn}"] for wn in LAYER_WEIGHTS),
+                                    n_heads=n_heads)
+
     return GtModel(
-        encoders=encoders,
-        layer1=_init_layer(hidden, hidden, n_heads, head_dim, seed, "layer1"),
-        layer2=_init_layer(hidden, hidden, n_heads, head_dim, seed, "layer2"),
-        head_w=Tensor(_xavier((hidden, 2), stream(seed, "init", "head")),
-                      requires_grad=True, name="head.w"),
-        head_b=Tensor(np.zeros(2), requires_grad=True, name="head.b"),
+        encoders=NodeEncoders(
+            user_w=params["enc.user.w"], user_b=params["enc.user.b"],
+            ap_w=params["enc.ap.w"], ap_b=params["enc.ap.b"],
+        ),
+        layer1=layer("layer1"),
+        layer2=layer("layer2"),
+        head_w=params["head.w"],
+        head_b=params["head.b"],
         ap_count=ap_count,
         hidden=hidden,
         n_heads=n_heads,
-        affine_offset=np.asarray(offset, dtype=np.float64),
-        affine_scale=np.asarray(scale, dtype=np.float64),
+        affine_offset=np.asarray(affine_offset, dtype=np.float64),
+        affine_scale=np.asarray(affine_scale, dtype=np.float64),
     )
 
 
@@ -452,6 +469,10 @@ def train(
 
     Mutates `model` in place. The log entries are {"epoch", "lr",
     "train_mae"} with the MAE in meters. Deterministic under cfg.seed.
+
+    One (P,) gradient buffer serves every step: each parameter's `grad` is
+    its view, which a step's reverse sweep writes and Adam reads. After
+    training, the `grad`s hold the last step's gradients.
     """
     if len(train_samples) == 0:
         raise EmptyBatch("no training samples")
@@ -459,6 +480,11 @@ def train(
         train_samples, inventory, build_ap_adjacency(inventory, graph_cfg), graph_cfg)
     rssi_norm, user_adj = graph.user_features, graph.user_adjacency
     params = model.parameters()
+    flat = parameter_buffer(params)
+    grad = np.empty_like(flat)
+    for p, view in zip(params.values(), flat_views(grad, [p.shape for p in params.values()])):
+        p.grad = view
+    grad_out = {p: p.grad for p in params.values()}
     schedule = CosineSchedule(cfg.base_lr, cfg.epochs, cfg.min_lr)
     adam = AdamState(weight_decay=cfg.weight_decay)
     n = len(train_samples)
@@ -473,18 +499,16 @@ def train(
             if cfg.dropout > 0.0:
                 drop_rng = stream(cfg.seed, "dropout", epoch, batch_i)
                 masks = _batch_masks(model, len(idx), cfg.dropout, drop_rng)
-            tape = Tape()
+            tape = Tape(grad_out=grad_out)
             pred = forward_batch(tape, model, rssi_norm[idx], user_adj[idx],
                                  graph.ap_features, graph.ap_adjacency, masks)
             loss = mae_loss(tape, denormalize_pred(tape, pred, model),
                             train_samples.truth[idx])
             if not np.isfinite(loss.data):
                 raise TrainingDiverged(epoch, batch_i)
-            tape.backward(loss)
+            tape.gradients(loss)
             loss_sum += float(loss.data) * len(idx)
-            adam_step(params, {name: p.grad for name, p in params.items()}, adam, lr)
-            for p in params.values():
-                p.zero_grad()
+            adam_step(flat, grad, adam, lr)
         history.append({"epoch": float(epoch), "lr": lr, "train_mae": loss_sum / n})
     return history
 
@@ -566,25 +590,7 @@ def load_model(path: str | Path) -> GtModel:
                           f"and n_heads {meta['n_heads']} need {shape} (a checkpoint "
                           "written before the heads shared one root has one root block "
                           "per head); rerun `sacloc train`")
-
-        def layer(tag: str) -> TransformerConvLayer:
-            return TransformerConvLayer(*(params[f"{tag}.{wn}"] for wn in LAYER_WEIGHTS),
-                                        n_heads=meta["n_heads"])
-
-        return GtModel(
-            encoders=NodeEncoders(
-                user_w=params["enc.user.w"], user_b=params["enc.user.b"],
-                ap_w=params["enc.ap.w"], ap_b=params["enc.ap.b"],
-            ),
-            layer1=layer("layer1"),
-            layer2=layer("layer2"),
-            head_w=params["head.w"],
-            head_b=params["head.b"],
-            ap_count=meta["ap_count"],
-            hidden=meta["hidden"],
-            n_heads=meta["n_heads"],
-            affine_offset=np.array(meta["affine_offset"], dtype=np.float64),
-            affine_scale=np.array(meta["affine_scale"], dtype=np.float64),
-        )
+        return _assemble(params, meta["ap_count"], meta["hidden"], meta["n_heads"],
+                         meta["affine_offset"], meta["affine_scale"])
     except KeyError as exc:
         raise BadCheckpoint(path, f"not a model checkpoint: no {exc}") from exc

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sacloc.autodiff import Tensor, load_checkpoint, save_checkpoint
+from sacloc.autodiff import flat_parameters, load_checkpoint, save_checkpoint
 from sacloc.dataset import ApInventory, FingerprintSample, SyntheticConfig, generate_synthetic
 from sacloc.graphbuild import GraphConfig
 
@@ -40,20 +40,20 @@ def write_per_head_layout(path):
     """Rewrite a model checkpoint under the per-head parameter names of the
     layout before the heads were fused: `layer1.head0.w1` (root), `w2`
     (value), `w3` (query) and `w4` (key), one (in, head_dim) block each;
-    every head's root block is the shared root."""
-    params, adam, step, extra = load_checkpoint(path)
+    every head's root block is the shared root. Optimizer state is dropped."""
+    params, _, step, extra = load_checkpoint(path)
     n_heads = extra["model"]["n_heads"]
     old = {"root": "w1", "value": "w2", "query": "w3", "key": "w4"}
     per_head = {}
     for name, p in params.items():
         tag, _, weight = name.rpartition(".")
         if weight not in old:
-            per_head[name] = p
+            per_head[name] = p.data
             continue
         blocks = [p.data] * n_heads if weight == "root" else np.hsplit(p.data, n_heads)
         for hi, block in enumerate(blocks):
-            per_head[f"{tag}.head{hi}.{old[weight]}"] = Tensor(block)
-    save_checkpoint(path, per_head, adam=adam, step=step, extra=extra)
+            per_head[f"{tag}.head{hi}.{old[weight]}"] = block
+    save_checkpoint(path, flat_parameters(per_head), step=step, extra=extra)
 
 
 def write_fused_root_layout(path):
@@ -63,6 +63,6 @@ def write_fused_root_layout(path):
     Optimizer state is dropped."""
     params, _, step, extra = load_checkpoint(path)
     n_heads = extra["model"]["n_heads"]
-    save_checkpoint(path, {name: Tensor(np.tile(p.data, n_heads) if name.endswith(".root")
-                                        else p.data) for name, p in params.items()},
-                    step=step, extra=extra)
+    save_checkpoint(path, flat_parameters({
+        name: np.tile(p.data, n_heads) if name.endswith(".root") else p.data
+        for name, p in params.items()}), step=step, extra=extra)

@@ -12,10 +12,13 @@ from sacloc.autodiff import (
     adam_step,
     cosine_lr,
     dropout_mask,
+    flat_parameters,
     load_checkpoint,
+    parameter_buffer,
     save_checkpoint,
 )
 from sacloc.errors import BadCheckpoint, NonScalarLoss, ShapeMismatch, StepOutOfRange
+from sacloc.gtmodel import PARAMETER_NAMES, init_model
 from sacloc.rng import stream
 
 
@@ -156,7 +159,7 @@ class TestGradientOracle:
             err = max_rel_err([x.grad for x in leaves], finite_diff(loss_fn, leaves))
             assert err < 1e-4, f"{name}: rel err {err}"
             for x in (a, b, bias):
-                x.zero_grad()
+                x.grad = None
 
     def test_random_compositions(self):
         for trial in range(20):
@@ -245,71 +248,104 @@ class TestMultiHead:
 
 class TestAdam:
     def test_blocked_update_matches_textbook_bitwise(self):
-        # more than two blocks and a ragged tail, with blocks crossing rows
-        shape = (3, 23000)
-        assert 2 * ADAM_BLOCK < 3 * 23000 < 3 * ADAM_BLOCK
+        # more than two blocks and a ragged tail
+        size = 3 * 23000
+        assert 2 * ADAM_BLOCK < size < 3 * ADAM_BLOCK
         rng = stream(4, "adam", "blocks")
-        p = Tensor(rng.normal(size=shape), requires_grad=True)
-        ref, m, v = p.data.copy(), np.zeros(shape), np.zeros(shape)
+        p = rng.normal(size=size)
+        ref, m, v = p.copy(), np.zeros(size), np.zeros(size)
         state = AdamState(weight_decay=1e-2)
         b1, b2, eps, wd = state.beta1, state.beta2, state.eps, state.weight_decay
         for t in range(1, 5):
-            g = rng.normal(size=shape) * 10.0 ** (t - 2)
+            g = rng.normal(size=size) * 10.0 ** (t - 2)
             lr = 0.01 / t
-            adam_step({"p": p}, {"p": g}, state, lr)
+            adam_step(p, g, state, lr)
             m = m * b1 + (1.0 - b1) * g
             v = v * b2 + (1.0 - b2) * g * g
             m_hat = m / (1.0 - b1 ** t)
             v_hat = v / (1.0 - b2 ** t)
             ref = ref - lr * (m_hat / (np.sqrt(v_hat) + eps) + wd * ref)
-            assert np.array_equal(p.data, ref), t
-            assert np.array_equal(state.m["p"], m) and np.array_equal(state.v["p"], v)
+            assert np.array_equal(p, ref), t
+            assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+
+    def test_flat_update_matches_per_parameter_update(self):
+        # the flat pass over a fresh model's parameters (blocks crossing
+        # parameter boundaries) equals the update done parameter by parameter
+        model = init_model(20, (np.zeros(2), np.ones(2)), hidden=256, n_heads=4, seed=3)
+        params = model.parameters()
+        assert list(params) == list(PARAMETER_NAMES)
+        flat = parameter_buffer(params)
+        assert flat.size > 10 * ADAM_BLOCK
+        ref = {name: p.data.copy() for name, p in params.items()}
+        moments = {name: (np.zeros_like(a), np.zeros_like(a)) for name, a in ref.items()}
+        state = AdamState(weight_decay=1e-4)
+        b1, b2, eps, wd = state.beta1, state.beta2, state.eps, state.weight_decay
+        rng = stream(4, "adam", "flat")
+        for t in range(1, 4):
+            grads = rng.normal(size=flat.size)
+            adam_step(flat, grads, state, 1e-3)
+            offset = 0
+            for name, p in ref.items():
+                g = grads[offset:offset + p.size].reshape(p.shape)
+                offset += p.size
+                m, v = moments[name]
+                m = m * b1 + (1.0 - b1) * g
+                v = v * b2 + (1.0 - b2) * g * g
+                moments[name] = m, v
+                ref[name] = p - 1e-3 * ((m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t))
+                                                                  + eps) + wd * p)
+            for name, p in params.items():
+                assert p.data.tobytes() == ref[name].tobytes(), (t, name)
 
     def test_zero_grad_zero_decay_is_identity(self):
-        p = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
-        before = p.data.copy()
+        p = np.array([1.0, -2.0, 3.0])
+        before = p.copy()
         state = AdamState(weight_decay=0.0)
         for _ in range(5):
-            adam_step({"p": p}, {"p": np.zeros(3)}, state, lr=0.1)
-        assert np.array_equal(p.data, before)
+            adam_step(p, np.zeros(3), state, lr=0.1)
+        assert np.array_equal(p, before)
 
     def test_first_step_unit_gradient(self):
         # t=1: m_hat = g, v_hat = g^2, so the step is ~lr regardless of scale
-        p = Tensor(np.array([0.0]), requires_grad=True)
-        adam_step({"p": p}, {"p": np.array([1.0])}, AdamState(), lr=0.1)
+        p = np.array([0.0])
+        adam_step(p, np.array([1.0]), AdamState(), lr=0.1)
         expected = -0.1 * 1.0 / (1.0 + 1e-8)
-        assert p.data[0] == pytest.approx(expected, rel=1e-12)
+        assert p[0] == pytest.approx(expected, rel=1e-12)
 
     def test_decay_only_step(self):
-        p = Tensor(np.array([1.0]), requires_grad=True)
-        adam_step({"p": p}, {"p": np.array([0.0])},
-                  AdamState(weight_decay=1e-4), lr=0.001)
-        assert p.data[0] == pytest.approx(1.0 - 1e-7, rel=1e-12)
+        p = np.array([1.0])
+        adam_step(p, np.array([0.0]), AdamState(weight_decay=1e-4), lr=0.001)
+        assert p[0] == pytest.approx(1.0 - 1e-7, rel=1e-12)
 
     def test_lr_zero_leaves_parameters_bitwise(self):
-        p = Tensor(np.array([1.5, -2.5]), requires_grad=True)
-        before = p.data.copy()
-        adam_step({"p": p}, {"p": np.array([3.0, -1.0])}, AdamState(), lr=0.0)
-        assert np.array_equal(p.data, before)
+        p = np.array([1.5, -2.5])
+        before = p.copy()
+        adam_step(p, np.array([3.0, -1.0]), AdamState(), lr=0.0)
+        assert np.array_equal(p, before)
 
     def test_shape_mismatch(self):
-        p = Tensor(np.zeros(3), requires_grad=True)
         with pytest.raises(ShapeMismatch):
-            adam_step({"p": p}, {"p": np.zeros(4)}, AdamState(), lr=0.1)
+            adam_step(np.zeros(3), np.zeros(4), AdamState(), lr=0.1)
+        with pytest.raises(ShapeMismatch):  # a (P,) buffer, not a weight
+            adam_step(np.zeros((2, 3)), np.zeros((2, 3)), AdamState(), lr=0.1)
+        state = AdamState()
+        adam_step(np.zeros(3), np.zeros(3), state, lr=0.1)
+        with pytest.raises(ShapeMismatch):  # moments of another model
+            adam_step(np.zeros(4), np.zeros(4), state, lr=0.1)
 
     def test_moments_allocated_on_first_step_only(self, monkeypatch):
-        params = {name: Tensor(np.ones((2, 3)), requires_grad=True) for name in "ab"}
-        grads = {name: np.full((2, 3), 0.5) for name in "ab"}
+        p, g = np.ones(6), np.full(6, 0.5)
         state = AdamState()
-        adam_step(params, grads, state, lr=0.1)
-        moments = {name: (state.m[name], state.v[name]) for name in "ab"}
+        assert state.m is None and state.v is None
+        adam_step(p, g, state, lr=0.1)
+        moments = state.m, state.v
         calls = []
         zeros_like = np.zeros_like
         monkeypatch.setattr(np, "zeros_like", lambda *a, **k: calls.append(a) or zeros_like(*a, **k))
-        adam_step(params, grads, state, lr=0.1)
+        adam_step(p, g, state, lr=0.1)
         assert calls == []
-        for name in "ab":  # updated in place, not replaced
-            assert state.m[name] is moments[name][0] and state.v[name] is moments[name][1]
+        # updated in place, not replaced
+        assert state.m is moments[0] and state.v is moments[1]
 
 
 class TestCosine:
@@ -351,34 +387,47 @@ class TestDropout:
 class TestCheckpoint:
     def _params(self):
         rng = stream(3, "ckpt")
-        return rng, {
-            "w": Tensor(rng.normal(size=(3, 2)), requires_grad=True),
-            "b": Tensor(rng.normal(size=2), requires_grad=True),
-        }
+        return rng, flat_parameters({"w": rng.normal(size=(3, 2)), "b": rng.normal(size=2)})
 
     def test_round_trip_bit_exact(self, tmp_path):
         rng, params = self._params()
-        adam = AdamState(weight_decay=1e-4, t=7)
-        adam.m = {k: rng.normal(size=p.data.shape) for k, p in params.items()}
-        adam.v = {k: rng.random(p.data.shape) for k, p in params.items()}
+        adam = AdamState(weight_decay=1e-4, t=7, m=rng.normal(size=8), v=rng.random(8))
         path = tmp_path / "ckpt.bin"
         save_checkpoint(path, params, adam=adam, step=7, extra={"note": 1})
         loaded, adam2, step, extra = load_checkpoint(path)
         assert step == 7 and extra == {"note": 1}
+        assert list(loaded) == list(params)
         for k, p in params.items():
             assert np.array_equal(loaded[k].data, p.data)
-            assert np.array_equal(adam2.m[k], adam.m[k])
-            assert np.array_equal(adam2.v[k], adam.v[k])
+        assert np.array_equal(parameter_buffer(loaded), parameter_buffer(params))
+        assert np.array_equal(adam2.m, adam.m) and np.array_equal(adam2.v, adam.v)
         assert adam2.t == 7 and adam2.weight_decay == 1e-4
 
     def test_missing_moments_load_as_zeros(self, tmp_path):
+        # a state before its first step has no moments yet: they are saved as
+        # the zeros `adam_step` would start from
         _, params = self._params()
         path = tmp_path / "ckpt.bin"
         save_checkpoint(path, params, adam=AdamState())
         _, adam, _, _ = load_checkpoint(path)
-        for k, p in params.items():
-            assert np.array_equal(adam.m[k], np.zeros_like(p.data))
-            assert np.array_equal(adam.v[k], np.zeros_like(p.data))
+        assert np.array_equal(adam.m, np.zeros(8)) and np.array_equal(adam.v, np.zeros(8))
+
+    def test_moments_of_another_size_rejected(self, tmp_path):
+        _, params = self._params()
+        with pytest.raises(ShapeMismatch, match="save_checkpoint moments"):
+            save_checkpoint(tmp_path / "ckpt.bin", params,
+                            adam=AdamState(m=np.zeros(9), v=np.zeros(9)))
+
+    def test_parameters_outside_one_buffer_rejected(self, tmp_path):
+        # save_checkpoint writes the flat buffer as it is, so parameters that
+        # are not its consecutive slices, in order, cannot be saved
+        _, params = self._params()
+        separate = {"w": Tensor(np.ones((3, 2))), "b": Tensor(np.ones(2))}
+        swapped = {"b": params["b"], "w": params["w"]}
+        for bad in (separate, swapped):
+            with pytest.raises(ShapeMismatch):
+                save_checkpoint(tmp_path / "ckpt.bin", bad)
+        assert not (tmp_path / "ckpt.bin").exists()
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "other.json"

@@ -1,10 +1,25 @@
+import gc
+import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from sacloc import gtmodel
-from sacloc.autodiff import Tape, Tensor, load_checkpoint, save_checkpoint
+from sacloc.autodiff import (
+    CHECKPOINT_DTYPE,
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
+    AdamState,
+    Tape,
+    Tensor,
+    adam_step,
+    flat_views,
+    load_checkpoint,
+    parameter_buffer,
+    save_checkpoint,
+)
 from sacloc.conformal import calibrate, predict_set
 from sacloc.dataset import SENTINEL, ApInventory, ScanSet, SyntheticConfig, generate_synthetic
 from sacloc.errors import (
@@ -16,10 +31,12 @@ from sacloc.errors import (
 )
 from sacloc.graphbuild import GraphConfig, build_ap_adjacency, build_sample_graph
 from sacloc.gtmodel import (
+    PARAMETER_NAMES,
     TrainConfig,
     TransformerConvLayer,
     attention_coefficients,
     denormalize_pred,
+    forward_batch,
     forward_graph,
     load_model,
     mae_loss,
@@ -600,7 +617,197 @@ class TestTrain:
         assert sizes[1] == sizes[2] == sizes[4]
 
 
+class TestInPlaceGradients:
+    """The trainer's reverse sweep writes into views of one gradient buffer."""
+
+    @staticmethod
+    def step_loss(tape, model, graph, samples, masks):
+        pred = forward_batch(tape, model, graph.user_features, graph.user_adjacency,
+                             graph.ap_features, graph.ap_adjacency, masks)
+        return mae_loss(tape, denormalize_pred(tape, pred, model), samples.truth)
+
+    def test_buffer_equals_dict_sweep_bitwise(self, small_world, graph_cfg):
+        _, inventory, samples = small_world
+        samples = samples[:16]
+        model = model_for_inventory(inventory, hidden=8, n_heads=2, seed=5)
+        graph = build_sample_graph(
+            samples, inventory, build_ap_adjacency(inventory, graph_cfg), graph_cfg)
+        masks = gtmodel._batch_masks(model, len(samples), 0.2, stream(5, "masks"))
+        params = model.parameters()
+        # a leaf recorded on the tape that does not feed the loss
+        spare = Tensor(stream(5, "spare").normal(size=(3, 2)), requires_grad=True)
+        leaves = [*params.values(), spare]
+
+        def record(tape):
+            loss = self.step_loss(tape, model, graph, samples, masks)
+            tape.matmul(Tensor(np.ones((1, 3))), spare)
+            return loss
+
+        tape = Tape()
+        tape.backward(record(tape))
+        expected = [leaf.grad for leaf in leaves]
+        for leaf in leaves:
+            leaf.grad = None
+
+        buffer = np.full(sum(leaf.data.size for leaf in leaves), np.nan)
+        views = flat_views(buffer, [leaf.shape for leaf in leaves])
+        tape = Tape(grad_out=dict(zip(leaves, views)))
+        loss = record(tape)
+        # layer 1's query, root and merge serve the AP rows and the user rows
+        matmul_weights = [inputs[1] for _, inputs, backward in tape._nodes
+                          if backward.__qualname__.startswith("Tape.matmul.")]
+        for name in ("layer1.query", "layer1.root", "layer1.merge"):
+            assert sum(w is params[name] for w in matmul_weights) == 2, name
+        assert tape.gradients(loss) == {}
+        for leaf, view, want in zip(leaves, views, expected):
+            assert view.tobytes() == want.tobytes(), leaf.name
+            assert leaf.grad is None
+        assert np.array_equal(views[-1], np.zeros((3, 2)))
+
+    def test_grad_views_persist_across_steps(self, small_world, graph_cfg, monkeypatch):
+        _, inventory, samples = small_world
+        model = model_for_inventory(inventory, hidden=8, n_heads=2, seed=5)
+        params = model.parameters()
+        seen = []
+        step = gtmodel.adam_step
+
+        def spy(flat, grad, state, lr):
+            seen.append((flat, grad, [p.grad for p in params.values()]))
+            return step(flat, grad, state, lr)
+
+        monkeypatch.setattr(gtmodel, "adam_step", spy)
+        tc = TrainConfig(epochs=1, batch_size=16, dropout=0.2, seed=5)
+        train(model, samples[:32], tc, graph_cfg, inventory)
+        assert len(seen) == 2
+        (flat0, grad0, views0), (flat1, grad1, views1) = seen
+        assert flat0 is flat1 and grad0 is grad1
+        assert np.shares_memory(flat0, params["head.b"].data)
+        for p, v0, v1 in zip(params.values(), views0, views1):
+            assert v0 is v1 is p.grad, p.name
+            assert np.shares_memory(v0, grad0)
+
+    def test_step_tapes_die_by_refcount(self, small_world, graph_cfg, monkeypatch):
+        # a backward rule that holds its tape makes a tape <-> closure cycle,
+        # and dead tapes then wait for the cyclic collector with all their
+        # activations
+        _, inventory, samples = small_world
+        refs = []
+        gradients = Tape.gradients
+
+        def spy(tape, loss):
+            assert all(r() is None for r in refs), "an earlier step's tape is alive"
+            refs.append(weakref.ref(tape))
+            return gradients(tape, loss)
+
+        monkeypatch.setattr(Tape, "gradients", spy)
+        model = model_for_inventory(inventory, hidden=8, n_heads=2, seed=5)
+        tc = TrainConfig(epochs=1, batch_size=16, dropout=0.2, seed=5)
+        enabled = gc.isenabled()
+        gc.collect()  # cycles left by earlier tests are not this train's
+        gc.disable()
+        try:
+            train(model, samples, tc, graph_cfg, inventory)
+            assert len(refs) == 3
+            assert all(r() is None for r in refs)
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            assert not [o for o in gc.garbage if isinstance(o, Tape)]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            if enabled:
+                gc.enable()
+
+    def test_step_hooks_the_benchmark_reads(self, small_world, graph_cfg, monkeypatch):
+        # perfbench times `Tape.gradients` and `gtmodel.adam_step` once a step,
+        # reads the tape from the gradients call and counts matmul flops by the
+        # backward rule's qualified name
+        _, inventory, samples = small_world
+        events, losses, matmuls = [], [], []
+        gradients, step, mae, matmul = (
+            Tape.gradients, gtmodel.adam_step, gtmodel.mae_loss, Tape.matmul)
+
+        def gradients_spy(*args, **kwargs):
+            tape = args[0]
+            recorded = sum(backward.__qualname__.startswith("Tape.matmul.")
+                           for _, _, backward in tape._nodes)
+            events.append(("gradients", args, kwargs, recorded, len(matmuls)))
+            matmuls.clear()
+            return gradients(*args, **kwargs)
+
+        monkeypatch.setattr(Tape, "gradients", gradients_spy)
+        monkeypatch.setattr(Tape, "matmul", lambda *a: matmuls.append(1) or matmul(*a))
+        monkeypatch.setattr(gtmodel, "mae_loss",
+                            lambda *a: losses.append(mae(*a)) or losses[-1])
+        monkeypatch.setattr(gtmodel, "adam_step",
+                            lambda *a: events.append(("adam",)) or step(*a))
+        model = model_for_inventory(inventory, hidden=8, n_heads=2, seed=5)
+        tc = TrainConfig(epochs=1, batch_size=16, dropout=0.2, seed=5)
+        train(model, samples, tc, graph_cfg, inventory)
+        assert [e[0] for e in events] == ["gradients", "adam"] * 3
+        for (_, args, kwargs, recorded, called), loss in zip(events[::2], losses, strict=True):
+            assert kwargs == {} and len(args) == 2
+            assert isinstance(args[0], Tape) and args[1] is loss
+            assert recorded == called > 0
+
+
 class TestCheckpointing:
+    @staticmethod
+    def per_array_checkpoint(path, model, adam=None, step=0):
+        """The checkpoint bytes written one array at a time, with one moment
+        array per parameter (the writer before the flat store)."""
+        params = model.parameters()
+        layout, offset = [], 0
+        for name, p in params.items():
+            layout.append([name, list(p.shape), offset])
+            offset += p.data.size
+        extra = {"model": {
+            "ap_count": model.ap_count, "hidden": model.hidden, "n_heads": model.n_heads,
+            "affine_offset": model.affine_offset.tolist(),
+            "affine_scale": model.affine_scale.tolist()}}
+        header = {"version": CHECKPOINT_VERSION, "step": step, "extra": extra,
+                  "dtype": CHECKPOINT_DTYPE, "params": layout}
+        arrays = [p.data for p in params.values()]
+        if adam is not None:
+            header["adam"] = {"beta1": adam.beta1, "beta2": adam.beta2, "eps": adam.eps,
+                              "weight_decay": adam.weight_decay, "t": adam.t}
+            shapes = [p.shape for p in params.values()]
+            arrays += [a.copy() for a in flat_views(adam.m, shapes)]
+            arrays += [a.copy() for a in flat_views(adam.v, shapes)]
+        with open(path, "wb") as fh:
+            fh.write(f"{CHECKPOINT_MAGIC}\n{json.dumps(header, sort_keys=True)}\n".encode())
+            for a in arrays:
+                np.ascontiguousarray(a, dtype=CHECKPOINT_DTYPE).tofile(fh)
+
+    def test_save_matches_per_array_writer(self, tmp_path, small_world):
+        _, inventory, _ = small_world
+        model = model_for_inventory(inventory, hidden=8, n_heads=2, seed=5)
+        adam = AdamState(weight_decay=1e-4)
+        flat = parameter_buffer(model.parameters())
+        for t in range(3):
+            adam_step(flat, stream(5, "grad", t).normal(size=flat.size), adam, 1e-3)
+        for state in (None, adam):
+            path, want = tmp_path / "model.bin", tmp_path / "want.bin"
+            save_model(path, model, adam=state, step=3)
+            self.per_array_checkpoint(want, model, adam=state, step=3)
+            assert path.read_bytes() == want.read_bytes()
+            # load -> save reproduces the file
+            params, loaded_adam, step, extra = load_checkpoint(path)
+            save_checkpoint(want, params, adam=loaded_adam, step=step, extra=extra)
+            assert want.read_bytes() == path.read_bytes()
+
+    def test_model_is_one_flat_buffer(self, tmp_path, small_world):
+        _, inventory, _ = small_world
+        model = model_for_inventory(inventory, hidden=8, n_heads=2, seed=5)
+        params = model.parameters()
+        flat = parameter_buffer(params)
+        assert list(params) == list(PARAMETER_NAMES)
+        assert flat.size == sum(p.data.size for p in params.values()) and flat.flags.writeable
+        path = tmp_path / "model.bin"
+        save_model(path, model)
+        loaded = parameter_buffer(load_model(path).parameters())
+        assert np.array_equal(loaded, flat) and not loaded.flags.writeable
+
     def test_desk_scale_file(self, tmp_path, graph_cfg):
         """h=64 on 20 APs: resave is byte-identical, the file is the raw floats
         plus a small header, and the loaded model predicts bit-identically."""
