@@ -20,10 +20,10 @@ softmax attention as one batched matmul, with a hand-written backward) and
 
 Also houses the optimizer pieces the trainer needs: bias-corrected Adam
 with decoupled weight decay over one flat parameter buffer (updated in
-place, block by block), the flat parameter store itself (`flat_parameters`,
-`parameter_buffer`), a cosine learning-rate schedule, inverted dropout
-masks, and a versioned binary checkpoint format (a JSON header line plus one
-raw float64 blob).
+place, block by block; the model that owns the buffer cuts its weights
+from it with `flat_views`), a cosine learning-rate schedule, inverted
+dropout masks, and a versioned binary checkpoint format (a JSON header
+line plus one raw float64 blob, written one parameter array at a time).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -406,10 +406,10 @@ def adam_step(
         pb -= t1
 
 
-# -- flat parameter store ---------------------------------------------------
+# -- flat parameter views ---------------------------------------------------
 
 
-def flat_views(buffer: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> list[np.ndarray]:
+def flat_views(buffer: np.ndarray, shapes: Iterable[tuple[int, ...]]) -> list[np.ndarray]:
     """Consecutive slices of the 1-D `buffer`, from its start, reshaped to `shapes`."""
     views, offset = [], 0
     for shape in shapes:
@@ -419,65 +419,31 @@ def flat_views(buffer: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> list[np
     return views
 
 
-def flat_parameters(arrays: dict[str, np.ndarray]) -> dict[str, Tensor]:
-    """`arrays` copied, in order, into one new (P,) buffer; returns named
-    `requires_grad` tensors whose data are the views of their slices."""
-    buffer = np.concatenate([np.ravel(a) for a in arrays.values()], dtype=np.float64)
-    views = flat_views(buffer, [np.shape(a) for a in arrays.values()])
-    return {name: Tensor(view, requires_grad=True, name=name)
-            for name, view in zip(arrays, views)}
-
-
-def parameter_buffer(params: dict[str, Tensor]) -> np.ndarray:
-    """The (P,) buffer the parameters are consecutive slices of, in order, as
-    `flat_parameters` and `load_checkpoint` lay them out; read-only when a
-    parameter is. Raises ShapeMismatch for parameters laid out otherwise."""
-    arrays = [p.data for p in params.values()]
-    owner = arrays[0] if arrays[0].base is None else arrays[0].base
-    size = sum(a.size for a in arrays)
-    if not (isinstance(owner, np.ndarray) and owner.ndim == 1 and owner.size >= size):
-        raise ShapeMismatch("parameters are not views of one flat buffer")
-    flat = owner[:size]
-    for name, a, view in zip(params, arrays, flat_views(flat, [a.shape for a in arrays])):
-        if a.ctypes.data != view.ctypes.data or not a.flags.c_contiguous:
-            raise ShapeMismatch(f"parameter {name} is not its slice of one flat buffer")
-    if not all(a.flags.writeable for a in arrays):
-        flat.flags.writeable = False
-    return flat
-
-
 @dataclass(frozen=True)
 class CosineSchedule:
-    """Half-cosine decay from base_lr to min_lr over total_steps."""
+    """Half-cosine decay from base_lr to 0 over total_steps."""
 
     base_lr: float
     total_steps: int
-    min_lr: float = 0.0
 
     def __post_init__(self):
         if self.total_steps < 1:
             raise ValueError("total_steps must be >= 1")
-        if not 0.0 <= self.min_lr <= self.base_lr:
-            raise ValueError("need 0 <= min_lr <= base_lr")
+        if self.base_lr < 0.0:
+            raise ValueError("base_lr must be nonnegative")
 
 
 def cosine_lr(schedule: CosineSchedule, step: int) -> float:
     if not 0 <= step <= schedule.total_steps:
         raise StepOutOfRange(f"step {step} outside [0, {schedule.total_steps}]")
-    span = schedule.base_lr - schedule.min_lr
-    return schedule.min_lr + 0.5 * span * (1.0 + math.cos(math.pi * step / schedule.total_steps))
+    return 0.5 * schedule.base_lr * (1.0 + math.cos(math.pi * step / schedule.total_steps))
 
 
-def dropout_mask(
-    shape: tuple[int, ...],
-    rate: float,
-    rng: np.random.Generator,
-    training: bool = True,
-) -> Tensor:
-    """Inverted dropout: Bernoulli(1-rate)/(1-rate) when training, else ones."""
+def dropout_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator) -> Tensor:
+    """Inverted dropout: Bernoulli(1-rate)/(1-rate), all ones at rate 0."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
+    if rate == 0.0:
         return Tensor(np.ones(shape))
     keep = rng.random(shape) >= rate
     return Tensor(keep / (1.0 - rate))
@@ -501,12 +467,11 @@ def save_checkpoint(
 ) -> None:
     """Write parameters (+ optional Adam state) as a header plus a float64 blob.
 
-    The parameters must lie in one flat buffer (`parameter_buffer`); the
-    blob is that buffer, then the two moment buffers, one write each. A
-    state before its first step is written with zero moments, the state
-    `adam_step` starts from.
+    The blob is each parameter array in `params` order, then the two (P,)
+    moment buffers: the same bytes as one buffer holding the parameters
+    back to back. A state before its first step is written with zero
+    moments, the state `adam_step` starts from.
     """
-    flat = parameter_buffer(params)
     layout, offset = [], 0
     for name, p in params.items():
         layout.append([name, list(p.data.shape), offset])
@@ -518,7 +483,7 @@ def save_checkpoint(
         "dtype": CHECKPOINT_DTYPE,
         "params": layout,
     }
-    arrays = [flat]
+    arrays = [p.data for p in params.values()]
     if adam is not None:
         header["adam"] = {
             "beta1": adam.beta1,
@@ -527,9 +492,9 @@ def save_checkpoint(
             "weight_decay": adam.weight_decay,
             "t": adam.t,
         }
-        moments = (adam.m, adam.v) if adam.m is not None else (np.zeros_like(flat),) * 2
-        _check(all(a.shape == flat.shape for a in moments),
-               "save_checkpoint moments", *(a.shape for a in moments), flat.shape)
+        moments = (adam.m, adam.v) if adam.m is not None else (np.zeros(offset),) * 2
+        _check(all(a.shape == (offset,) for a in moments),
+               "save_checkpoint moments", *(a.shape for a in moments), (offset,))
         arrays += moments
     with open(path, "wb") as fh:
         fh.write(f"{CHECKPOINT_MAGIC}\n{json.dumps(header, sort_keys=True)}\n".encode())
@@ -537,13 +502,13 @@ def save_checkpoint(
             np.ascontiguousarray(a, dtype=CHECKPOINT_DTYPE).tofile(fh)
 
 
-def load_checkpoint(path: str | Path) -> tuple[dict[str, Tensor], Optional[AdamState], int, dict]:
-    """Inverse of save_checkpoint.
+def read_checkpoint(path: str | Path) -> tuple[dict, np.ndarray, int]:
+    """The header, the whole blob (one read) and the parameter count P of a
+    checkpoint file.
 
-    Reads the blob with one read; every returned array is a view into it,
-    the parameters laid out as one flat buffer and the moments as two more.
-    Raises BadCheckpoint for a foreign file, an older version or a blob
-    whose length disagrees with the header.
+    Raises BadCheckpoint for a foreign file, an older version, parameters
+    that are not back to back in header order, or a blob whose length
+    disagrees with the header.
     """
     magic = f"{CHECKPOINT_MAGIC}\n".encode()
     with open(path, "rb") as fh:
@@ -568,8 +533,16 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, Tensor], Optional[AdamS
         if nbytes != 8 * count:
             raise BadCheckpoint(
                 path, f"truncated or padded blob: {nbytes} bytes, header needs {8 * count}")
-        blob = np.fromfile(fh, dtype=CHECKPOINT_DTYPE, count=count)
+        return header, np.fromfile(fh, dtype=CHECKPOINT_DTYPE, count=count), n
 
+
+def load_checkpoint(path: str | Path) -> tuple[dict[str, Tensor], Optional[AdamState], int, dict]:
+    """Inverse of save_checkpoint, through `read_checkpoint`.
+
+    Every returned array is a view into the blob: the parameters in header
+    order, then the moments as two (P,) buffers.
+    """
+    header, blob, n = read_checkpoint(path)
     views = flat_views(blob, [shape for _, shape, _ in header["params"]])
     params = {
         name: Tensor(data, requires_grad=True, name=name)

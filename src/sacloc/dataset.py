@@ -214,11 +214,6 @@ def normalize_coords(points: np.ndarray, affine: tuple[np.ndarray, np.ndarray]) 
     return (np.asarray(points, dtype=np.float64) - offset) / scale
 
 
-def denormalize_coords(points: np.ndarray, affine: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    offset, scale = affine
-    return np.asarray(points, dtype=np.float64) * scale + offset
-
-
 def _read_header(reader, path) -> list[str]:
     """The header row; EmptyFile when there is none, DuplicateColumn when a
     name appears twice (which of the two columns is meant is unknowable)."""

@@ -30,8 +30,15 @@ those keys and values. Layer-2 AP embeddings are never computed, since
 nothing reads them. In eval mode this equals the block-diagonal batched
 graph evaluated without its redundancy.
 
+The model owns its parameters: one (P,) float64 buffer, `GtModel.flat`,
+whose consecutive slices, in the order and shapes of `_parameter_shapes`,
+are the weights. `init_model` draws each weight into its slice of a new
+buffer; `load_model` takes the parameter slice of the checkpoint's blob.
+Adam updates the buffer in one pass, and checkpoints write the weights
+one array at a time, the same bytes as the buffer.
+
 Training runs both halves on the tape every step. An eval forward on a
-model whose weights are all read-only (what `load_model` returns) keeps
+model whose buffer is read-only (what `load_model` returns) keeps
 the inventory half on the model and reuses it while the AP features and
 adjacency are unchanged, so warm single-scan prediction computes only the
 user row. Writeable weights can change between calls without the model
@@ -42,7 +49,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import attrgetter
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -56,18 +62,17 @@ from .autodiff import (
     adam_step,
     cosine_lr,
     dropout_mask,
-    flat_parameters,
     flat_views,
-    load_checkpoint,
-    parameter_buffer,
+    read_checkpoint,
     save_checkpoint,
 )
+# unused here; perfbench's tracer still patches this name
+from .autodiff import load_checkpoint  # noqa: F401
 from .dataset import ApInventory, ScanSet, coord_affine
 from .errors import (
     BadCheckpoint,
     DimensionMismatch,
     EmptyBatch,
-    EmptyNeighborhood,
     TrainingDiverged,
 )
 from .graphbuild import GraphConfig, LocGraph, build_ap_adjacency, build_sample_graph
@@ -100,14 +105,6 @@ class TransformerConvLayer:
     def head_dim(self) -> int:
         return self.query.shape[1] // self.n_heads
 
-    @property
-    def in_dim(self) -> int:
-        return self.query.shape[0]
-
-    @property
-    def out_dim(self) -> int:
-        return self.merge.shape[1]
-
 
 @dataclass
 class NodeEncoders:
@@ -119,6 +116,10 @@ class NodeEncoders:
 
 @dataclass
 class GtModel:
+    """The model; `_assemble` builds it. `flat` is the (P,) buffer that owns
+    every weight: the weights are views of its consecutive slices, in
+    `_parameter_shapes` order."""
+
     encoders: NodeEncoders
     layer1: TransformerConvLayer
     layer2: TransformerConvLayer
@@ -129,28 +130,16 @@ class GtModel:
     n_heads: int
     affine_offset: np.ndarray  # (2,) meters
     affine_scale: np.ndarray  # (2,) meters
+    flat: np.ndarray = field(repr=False)
+    _parameters: dict[str, Tensor] = field(repr=False)
     # (ap_feats_norm, ap_adj, encode_inventory result) of the last eval
-    # forward, kept only while every weight is read-only
+    # forward, kept only while `flat` is read-only
     inventory_memo: Optional[tuple] = field(
         default=None, init=False, repr=False, compare=False)
 
     def parameters(self) -> dict[str, Tensor]:
-        """Named parameters in a stable order (drives Adam and checkpoints)."""
-        return dict(zip(PARAMETER_NAMES, _parameter_tensors(self)))
-
-
-# (checkpoint name, GtModel attribute path) of every parameter, in order
-_PARAMETERS = (
-    ("enc.user.w", "encoders.user_w"),
-    ("enc.user.b", "encoders.user_b"),
-    ("enc.ap.w", "encoders.ap_w"),
-    ("enc.ap.b", "encoders.ap_b"),
-    *((f"layer{li}.{wn}",) * 2 for li in (1, 2) for wn in LAYER_WEIGHTS),
-    ("head.w", "head_w"),
-    ("head.b", "head_b"),
-)
-PARAMETER_NAMES = tuple(name for name, _ in _PARAMETERS)
-_parameter_tensors = attrgetter(*(path for _, path in _PARAMETERS))
+        """Named parameters in buffer order (drives Adam and checkpoints)."""
+        return self._parameters
 
 
 @dataclass(frozen=True)
@@ -161,46 +150,19 @@ class TrainConfig:
     weight_decay: float = 1e-4
     dropout: float = 0.4
     seed: int = 0
-    min_lr: float = 0.0
 
     def __post_init__(self):
         if min(self.epochs, self.batch_size) < 1:
             raise ValueError("epochs and batch_size must be positive")
-        if self.base_lr < 0 or self.min_lr < 0:
-            raise ValueError("learning rates must be nonnegative")
+        if self.base_lr < 0:
+            raise ValueError("base_lr must be nonnegative")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
 
 
-def _xavier(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    fan_in = shape[0]
-    fan_out = shape[1] if len(shape) > 1 else shape[0]
-    limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, shape)
-
-
-def _init_layer(in_dim: int, out_dim: int, n_heads: int, head_dim: int,
-                seed: int, tag: str) -> dict[str, np.ndarray]:
-    """A layer's weights by checkpoint name. Each head's block of a projection
-    is drawn from its own stream, the blocks side by side; the shared root
-    is the mean of the per-head root draws, so a fresh layer computes what
-    per-head roots averaged over the heads would."""
-
-    def blocks(stream_tag: str) -> list[np.ndarray]:
-        return [_xavier((in_dim, head_dim), stream(seed, "init", tag, hi, stream_tag))
-                for hi in range(n_heads)]
-
-    return {
-        f"{tag}.query": np.hstack(blocks("w3")),
-        f"{tag}.key": np.hstack(blocks("w4")),
-        f"{tag}.value": np.hstack(blocks("w2")),
-        f"{tag}.root": np.mean(blocks("w1"), axis=0),
-        f"{tag}.merge": _xavier((head_dim, out_dim), stream(seed, "init", tag, "merge")),
-    }
-
-
 def _parameter_shapes(ap_count: int, hidden: int, n_heads: int) -> dict[str, tuple[int, ...]]:
-    """The shape of each parameter `init_model` gives, without drawing weights."""
+    """The parameters by checkpoint name, in buffer order, with their shapes:
+    the one table of the layout."""
     head_dim = hidden // n_heads
     layer = {"query": (hidden, hidden), "key": (hidden, hidden), "value": (hidden, hidden),
              "root": (hidden, head_dim), "merge": (head_dim, hidden)}
@@ -212,6 +174,38 @@ def _parameter_shapes(ap_count: int, hidden: int, n_heads: int) -> dict[str, tup
     }
 
 
+PARAMETER_NAMES = tuple(_parameter_shapes(1, 1, 1))
+
+
+def _xavier(out: np.ndarray, rng: np.random.Generator) -> None:
+    """Fill the contiguous 2-D `out` with the Xavier-uniform draws
+    `rng.uniform(-limit, limit, out.shape)` gives, bit for bit."""
+    limit = math.sqrt(6.0 / sum(out.shape))
+    rng.random(out=out)
+    out *= 2.0 * limit
+    out -= limit
+
+
+def _init_layer(layer: TransformerConvLayer, seed: int, tag: str) -> None:
+    """Draw a layer's weights in place. Each head's block of a projection is
+    drawn from its own stream into its columns; the shared root is the mean
+    of the per-head root draws, so a fresh layer computes what per-head
+    roots averaged over the heads would."""
+    n, d = layer.n_heads, layer.head_dim
+    block = np.empty_like(layer.root.data)  # one head's (in_dim, head_dim) draw
+    for wn, stream_tag in (("query", "w3"), ("key", "w4"), ("value", "w2")):
+        for hi in range(n):
+            _xavier(block, stream(seed, "init", tag, hi, stream_tag))
+            getattr(layer, wn).data[:, hi * d:(hi + 1) * d] = block
+    root = layer.root.data  # summed in head order, then divided: np.mean's bits
+    _xavier(root, stream(seed, "init", tag, 0, "w1"))
+    for hi in range(1, n):
+        _xavier(block, stream(seed, "init", tag, hi, "w1"))
+        root += block
+    root /= n
+    _xavier(layer.merge.data, stream(seed, "init", tag, "merge"))
+
+
 def init_model(
     ap_count: int,
     inventory_affine: tuple[np.ndarray, np.ndarray],
@@ -219,28 +213,27 @@ def init_model(
     n_heads: int = 4,
     seed: int = 0,
 ) -> GtModel:
-    """Fresh model with Xavier-uniform weights and zero biases, every weight
-    a view of one flat parameter buffer in `PARAMETER_NAMES` order."""
+    """Fresh model with Xavier-uniform weights and zero biases, each weight
+    drawn into its view of a new zeroed buffer."""
     if hidden % n_heads != 0:
         raise ValueError(f"head count {n_heads} must divide hidden dim {hidden}")
-    head_dim = hidden // n_heads
-    arrays = {
-        "enc.user.w": _xavier((ap_count, hidden), stream(seed, "init", "enc.user")),
-        "enc.user.b": np.zeros(hidden),
-        "enc.ap.w": _xavier((2, hidden), stream(seed, "init", "enc.ap")),
-        "enc.ap.b": np.zeros(hidden),
-        **_init_layer(hidden, hidden, n_heads, head_dim, seed, "layer1"),
-        **_init_layer(hidden, hidden, n_heads, head_dim, seed, "layer2"),
-        "head.w": _xavier((hidden, 2), stream(seed, "init", "head")),
-        "head.b": np.zeros(2),
-    }
-    offset, scale = inventory_affine
-    return _assemble(flat_parameters(arrays), ap_count, hidden, n_heads, offset, scale)
+    size = sum(math.prod(s) for s in _parameter_shapes(ap_count, hidden, n_heads).values())
+    model = _assemble(np.zeros(size), ap_count, hidden, n_heads, *inventory_affine)
+    for w, tag in ((model.encoders.user_w, "enc.user"), (model.encoders.ap_w, "enc.ap"),
+                   (model.head_w, "head")):
+        _xavier(w.data, stream(seed, "init", tag))
+    _init_layer(model.layer1, seed, "layer1")
+    _init_layer(model.layer2, seed, "layer2")
+    return model
 
 
-def _assemble(params: dict[str, Tensor], ap_count: int, hidden: int, n_heads: int,
+def _assemble(flat: np.ndarray, ap_count: int, hidden: int, n_heads: int,
               affine_offset, affine_scale) -> GtModel:
-    """The model whose parameters are `params`, by checkpoint name."""
+    """The model whose parameters are the views of the (P,) `flat`, cut by
+    `_parameter_shapes`."""
+    shapes = _parameter_shapes(ap_count, hidden, n_heads)
+    params = {name: Tensor(view, requires_grad=True, name=name)
+              for name, view in zip(shapes, flat_views(flat, shapes.values()))}
 
     def layer(tag: str) -> TransformerConvLayer:
         return TransformerConvLayer(*(params[f"{tag}.{wn}"] for wn in LAYER_WEIGHTS),
@@ -260,6 +253,8 @@ def _assemble(params: dict[str, Tensor], ap_count: int, hidden: int, n_heads: in
         n_heads=n_heads,
         affine_offset=np.asarray(affine_offset, dtype=np.float64),
         affine_scale=np.asarray(affine_scale, dtype=np.float64),
+        flat=flat,
+        _parameters=params,
     )
 
 
@@ -270,24 +265,6 @@ def model_for_inventory(
 
 
 # -- forward passes --------------------------------------------------------
-
-
-def attention_coefficients(
-    layer: TransformerConvLayer,
-    head_index: int,
-    features: np.ndarray,
-    node: int,
-    neighbors: Sequence[int],
-) -> np.ndarray:
-    """Reference attention row for one node: softmax of scaled query-key dots."""
-    if len(neighbors) == 0:
-        raise EmptyNeighborhood(f"node {node} has no neighbors")
-    cols = slice(head_index * layer.head_dim, (head_index + 1) * layer.head_dim)
-    q = features[node] @ layer.query.data[:, cols]
-    k = features[list(neighbors)] @ layer.key.data[:, cols]
-    logits = (k @ q) / math.sqrt(layer.head_dim)
-    e = np.exp(logits - logits.max())
-    return e / e.sum()
 
 
 # The keys and the values (n, n_heads * head_dim) of a layer's source rows.
@@ -317,13 +294,6 @@ def _attend(
     return tape.matmul(z, layer.merge)
 
 
-def transformer_conv(
-    tape: Tape, layer: TransformerConvLayer, features: Tensor, adjacency: np.ndarray
-) -> Tensor:
-    """Dense layer application over an (n, h) feature matrix and (n, n) adjacency."""
-    return _attend(tape, layer, features, _keys_values(tape, layer, features), adjacency)
-
-
 def _dropout(tape: Tape, x: Tensor, mask: Optional[Tensor]) -> Tensor:
     return x if mask is None else tape.mul(x, mask)
 
@@ -346,10 +316,6 @@ def encode_inventory(
     kv1 = _keys_values(tape, model.layer1, aps)
     aps = _dropout(tape, tape.relu(_attend(tape, model.layer1, aps, kv1, ap_adj)), ap_mask)
     return kv1, _keys_values(tape, model.layer2, aps)
-
-
-def _read_only(model: GtModel) -> bool:
-    return not any(t.data.flags.writeable for t in _parameter_tensors(model))
 
 
 def _pinned(a: np.ndarray) -> np.ndarray:
@@ -376,7 +342,7 @@ def _inventory(
     """`encode_inventory`, reused from the model's memo in eval mode when
     every weight is read-only and the AP features and adjacency match: the
     very arrays the memo pinned, or equal ones."""
-    if tape.record or ap_mask is not None or not _read_only(model):
+    if tape.record or ap_mask is not None or model.flat.flags.writeable:
         return encode_inventory(tape, model, ap_feats_norm, ap_adj, ap_mask)
     memo = model.inventory_memo
     if memo is not None and _same(memo[0], ap_feats_norm) and _same(memo[1], ap_adj):
@@ -479,13 +445,12 @@ def train(
     graph = build_sample_graph(
         train_samples, inventory, build_ap_adjacency(inventory, graph_cfg), graph_cfg)
     rssi_norm, user_adj = graph.user_features, graph.user_adjacency
-    params = model.parameters()
-    flat = parameter_buffer(params)
-    grad = np.empty_like(flat)
-    for p, view in zip(params.values(), flat_views(grad, [p.shape for p in params.values()])):
+    params = model.parameters().values()
+    grad = np.empty_like(model.flat)
+    for p, view in zip(params, flat_views(grad, [p.shape for p in params])):
         p.grad = view
-    grad_out = {p: p.grad for p in params.values()}
-    schedule = CosineSchedule(cfg.base_lr, cfg.epochs, cfg.min_lr)
+    grad_out = {p: p.grad for p in params}
+    schedule = CosineSchedule(cfg.base_lr, cfg.epochs)
     adam = AdamState(weight_decay=cfg.weight_decay)
     n = len(train_samples)
     history: list[dict[str, float]] = []
@@ -508,9 +473,13 @@ def train(
                 raise TrainingDiverged(epoch, batch_i)
             tape.gradients(loss)
             loss_sum += float(loss.data) * len(idx)
-            adam_step(flat, grad, adam, lr)
+            adam_step(model.flat, grad, adam, lr)
         history.append({"epoch": float(epoch), "lr": lr, "train_mae": loss_sum / n})
     return history
+
+
+# Scans per eval forward in `predict_positions`.
+PREDICT_BATCH = 512
 
 
 def predict_positions(
@@ -518,7 +487,6 @@ def predict_positions(
     samples: ScanSet,
     inventory: ApInventory,
     graph_cfg: GraphConfig,
-    batch_size: int = 512,
 ) -> np.ndarray:
     """Eval-mode predictions in meters, (N, 2)."""
     graph = build_sample_graph(
@@ -526,8 +494,8 @@ def predict_positions(
     rssi_norm, user_adj = graph.user_features, graph.user_adjacency
     out = np.empty((len(samples), 2))
     tape = Tape(record=False)
-    for start in range(0, len(samples), batch_size):
-        sl = slice(start, start + batch_size)
+    for start in range(0, len(samples), PREDICT_BATCH):
+        sl = slice(start, start + PREDICT_BATCH)
         pred = forward_batch(tape, model, rssi_norm[sl], user_adj[sl],
                              graph.ap_features, graph.ap_adjacency)
         out[sl] = denormalize_pred(tape, pred, model).data
@@ -560,22 +528,24 @@ def save_model(
 
 
 def load_model(path: str | Path) -> GtModel:
-    """The model a checkpoint holds, its weights read-only views into the loaded blob.
+    """The model a checkpoint holds, its buffer the read-only parameter slice
+    of the loaded blob.
 
     Read-only weights let eval forwards reuse the inventory half (see the
     module docstring); an in-place write raises. To fine-tune, start from
     `load_checkpoint`, whose tensors are writeable. A checkpoint without
     the model metadata, without one of `PARAMETER_NAMES` (such as one
-    written with per-head weights, `layer1.head0.w1`) or with a parameter
+    written with per-head weights, `layer1.head0.w1`), with a parameter
     of another shape than `init_model` gives for its metadata (such as a
-    `layer1.root` with one block per head) raises BadCheckpoint.
+    `layer1.root` with one block per head) or with its parameters in
+    another order than `_parameter_shapes` raises BadCheckpoint.
     """
-    params, _, _, extra = load_checkpoint(path)
-    for p in params.values():
-        p.data.flags.writeable = False
+    header, blob, size = read_checkpoint(path)
+    blob.flags.writeable = False
+    layout = {name: tuple(shape) for name, shape, _ in header["params"]}
     try:
-        meta = extra["model"]
-        missing = [name for name in PARAMETER_NAMES if name not in params]
+        meta = header["extra"]["model"]
+        missing = [name for name in PARAMETER_NAMES if name not in layout]
         if missing:
             raise BadCheckpoint(
                 path, f"no parameter {missing[0]}: the weights are in a layout this "
@@ -583,14 +553,18 @@ def load_model(path: str | Path) -> GtModel:
                       "rerun `sacloc train`")
         shapes = _parameter_shapes(meta["ap_count"], meta["hidden"], meta["n_heads"])
         for name, shape in shapes.items():
-            if params[name].shape != shape:
+            if layout[name] != shape:
                 raise BadCheckpoint(
-                    path, f"parameter {name} has shape {params[name].shape}, but the "
+                    path, f"parameter {name} has shape {layout[name]}, but the "
                           f"header's ap_count {meta['ap_count']}, hidden {meta['hidden']} "
                           f"and n_heads {meta['n_heads']} need {shape} (a checkpoint "
                           "written before the heads shared one root has one root block "
                           "per head); rerun `sacloc train`")
-        return _assemble(params, meta["ap_count"], meta["hidden"], meta["n_heads"],
+        if [name for name, _, _ in header["params"]] != list(shapes):
+            raise BadCheckpoint(
+                path, "parameters in another order than this version writes; "
+                      "rerun `sacloc train`")
+        return _assemble(blob[:size], meta["ap_count"], meta["hidden"], meta["n_heads"],
                          meta["affine_offset"], meta["affine_scale"])
     except KeyError as exc:
         raise BadCheckpoint(path, f"not a model checkpoint: no {exc}") from exc

@@ -43,10 +43,11 @@ from sacloc.gtmodel import (
     model_for_inventory,
     predict_positions,
     train,
-    transformer_conv,
 )
 from sacloc.regions import kmeans_fit
 from sacloc.rng import stream
+
+from test_gtmodel import transformer_conv
 
 
 def report(criterion: int, message: str) -> None:

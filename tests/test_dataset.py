@@ -13,7 +13,6 @@ from sacloc.dataset import (
     ScanSet,
     SyntheticConfig,
     coord_affine,
-    denormalize_coords,
     generate_synthetic,
     load_fingerprints,
     load_inventory,
@@ -387,6 +386,12 @@ class TestNormalizeRssi:
         lo, hi = sorted([v1, v2])
         out = normalize_rssi(np.array([lo, hi]))
         assert 0.0 <= out[0] <= out[1] <= 1.0
+
+
+def denormalize_coords(points, affine):
+    """Reference inverse of `normalize_coords`."""
+    offset, scale = affine
+    return np.asarray(points, dtype=np.float64) * scale + offset
 
 
 class TestCoordAffine:

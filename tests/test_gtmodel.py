@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -17,7 +18,6 @@ from sacloc.autodiff import (
     adam_step,
     flat_views,
     load_checkpoint,
-    parameter_buffer,
     save_checkpoint,
 )
 from sacloc.conformal import calibrate, predict_set
@@ -34,7 +34,6 @@ from sacloc.gtmodel import (
     PARAMETER_NAMES,
     TrainConfig,
     TransformerConvLayer,
-    attention_coefficients,
     denormalize_pred,
     forward_batch,
     forward_graph,
@@ -44,7 +43,6 @@ from sacloc.gtmodel import (
     predict_positions,
     save_model,
     train,
-    transformer_conv,
 )
 from sacloc.rng import stream
 
@@ -79,6 +77,24 @@ def random_roots(in_dim, n_heads, head_dim, seed, scale=0.5):
 def head_blocks(layer, name):
     """The per-head (in_dim, head_dim) column blocks of one fused projection."""
     return np.hsplit(getattr(layer, name).data, layer.n_heads)
+
+
+def attention_coefficients(layer, head_index, features, node, neighbors):
+    """Reference attention row for one node: softmax of scaled query-key dots."""
+    if len(neighbors) == 0:
+        raise EmptyNeighborhood(f"node {node} has no neighbors")
+    cols = slice(head_index * layer.head_dim, (head_index + 1) * layer.head_dim)
+    q = features[node] @ layer.query.data[:, cols]
+    k = features[list(neighbors)] @ layer.key.data[:, cols]
+    logits = (k @ q) / math.sqrt(layer.head_dim)
+    e = np.exp(logits - logits.max())
+    return e / e.sum()
+
+
+def transformer_conv(tape, layer, features, adjacency):
+    """Dense layer application over an (n, h) feature matrix and (n, n) adjacency."""
+    return gtmodel._attend(tape, layer, features, gtmodel._keys_values(tape, layer, features),
+                           adjacency)
 
 
 def dense_layer(layer, feats, adjacency):
@@ -246,14 +262,48 @@ class TestSharedRoot:
         assert np.max(np.abs(shared - per_head)) <= 1e-12
 
     def test_init_root_is_mean_of_per_head_draws(self, line_inventory):
-        hidden, n_heads, seed = 8, 2, 7
-        head_dim = hidden // n_heads
-        model = model_for_inventory(line_inventory, hidden=hidden, n_heads=n_heads, seed=seed)
-        limit = math.sqrt(6.0 / (hidden + head_dim))
-        for tag in ("layer1", "layer2"):
-            draws = [stream(seed, "init", tag, hi, "w1").uniform(-limit, limit, (hidden, head_dim))
-                     for hi in range(n_heads)]
-            assert np.array_equal(getattr(model, tag).root.data, np.mean(draws, axis=0))
+        # every weight, bit for bit: the Xavier draws of its streams, the
+        # head blocks side by side, the root the mean of the per-head draws
+        seed = 7
+        for hidden, n_heads in ((8, 2), (12, 4)):
+            head_dim = hidden // n_heads
+            model = model_for_inventory(line_inventory, hidden=hidden, n_heads=n_heads,
+                                        seed=seed)
+
+            def xavier(shape, *tag):
+                limit = math.sqrt(6.0 / (shape[0] + shape[1]))
+                return stream(seed, "init", *tag).uniform(-limit, limit, shape)
+
+            def blocks(tag, w):
+                return [xavier((hidden, head_dim), tag, hi, w) for hi in range(n_heads)]
+
+            want = {"enc.user.w": xavier((3, hidden), "enc.user"),
+                    "enc.user.b": np.zeros(hidden),
+                    "enc.ap.w": xavier((2, hidden), "enc.ap"), "enc.ap.b": np.zeros(hidden),
+                    "head.w": xavier((hidden, 2), "head"), "head.b": np.zeros(2)}
+            for tag in ("layer1", "layer2"):
+                want |= {f"{tag}.query": np.hstack(blocks(tag, "w3")),
+                         f"{tag}.key": np.hstack(blocks(tag, "w4")),
+                         f"{tag}.value": np.hstack(blocks(tag, "w2")),
+                         f"{tag}.root": np.mean(blocks(tag, "w1"), axis=0),
+                         f"{tag}.merge": xavier((head_dim, hidden), tag, "merge")}
+            params = model.parameters()
+            assert sorted(params) == sorted(want)
+            for name, p in params.items():
+                assert p.data.shape == want[name].shape, (n_heads, name)
+                assert p.data.tobytes() == want[name].tobytes(), (n_heads, name)
+
+    def test_init_draws_into_the_buffer(self):
+        # each weight is drawn into its slice of the buffer, so the draws
+        # never sit next to a full copy of the buffer
+        tracemalloc.start()
+        try:
+            model = gtmodel.init_model(20, (np.zeros(2), np.ones(2)), hidden=256, n_heads=4,
+                                       seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * model.flat.nbytes
 
     def test_reference_width_parameter_count(self):
         inventory = ApInventory(ap_ids=tuple(f"ap{i}" for i in range(20)),
@@ -783,7 +833,7 @@ class TestCheckpointing:
         _, inventory, _ = small_world
         model = model_for_inventory(inventory, hidden=8, n_heads=2, seed=5)
         adam = AdamState(weight_decay=1e-4)
-        flat = parameter_buffer(model.parameters())
+        flat = model.flat
         for t in range(3):
             adam_step(flat, stream(5, "grad", t).normal(size=flat.size), adam, 1e-3)
         for state in (None, adam):
@@ -797,16 +847,25 @@ class TestCheckpointing:
             assert want.read_bytes() == path.read_bytes()
 
     def test_model_is_one_flat_buffer(self, tmp_path, small_world):
+        def assert_views_of_buffer(model):
+            # every weight is its consecutive slice of the model's buffer, in order
+            params = model.parameters()
+            assert list(params) == list(PARAMETER_NAMES)
+            assert model.flat.size == sum(p.data.size for p in params.values())
+            views = flat_views(model.flat, [p.shape for p in params.values()])
+            for (name, p), view in zip(params.items(), views):
+                assert p.data.__array_interface__ == view.__array_interface__, name
+
         _, inventory, _ = small_world
         model = model_for_inventory(inventory, hidden=8, n_heads=2, seed=5)
-        params = model.parameters()
-        flat = parameter_buffer(params)
-        assert list(params) == list(PARAMETER_NAMES)
-        assert flat.size == sum(p.data.size for p in params.values()) and flat.flags.writeable
+        assert_views_of_buffer(model)
+        assert model.flat.flags.writeable
         path = tmp_path / "model.bin"
         save_model(path, model)
-        loaded = parameter_buffer(load_model(path).parameters())
-        assert np.array_equal(loaded, flat) and not loaded.flags.writeable
+        loaded = load_model(path)
+        assert_views_of_buffer(loaded)
+        assert np.array_equal(loaded.flat, model.flat) and not loaded.flat.flags.writeable
+        assert not any(p.data.flags.writeable for p in loaded.parameters().values())
 
     def test_desk_scale_file(self, tmp_path, graph_cfg):
         """h=64 on 20 APs: resave is byte-identical, the file is the raw floats
@@ -858,6 +917,21 @@ class TestCheckpointing:
         with pytest.raises(BadCheckpoint, match="rerun `sacloc train`") as exc:
             load_model(path)
         assert "no parameter layer1.query" in str(exc.value)
+        assert exc.value.path == path
+
+    def test_reordered_layout_rejected(self, tmp_path, small_world):
+        # the right names and shapes, with layer1's query and key (one shape)
+        # swapped: views cut in table order would read each as the other
+        _, inventory, _ = small_world
+        path = tmp_path / "model.bin"
+        save_model(path, model_for_inventory(inventory, hidden=8, n_heads=2, seed=5))
+        params, _, step, extra = load_checkpoint(path)
+        names = list(params)
+        i, j = names.index("layer1.query"), names.index("layer1.key")
+        names[i], names[j] = names[j], names[i]
+        save_checkpoint(path, {name: params[name] for name in names}, step=step, extra=extra)
+        with pytest.raises(BadCheckpoint, match="another order.*rerun `sacloc train`$") as exc:
+            load_model(path)
         assert exc.value.path == path
 
     def test_load_model_needs_model_metadata(self, tmp_path):
