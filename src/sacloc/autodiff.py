@@ -1,16 +1,15 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-A `Tape` records every primitive application in execution order; `backward`
-walks the records in reverse and hands each `requires_grad` tensor that was
-touched its gradient (the swept array itself on a first backward, a new sum
-after that). Constants (`requires_grad=False` leaves) never receive
-gradients and their partials are not computed.
-
-A tape made with gradient destinations (`Tape(grad_out=...)`, views of one
-flat buffer in training) writes instead, with the same bits: a leaf's first
-contribution in a sweep lands in its destination (a weight's matmul partial
-through `out=`), later ones are added in place in arrival order, and a
-destination the sweep does not reach is zero-filled.
+A `Tape` records every primitive application in execution order; its one
+reverse sweep, `gradients` (alias `backward`), walks the records in reverse
+and writes each recorded `requires_grad` leaf's gradient into `Tensor.grad`,
+which gets a zeroed array if it has none. A leaf's first contribution in a
+sweep lands there (a weight's matmul partial through `out=`), later ones are
+added in place in arrival order, and a leaf the sweep does not reach is
+zero-filled: every sweep overwrites, nothing accumulates across sweeps. The
+trainer binds each `grad` to its view of one flat buffer. Constants
+(`requires_grad=False` leaves) never receive gradients and their partials
+are not computed.
 
 Besides the 2-D algebra, two primitives serve multi-head layers whose heads
 sit side by side in the columns: `multi_head_attention` (per-head masked
@@ -31,7 +30,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -45,7 +44,7 @@ CHECKPOINT_DTYPE = "<f8"
 
 
 class Tensor:
-    """A float64 array plus an optional gradient buffer."""
+    """A float64 array plus the gradient array a reverse sweep writes."""
 
     __slots__ = ("data", "requires_grad", "grad", "name")
 
@@ -91,19 +90,16 @@ class Tape:
 
     Primitives are methods; each computes the forward value and, when
     recording, appends a backward rule. A non-recording tape evaluates
-    forward only (used for inference). `grad_out` maps leaves to the arrays
-    `gradients` writes their gradients into (see the module docstring).
+    forward only (used for inference).
     """
 
-    def __init__(self, record: bool = True,
-                 grad_out: Optional[dict[Tensor, np.ndarray]] = None):
+    def __init__(self, record: bool = True):
         self.record = record
         # (output, inputs, backward) with backward(g) -> per-input grads or None
         self._nodes: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
         self._on_tape: set[int] = set()
         self._leaves: dict[int, Tensor] = {}
-        self._grad_out = grad_out or {}
-        # the destinations written so far in the current sweep
+        # the leaves whose grad the current sweep has written
         self._filled: set[Tensor] = set()
 
     def _needs(self, t: Tensor) -> bool:
@@ -136,13 +132,13 @@ class Tape:
         need_a, need_b = self._needs(a), self._needs(b)
         # closed over instead of the tape: a closure holding `self` would make
         # a reference cycle that keeps every dead tape's activations alive
-        dest, filled = self._grad_out.get(b), self._filled
+        filled = self._filled
 
         def backward(g):
             ga = g @ b.data.T if need_a else None
-            if not need_b or dest is None or b in filled:
+            if not b.requires_grad or b in filled:
                 return ga, (a.data.T @ g if need_b else None)
-            np.matmul(a.data.T, g, out=dest)
+            np.matmul(a.data.T, g, out=b.grad)
             filled.add(b)
             return ga, None
 
@@ -283,56 +279,39 @@ class Tape:
 
     # -- reverse pass ------------------------------------------------------
 
-    def gradients(self, loss: Tensor) -> dict[int, np.ndarray]:
-        """Reverse sweep; writes the leaves with a destination into it and
-        returns the other leaves' grads keyed by id()."""
+    def gradients(self, loss: Tensor) -> None:
+        """Reverse sweep: d(loss)/d(leaf) into the `grad` of each recorded leaf."""
         if loss.data.size != 1:
             raise NonScalarLoss(f"loss has shape {loss.shape}")
+        leaves = self._leaves.values()
+        for leaf in leaves:
+            if leaf.grad is None:
+                leaf.grad = np.zeros_like(leaf.data)
         flowing: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-        on_tape, grad_out, filled = self._on_tape, self._grad_out, self._filled
+        on_tape, filled = self._on_tape, self._filled
         filled.clear()
         for out, inputs, backward in reversed(self._nodes):
             g = flowing.pop(id(out), None)
             if g is None:
                 continue
             for t, gt in zip(inputs, backward(g)):
-                if gt is None or not (t.requires_grad or id(t) in on_tape):
+                if gt is None:
                     continue
-                if t.requires_grad and t in grad_out:
+                if t.requires_grad:
+                    # copied, never bound: `add` hands one array to both inputs
                     if t in filled:
-                        grad_out[t] += gt
+                        t.grad += gt
                     else:
-                        np.copyto(grad_out[t], gt)
+                        np.copyto(t.grad, gt)
                         filled.add(t)
-                    continue
-                key = id(t)
-                if key in flowing:
-                    flowing[key] = flowing[key] + gt
-                else:
-                    flowing[key] = gt
-        for t, dest in grad_out.items():
-            if t not in filled:
-                dest.fill(0.0)
-        return {k: v for k, v in flowing.items() if k in self._leaves}
+                elif id(t) in on_tape:
+                    key = id(t)
+                    flowing[key] = flowing[key] + gt if key in flowing else gt
+        for leaf in leaves:
+            if leaf not in filled:
+                leaf.grad.fill(0.0)
 
-    def backward(self, loss: Tensor) -> None:
-        """Accumulate d(loss)/d(leaf) into each touched leaf's grad.
-
-        A leaf without a grad takes the swept array itself; one with a grad
-        gets a new sum, never an in-place add, because one swept array can
-        be bound to two leaves (`add` passes its gradient to both inputs).
-        A touched leaf the loss does not reach gets zeros.
-        """
-        grads = self.gradients(loss)
-        for key, leaf in self._leaves.items():
-            g = grads.get(key)
-            if g is None:
-                if leaf.grad is None:
-                    leaf.grad = np.zeros_like(leaf.data)
-            elif leaf.grad is None:
-                leaf.grad = g
-            else:
-                leaf.grad = leaf.grad + g
+    backward = gradients
 
 
 # -- optimizer ------------------------------------------------------------
@@ -341,7 +320,8 @@ class Tape:
 @dataclass
 class AdamState:
     """First/second moment buffers, flat like the parameters (allocated by
-    the first `adam_step`), plus the step counter."""
+    the first `adam_step`), plus the step counter. `scratch` holds
+    `adam_step`'s block temporaries; it is not written to checkpoints."""
 
     beta1: float = 0.9
     beta2: float = 0.999
@@ -350,6 +330,7 @@ class AdamState:
     t: int = 0
     m: Optional[np.ndarray] = None
     v: Optional[np.ndarray] = None
+    scratch: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
 
 # Elements per block of `adam_step`: a block's two scratch rows (512 KB)
@@ -382,11 +363,13 @@ def adam_step(
         state.m, state.v = np.zeros_like(params), np.zeros_like(params)
     elif state.m.shape != params.shape or state.v.shape != params.shape:
         raise ShapeMismatch(f"adam_step: moments {state.m.shape} vs params {params.shape}")
+    if state.scratch is None:
+        state.scratch = np.empty((2, ADAM_BLOCK))
     state.t += 1
     b1, b2, eps, wd = state.beta1, state.beta2, state.eps, state.weight_decay
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
-    scratch = np.empty((2, ADAM_BLOCK))
+    scratch = state.scratch
     for lo in range(0, params.size, ADAM_BLOCK):
         s = slice(lo, lo + ADAM_BLOCK)
         pb, gb, mb, vb = params[s], grads[s], state.m[s], state.v[s]

@@ -1,11 +1,11 @@
 """Command-line front end wiring the pipeline stages together.
 
-All commands read one JSON config file; individual flags override the file
-(flag > file > built-in default). Every random choice flows from the
-config's seed through named streams, so reruns with identical inputs are
-byte-identical. The seed has no flag: every stage must split the pool the
-same way, so it is read from the file only. `SACLOC_LOG` sets the log level
-(DEBUG/INFO/WARNING/...).
+All commands read one JSON config file, the only source of run settings
+(a key it leaves out takes the built-in default), so every stage of a run
+computes with the same ones; `--out` only moves the output directory.
+Flags name inputs and per-command choices. Every random choice flows from
+the config's seed through named streams, so reruns with identical inputs
+are byte-identical. `SACLOC_LOG` sets the log level (DEBUG/INFO/WARNING/...).
 """
 
 from __future__ import annotations
@@ -177,29 +177,6 @@ def _check_keys(path: str | Path, raw) -> None:
             unknown += [f"{key}.{k}" for k in value if k not in CONFIG_KEYS[key]]
     if unknown:
         raise ConfigError(f"config file {path}: unknown keys {', '.join(sorted(unknown))}")
-
-
-def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    if getattr(args, "out", None) is not None:
-        cfg = replace(cfg, output_dir=Path(args.out))
-    if getattr(args, "alpha", None) is not None:
-        cfg = replace(cfg, alpha=args.alpha)
-    if getattr(args, "k", None) is not None:
-        cfg = replace(cfg, k=args.k)
-    tr = cfg.train
-    for flag, field_name in (
-        ("epochs", "epochs"), ("batch_size", "batch_size"), ("lr", "base_lr"),
-        ("dropout", "dropout"), ("weight_decay", "weight_decay"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            tr = replace(tr, **{field_name: value})
-    cfg = replace(cfg, train=tr)
-    if getattr(args, "hidden", None) is not None:
-        cfg = replace(cfg, hidden=args.hidden)
-    if getattr(args, "heads", None) is not None:
-        cfg = replace(cfg, n_heads=args.heads)
-    return cfg
 
 
 def _require_path(path: Optional[Path], what: str) -> Path:
@@ -424,19 +401,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train the graph-transformer regressor")
     common(p)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--weight-decay", dest="weight_decay", type=float)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--heads", type=int)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("calibrate", help="compute per-region conformal radii")
     common(p)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--k", type=int)
     p.add_argument("--assignment", choices=("truth", "predicted"), default="truth",
                    help="how calibration scores are grouped into regions")
     p.set_defaults(func=cmd_calibrate)
@@ -472,7 +440,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _apply_overrides(load_config(args.config), args)
+        cfg = load_config(args.config)
+        if args.out is not None:
+            cfg = replace(cfg, output_dir=Path(args.out))
         return args.func(cfg, args)
     except SaclocError as exc:
         print(f"error: {exc}", file=sys.stderr)

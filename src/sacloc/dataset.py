@@ -41,7 +41,7 @@ log = logging.getLogger(__name__)
 # numeric comparison as a power value.
 SENTINEL = 100.0
 
-# Default bounds for mapping detected dBm values into [0, 1].
+# Bounds for mapping detected dBm values into [0, 1].
 RSSI_FLOOR = -100.0
 RSSI_CEILING = -30.0
 
@@ -181,23 +181,17 @@ class SyntheticConfig:
             raise ValueError("area dimensions must be positive")
 
 
-def detected_mask(rssi: np.ndarray, sentinel: float = SENTINEL) -> np.ndarray:
-    """Boolean mask of entries that carry a real measurement."""
-    return np.asarray(rssi, dtype=np.float64) != sentinel
+def detected_mask(rssi: np.ndarray) -> np.ndarray:
+    """Boolean mask of entries that carry a real measurement (not SENTINEL)."""
+    return np.asarray(rssi, dtype=np.float64) != SENTINEL
 
 
-def normalize_rssi(
-    rssi: np.ndarray,
-    floor: float = RSSI_FLOOR,
-    ceiling: float = RSSI_CEILING,
-    sentinel: float = SENTINEL,
-) -> np.ndarray:
-    """Map RSSI into [0, 1]: sentinel -> 0, detected -> clamped linear scale."""
-    if not floor < ceiling:
-        raise ValueError(f"floor {floor} must be below ceiling {ceiling}")
+def normalize_rssi(rssi: np.ndarray) -> np.ndarray:
+    """Map RSSI into [0, 1]: sentinel -> 0, detected -> linear from RSSI_FLOOR
+    to RSSI_CEILING, clamped."""
     rssi = np.asarray(rssi, dtype=np.float64)
-    scaled = np.clip((rssi - floor) / (ceiling - floor), 0.0, 1.0)
-    return np.where(detected_mask(rssi, sentinel), scaled, 0.0)
+    scaled = np.clip((rssi - RSSI_FLOOR) / (RSSI_CEILING - RSSI_FLOOR), 0.0, 1.0)
+    return np.where(detected_mask(rssi), scaled, 0.0)
 
 
 def coord_affine(inventory: ApInventory) -> tuple[np.ndarray, np.ndarray]:

@@ -61,10 +61,6 @@ class BadCheckpoint(SaclocError):
 
 # gtmodel ---------------------------------------------------------------
 
-class EmptyNeighborhood(SaclocError):
-    """Attention requested for a node with no neighbors."""
-
-
 class DimensionMismatch(SaclocError):
     """Graph dimensions do not match the model's expectations."""
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import (
-    SENTINEL,
     ApInventory,
     FingerprintSample,
     ScanSet,
@@ -59,14 +58,12 @@ def build_ap_adjacency(inventory: ApInventory, cfg: GraphConfig) -> np.ndarray:
     return adj
 
 
-def user_edge_mask(
-    rssi: np.ndarray, tau: float, sentinel: float = SENTINEL
-) -> np.ndarray:
+def user_edge_mask(rssi: np.ndarray, tau: float) -> np.ndarray:
     """User->AP links: detected and at least tau. Sentinel entries never link."""
     rssi = np.asarray(rssi, dtype=np.float64)
     # The sentinel (100) would trivially pass any tau comparison; it must be
     # excluded before the threshold is applied.
-    return detected_mask(rssi, sentinel) & (rssi >= tau)
+    return detected_mask(rssi) & (rssi >= tau)
 
 
 def build_sample_graph(

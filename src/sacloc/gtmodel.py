@@ -449,7 +449,6 @@ def train(
     grad = np.empty_like(model.flat)
     for p, view in zip(params, flat_views(grad, [p.shape for p in params])):
         p.grad = view
-    grad_out = {p: p.grad for p in params}
     schedule = CosineSchedule(cfg.base_lr, cfg.epochs)
     adam = AdamState(weight_decay=cfg.weight_decay)
     n = len(train_samples)
@@ -464,7 +463,7 @@ def train(
             if cfg.dropout > 0.0:
                 drop_rng = stream(cfg.seed, "dropout", epoch, batch_i)
                 masks = _batch_masks(model, len(idx), cfg.dropout, drop_rng)
-            tape = Tape(grad_out=grad_out)
+            tape = Tape()
             pred = forward_batch(tape, model, rssi_norm[idx], user_adj[idx],
                                  graph.ap_features, graph.ap_adjacency, masks)
             loss = mae_loss(tape, denormalize_pred(tape, pred, model),

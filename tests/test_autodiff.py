@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,23 +103,25 @@ class TestBackward:
         t.backward(loss)
         assert np.array_equal(y.grad, [0.0, 0.0])
 
-    def test_grad_accumulates_across_backwards(self):
+    def test_second_sweep_overwrites(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
-        for _ in range(2):
+        for scale in (3.0, 2.0):
             t = Tape()
-            t.backward(t.sum_all(x))
+            t.backward(t.scale(t.sum_all(x), scale))
         assert np.array_equal(x.grad, [2.0, 2.0])
 
     def test_shared_swept_gradient_is_not_written_through(self):
-        # `add` hands one gradient array to both leaves; accumulating into
-        # one leaf must leave the other's grad alone
+        # `add` hands one gradient array to both leaves; a leaf's grad takes a
+        # copy, so adding a later contribution in place into one leaf's grad
+        # must leave the other's alone
         x = Tensor([1.0, 2.0], requires_grad=True)
         y = Tensor([3.0, 4.0], requires_grad=True)
-        for _ in range(3):
-            t = Tape()
-            t.backward(t.sum_all(t.add(x, y)))
-        assert np.array_equal(x.grad, [3.0, 3.0])
-        assert np.array_equal(y.grad, [3.0, 3.0])
+        t = Tape()
+        sq = t.mul(x, x)  # recorded first, so swept after the shared array
+        t.backward(t.sum_all(t.add(t.add(x, y), sq)))
+        assert not np.shares_memory(x.grad, y.grad)
+        assert np.array_equal(x.grad, [3.0, 5.0])
+        assert np.array_equal(y.grad, [1.0, 1.0])
 
 
 class TestGradientOracle:
@@ -344,6 +347,21 @@ class TestAdam:
         assert calls == []
         # updated in place, not replaced
         assert state.m is moments[0] and state.v is moments[1]
+
+    def test_scratch_allocated_on_first_step_only(self):
+        p, g = np.ones(3 * ADAM_BLOCK), np.full(3 * ADAM_BLOCK, 0.5)
+        state = AdamState()
+        adam_step(p, g, state, lr=0.1)
+        scratch = state.scratch
+        assert scratch.shape == (2, ADAM_BLOCK)
+        tracemalloc.start()
+        try:
+            adam_step(p, g, state, lr=0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert state.scratch is scratch
+        assert peak < scratch.nbytes // 4
 
 
 class TestCosine:

@@ -299,13 +299,26 @@ class TestSweep:
 
 
 class TestFlags:
-    def test_alpha_override_beats_config(self, workdir):
+    def test_config_alpha_and_k_reach_calibration(self, workdir):
         tmp, config = workdir
+        cfg = json.loads((tmp / "config.json").read_text())
+        cfg["conformal"] = {"alpha": 0.3, "k": 3}
+        (tmp / "config.json").write_text(json.dumps(cfg))
         run("synth", "--config", config)
         run("train", "--config", config)
-        assert run("calibrate", "--config", config, "--alpha", "0.4") == 0
+        assert run("calibrate", "--config", config) == 0
         cal = json.loads((tmp / "out" / "calibration.json").read_text())
-        assert cal["alpha"] == 0.4
+        assert cal["alpha"] == 0.3
+        assert len(cal["regions"]) == 3
+
+    @pytest.mark.parametrize("argv", [("train", "--epochs", "3"), ("calibrate", "--k", "3")])
+    def test_run_settings_have_no_flags(self, workdir, capsys, argv):
+        # a flag would let one stage compute with settings the others do not
+        _, config = workdir
+        with pytest.raises(SystemExit) as exc:
+            run(argv[0], "--config", config, *argv[1:])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_out_override(self, workdir):
         tmp, config = workdir

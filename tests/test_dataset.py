@@ -366,17 +366,17 @@ class TestSplit:
 
 class TestNormalizeRssi:
     def test_linear_map(self):
-        out = normalize_rssi(np.array([-75.0]), floor=-100.0, ceiling=-30.0)
+        out = normalize_rssi(np.array([-75.0]))
         assert out[0] == pytest.approx(25.0 / 70.0)
 
     def test_sentinel_maps_to_zero(self):
         assert normalize_rssi(np.array([SENTINEL]))[0] == 0.0
 
     def test_clamps_above_ceiling(self):
-        assert normalize_rssi(np.array([-20.0]), ceiling=-30.0)[0] == 1.0
+        assert normalize_rssi(np.array([-20.0]))[0] == 1.0
 
     def test_clamps_below_floor(self):
-        assert normalize_rssi(np.array([-120.0]), floor=-100.0)[0] == 0.0
+        assert normalize_rssi(np.array([-120.0]))[0] == 0.0
 
     @given(
         v1=st.floats(min_value=-120.0, max_value=0.0),

@@ -115,15 +115,6 @@ class TestSampleGraph:
             assert np.array_equal(whole.ap_features, one.ap_features)
             assert np.array_equal(whole.ap_adjacency, one.ap_adjacency)
 
-    def test_alternative_sentinel_code(self, line_inventory):
-        # Edge construction keys on the detection flag, not on the stored 100.
-        cfg = GraphConfig(d_p=20.0, tau=-75.0)
-        ap_adj = build_ap_adjacency(line_inventory, cfg)
-        ref = build_sample_graph(make_sample([-60.0, SENTINEL, -70.0]),
-                                 line_inventory, ap_adj, cfg)
-        mask = user_edge_mask(np.array([-60.0, -1.0, -70.0]), tau=cfg.tau, sentinel=-1.0)
-        assert np.array_equal(mask, ref.user_adjacency[0])
-
 
 @given(
     rssi=st.lists(
