@@ -21,7 +21,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .conformal import SacpCalibration, calibrate, load_calibration, predict_set, save_calibration
+from .conformal import (
+    SacpCalibration,
+    calibrate,
+    calibration_document,
+    load_calibration,
+    predict_set,
+    save_calibration,
+)
 from .dataset import (
     ApInventory,
     FingerprintSample,
@@ -35,7 +42,7 @@ from .dataset import (
     split_train_calibration,
     synthesize_scans,
 )
-from .errors import ConfigError, MissingArtifact, SaclocError
+from .errors import BadCalibration, ConfigError, MissingArtifact, SaclocError
 from .evalreport import (
     CoverageReport,
     ErrorMapData,
@@ -130,6 +137,20 @@ def load_config(path: str | Path) -> RunConfig:
         tr = raw.get("train", {})
         conf = raw.get("conformal", {})
         seed = int(raw.get("seed", 0))
+        hidden, n_heads = int(model.get("hidden", 500)), int(model.get("heads", 4))
+        calibration_fraction = float(tr.get("calibration_fraction", 0.2))
+        alpha, k = float(conf.get("alpha", 0.1)), int(conf.get("k", 5))
+        for key, value, valid, what in (
+            ("train.calibration_fraction", calibration_fraction,
+             0.0 < calibration_fraction < 1.0, "in (0, 1)"),
+            ("conformal.alpha", alpha, 0.0 < alpha < 1.0, "in (0, 1)"),
+            ("conformal.k", k, k >= 1, "at least 1"),
+            ("model.hidden", hidden, hidden >= 1, "at least 1"),
+            ("model.heads", n_heads, n_heads >= 1 and hidden % n_heads == 0,
+             f"a positive divisor of model.hidden ({hidden})"),
+        ):
+            if not valid:
+                raise ConfigError(f"config file {path}: {key} must be {what}, got {value}")
         synth = None
         if "synth" in raw:
             s = raw["synth"]
@@ -144,12 +165,12 @@ def load_config(path: str | Path) -> RunConfig:
             inventory=Path(ds["inventory"]) if "inventory" in ds else None,
             test=Path(ds["test"]) if "test" in ds else None,
             graph=GraphConfig(**_set_fields(raw.get("graph", {}), GRAPH_FIELDS)),
-            hidden=int(model.get("hidden", 500)),
-            n_heads=int(model.get("heads", 4)),
+            hidden=hidden,
+            n_heads=n_heads,
             train=TrainConfig(seed=seed, **_set_fields(tr, TRAIN_FIELDS)),
-            calibration_fraction=float(tr.get("calibration_fraction", 0.2)),
-            alpha=float(conf.get("alpha", 0.1)),
-            k=int(conf.get("k", 5)),
+            calibration_fraction=calibration_fraction,
+            alpha=alpha,
+            k=k,
             seed=seed,
             output_dir=Path(raw.get("output_dir", "sacloc_out")),
             synth=synth,
@@ -324,21 +345,27 @@ def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
     model = load_model(_require_artifact(cfg, CHECKPOINT_NAME))
+    cal_path = _require_artifact(cfg, CALIBRATION_NAME)
+    stored = load_calibration(cal_path)
     inventory, pool = _load_train_pool(cfg)
     _, cal_samples = _split(cfg, pool)
     test_samples = load_fingerprints(_require_path(cfg.test, "test file"), inventory)
 
-    alphas = (
-        tuple(float(a) for a in args.alphas.split(",")) if args.alphas else DEFAULT_ALPHAS
-    )
     cal_preds = predict_positions(model, cal_samples, inventory, cfg.graph)
     test_preds = predict_positions(model, test_samples, inventory, cfg.graph)
-    # the report carries the point metrics and the configured-alpha coverage
-    # as well, so sweeping after evaluate never discards report sections
-    calibration = calibrate(cal_preds, cal_samples.truth, cfg.alpha, cfg.k, cfg.seed)
+    # recalibrating at the file's alpha and rule reproduces the file unless the
+    # checkpoint, k or seed changed since `calibrate`; its one region fit then
+    # serves the whole grid. The report carries the point metrics and the
+    # file's coverage as well, so sweeping after evaluate discards no section.
+    calibration = calibrate(cal_preds, cal_samples.truth, stored.alpha, cfg.k, cfg.seed,
+                            assignment=stored.assignment)
+    if calibration_document(calibration) != calibration_document(stored):
+        raise BadCalibration(
+            cal_path, "this checkpoint and config calibrate to other regions or radii "
+                      "(another checkpoint, conformal.k or seed?); rerun `sacloc calibrate`")
     sweep = alpha_sweep(
-        cal_preds, cal_samples.truth, test_preds, test_samples.truth, alphas,
-        calibration.region_model)
+        cal_preds, cal_samples.truth, test_preds, test_samples.truth,
+        args.alphas or DEFAULT_ALPHAS, calibration.region_model, calibration.assignment)
     _, _, written = _write_report(
         cfg.output_dir, inventory, test_samples, test_preds, calibration, "predicted", sweep)
     lo, hi = sweep.global_radii[-1], sweep.global_radii[0]
@@ -382,6 +409,32 @@ def _write_report(
 # -- entry point ---------------------------------------------------------------
 
 
+def _test_count(text: str) -> int:
+    """`--test-samples`: a positive scan count."""
+    try:
+        count = int(text)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ConfigError(f"--test-samples must be a positive integer, got {text!r}")
+    return count
+
+
+def _alpha_grid(text: str) -> tuple[float, ...]:
+    """`--alphas`: a strictly increasing comma-separated grid in (0, 1)."""
+    alphas = []
+    for entry in text.split(","):
+        try:
+            alphas.append(float(entry))
+        except ValueError:
+            raise ConfigError(f"--alphas: {entry.strip()!r} is not a number") from None
+        if not 0.0 < alphas[-1] < 1.0:
+            raise ConfigError(f"--alphas: {entry.strip()} is not in (0, 1)")
+    if any(b <= a for a, b in zip(alphas, alphas[1:])):
+        raise ConfigError(f"--alphas must be strictly increasing, got {text}")
+    return tuple(alphas)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sacloc",
@@ -395,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     common(p)
-    p.add_argument("--test-samples", type=int, default=750,
+    p.add_argument("--test-samples", type=_test_count, default=750,
                    help="size of the held-out test file")
     p.set_defaults(func=cmd_synth)
 
@@ -427,7 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="radii and coverage across an alpha grid")
     common(p)
-    p.add_argument("--alphas", help="comma-separated strictly increasing grid")
+    p.add_argument("--alphas", type=_alpha_grid,
+                   help="comma-separated strictly increasing grid in (0, 1)")
     p.set_defaults(func=cmd_sweep)
     return parser
 
@@ -438,8 +492,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # a bad flag value raises ConfigError as it is parsed
+        args = parser.parse_args(argv)
         cfg = load_config(args.config)
         if args.out is not None:
             cfg = replace(cfg, output_dir=Path(args.out))

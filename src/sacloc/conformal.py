@@ -33,12 +33,13 @@ from .regions import RegionModel, assign_region, assign_regions, kmeans_fit
 log = logging.getLogger(__name__)
 
 CALIBRATION_MAGIC = "sacloc-calibration"
-CALIBRATION_VERSION = 1
+CALIBRATION_VERSION = 2
 
 
 @dataclass(frozen=True)
 class SacpCalibration:
-    """Per-region conformal radii plus the region model that produced them."""
+    """Per-region conformal radii plus the region model that produced them
+    and the rule (`assignment`) that grouped the calibration scores."""
 
     alpha: float
     region_model: RegionModel
@@ -46,6 +47,7 @@ class SacpCalibration:
     counts: np.ndarray  # (k,) calibration samples per region
     global_radius: float
     global_count: int
+    assignment: str = "truth"  # "truth" or "predicted", as `calibrate` takes it
 
     @property
     def k(self) -> int:
@@ -132,6 +134,7 @@ def calibrate(
         counts=counts,
         global_radius=radius_from_scores(scores, alpha),
         global_count=len(scores),
+        assignment=assignment,
     )
 
 
@@ -162,11 +165,13 @@ def _radius_from_json(r: float | str) -> float:
     return math.inf if r == "inf" else float(r)
 
 
-def save_calibration(path: str | Path, cal: SacpCalibration) -> None:
-    doc = {
+def calibration_document(cal: SacpCalibration) -> dict:
+    """The JSON document `save_calibration` writes for `cal`."""
+    return {
         "magic": CALIBRATION_MAGIC,
         "version": CALIBRATION_VERSION,
         "alpha": cal.alpha,
+        "assignment": cal.assignment,
         "regions": [
             {
                 "id": r,
@@ -183,8 +188,11 @@ def save_calibration(path: str | Path, cal: SacpCalibration) -> None:
             "convergence_tol": cal.region_model.convergence_tol,
         },
     }
+
+
+def save_calibration(path: str | Path, cal: SacpCalibration) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(calibration_document(cal), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -192,7 +200,8 @@ def load_calibration(path: str | Path) -> SacpCalibration:
     """Inverse of save_calibration.
 
     Raises BadCalibration for invalid JSON, a foreign file, another format
-    version or a missing key.
+    version (a version-1 file, which does not record its assignment rule,
+    asks for a rerun of `sacloc calibrate`) or a missing key.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -201,9 +210,15 @@ def load_calibration(path: str | Path) -> SacpCalibration:
             raise BadCalibration(path, f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("magic") != CALIBRATION_MAGIC:
         raise BadCalibration(path, "not a calibration file")
+    if doc.get("version") == 1:
+        raise BadCalibration(
+            path, "calibration version 1 does not record its assignment rule and is "
+                  "no longer read; rerun `sacloc calibrate`")
     if doc.get("version") != CALIBRATION_VERSION:
         raise BadCalibration(path, f"unsupported calibration version {doc.get('version')}")
     try:
+        if doc["assignment"] not in ("truth", "predicted"):
+            raise BadCalibration(path, f"unknown assignment rule {doc['assignment']!r}")
         regions = sorted(doc["regions"], key=lambda r: r["id"])
         region_model = RegionModel(
             centroids=np.array([r["centroid"] for r in regions]),
@@ -218,6 +233,7 @@ def load_calibration(path: str | Path) -> SacpCalibration:
             counts=np.array([r["count"] for r in regions], dtype=int),
             global_radius=_radius_from_json(doc["global"]["radius"]),
             global_count=doc["global"]["count"],
+            assignment=doc["assignment"],
         )
     except KeyError as exc:
         raise BadCalibration(path, f"missing key {exc}") from exc

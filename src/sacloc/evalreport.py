@@ -155,12 +155,14 @@ def alpha_sweep(
     test_truths: np.ndarray,
     alphas: Sequence[float],
     region_model: RegionModel,
+    assignment: str = "truth",
 ) -> SweepResult:
     """Recalibrate radii across an alpha grid with one `region_model` fitted
     on `cal_truths`.
 
-    Calibration scores are grouped by true region and test scans routed by
-    predicted region, as `calibrate` and `coverage_by_region` default to.
+    Calibration scores are grouped by region under `assignment`, as in
+    `calibrate` (by true region unless told otherwise); test scans are
+    routed by predicted region, as `coverage_by_region` defaults to.
     """
     alphas = np.asarray(list(alphas), dtype=np.float64)
     if len(alphas) == 0 or np.any(np.diff(alphas) <= 0):
@@ -176,7 +178,7 @@ def alpha_sweep(
     for i, alpha in enumerate(alphas):
         # given a region model, calibrate fits nothing and reads no seed
         cal = calibrate(cal_preds, cal_truths, float(alpha), region_model.k, 0,
-                        region_model=region_model)
+                        assignment=assignment, region_model=region_model)
         report = coverage_by_region(test_preds, test_truths, cal)
         radii[i] = cal.radii
         global_radii[i] = cal.global_radius

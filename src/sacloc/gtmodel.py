@@ -27,8 +27,9 @@ inventory: the AP encoder, the layer-1 AP update and the keys and values
 both layers attend over. `encode_inventory` computes that inventory
 half; the scan half runs only the B user rows through both layers against
 those keys and values. Layer-2 AP embeddings are never computed, since
-nothing reads them. In eval mode this equals the block-diagonal batched
-graph evaluated without its redundancy.
+nothing reads them. This equals the block-diagonal batched graph
+evaluated without its redundancy, in training as in eval: dropout acts on
+the user rows only, so the inventory half is the same in both.
 
 The model owns its parameters: one (P,) float64 buffer, `GtModel.flat`,
 whose consecutive slices, in the order and shapes of `_parameter_shapes`,
@@ -299,22 +300,19 @@ def _dropout(tape: Tape, x: Tensor, mask: Optional[Tensor]) -> Tensor:
 
 
 def encode_inventory(
-    tape: Tape,
-    model: GtModel,
-    ap_feats_norm: np.ndarray,
-    ap_adj: np.ndarray,
-    ap_mask: Optional[Tensor] = None,
+    tape: Tape, model: GtModel, ap_feats_norm: np.ndarray, ap_adj: np.ndarray
 ) -> tuple[KeysValues, KeysValues]:
     """The inventory half of the forward: the keys and values of layers 1 and 2.
 
     Encodes the AP rows, updates them by layer-1 attention over themselves
-    (relu, then `ap_mask` when training) and returns the layer-1 keys and
-    values of the encoded rows and the layer-2 ones of the updated rows.
+    (then relu) and returns the layer-1 keys and values of the encoded rows
+    and the layer-2 ones of the updated rows. Dropout never touches them,
+    so this is the same function of the weights in training and in eval.
     """
     enc = model.encoders
     aps = tape.add_bias(tape.matmul(Tensor(ap_feats_norm), enc.ap_w), enc.ap_b)
     kv1 = _keys_values(tape, model.layer1, aps)
-    aps = _dropout(tape, tape.relu(_attend(tape, model.layer1, aps, kv1, ap_adj)), ap_mask)
+    aps = tape.relu(_attend(tape, model.layer1, aps, kv1, ap_adj))
     return kv1, _keys_values(tape, model.layer2, aps)
 
 
@@ -333,17 +331,13 @@ def _same(pinned: np.ndarray, a: np.ndarray) -> bool:
 
 
 def _inventory(
-    tape: Tape,
-    model: GtModel,
-    ap_feats_norm: np.ndarray,
-    ap_adj: np.ndarray,
-    ap_mask: Optional[Tensor],
+    tape: Tape, model: GtModel, ap_feats_norm: np.ndarray, ap_adj: np.ndarray
 ) -> tuple[KeysValues, KeysValues]:
     """`encode_inventory`, reused from the model's memo in eval mode when
     every weight is read-only and the AP features and adjacency match: the
     very arrays the memo pinned, or equal ones."""
-    if tape.record or ap_mask is not None or model.flat.flags.writeable:
-        return encode_inventory(tape, model, ap_feats_norm, ap_adj, ap_mask)
+    if tape.record or model.flat.flags.writeable:
+        return encode_inventory(tape, model, ap_feats_norm, ap_adj)
     memo = model.inventory_memo
     if memo is not None and _same(memo[0], ap_feats_norm) and _same(memo[1], ap_adj):
         return memo[2]
@@ -363,16 +357,16 @@ def forward_batch(
 ) -> Tensor:
     """Batched forward pass on a `LocGraph`'s fields -> (B, 2) normalized predictions.
 
-    `masks` are the dropout masks (user1, ap1, user2), or None for no
-    dropout. The inventory half comes from `encode_inventory` (or the
-    model's memo); the B user rows then attend over its keys and values in
-    both layers. A graph for another AP count raises DimensionMismatch.
+    `masks` are the dropout masks (user1, user2) of the user rows, or None
+    for no dropout. The inventory half comes from `encode_inventory` (or
+    the model's memo); the B user rows then attend over its keys and values
+    in both layers. A graph for another AP count raises DimensionMismatch.
     """
     if ap_feats_norm.shape[0] != model.ap_count:
         raise DimensionMismatch(
             f"graph has {ap_feats_norm.shape[0]} APs, model expects {model.ap_count}")
-    user_mask1, ap_mask1, user_mask2 = masks if masks is not None else (None,) * 3
-    kv1, kv2 = _inventory(tape, model, ap_feats_norm, ap_adj, ap_mask1)
+    user_mask1, user_mask2 = masks if masks is not None else (None, None)
+    kv1, kv2 = _inventory(tape, model, ap_feats_norm, ap_adj)
     enc = model.encoders
     users = tape.add_bias(tape.matmul(Tensor(rssi_norm), enc.user_w), enc.user_b)
     users = _dropout(tape, tape.relu(_attend(tape, model.layer1, users, kv1, user_adj)),
@@ -411,17 +405,10 @@ def mae_loss(tape: Tape, pred_m: Tensor, truth_m: np.ndarray) -> Tensor:
 
 def _batch_masks(
     model: GtModel, n_rows: int, dropout: float, rng: np.random.Generator
-) -> tuple[Tensor, Tensor, Tensor]:
-    """Dropout masks for one batch: (user1, ap1, user2).
-
-    The AP mask is drawn once per batch and shared by every scan in it.
-    """
-    h, m = model.hidden, model.ap_count
-    return (
-        dropout_mask((n_rows, h), dropout, rng),
-        dropout_mask((m, h), dropout, rng),
-        dropout_mask((n_rows, h), dropout, rng),
-    )
+) -> tuple[Tensor, Tensor]:
+    """Dropout masks for one batch: (user1, user2), one row per scan."""
+    shape = (n_rows, model.hidden)
+    return dropout_mask(shape, dropout, rng), dropout_mask(shape, dropout, rng)
 
 
 def train(

@@ -283,7 +283,81 @@ class TestCsvBoundary:
         assert "bad_cell.csv: row 2: could not convert string to float: 'oops'" in err
 
 
+class TestBadSettings:
+    """A bad setting exits 1 with one `error:` line naming its key or flag,
+    before any stage computes with it."""
+
+    @pytest.mark.parametrize("argv, sections, message", [
+        (("train",), {"train": {"calibration_fraction": 1.5}},
+         "train.calibration_fraction must be in (0, 1), got 1.5"),
+        (("calibrate",), {"conformal": {"alpha": 1.5}}, "conformal.alpha must be in (0, 1)"),
+        (("calibrate",), {"conformal": {"k": 0}}, "conformal.k must be at least 1, got 0"),
+        (("train",), {"model": {"hidden": 10, "heads": 4}},
+         "model.heads must be a positive divisor of model.hidden (10), got 4"),
+        (("sweep", "--alphas", "abc"), {}, "--alphas: 'abc' is not a number"),
+        (("sweep", "--alphas", "0.2,0.1"), {}, "--alphas must be strictly increasing"),
+        (("sweep", "--alphas", "0.1,1.5"), {}, "--alphas: 1.5 is not in (0, 1)"),
+        (("synth", "--test-samples", "-5"), {},
+         "--test-samples must be a positive integer, got '-5'"),
+    ], ids=["calibration_fraction", "alpha", "k", "heads", "alphas-abc", "alphas-order",
+            "alphas-range", "test-samples"])
+    def test_rejected_where_it_arrives(self, workdir, capsys, argv, sections, message):
+        tmp, config = workdir
+        cfg = json.loads((tmp / "config.json").read_text())
+        for section, values in sections.items():
+            cfg[section] = {**cfg[section], **values}
+        (tmp / "config.json").write_text(json.dumps(cfg))
+        assert run(argv[0], "--config", config, *argv[1:]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert message in captured.err
+        assert not (tmp / "data").exists() and not (tmp / "out").exists()
+
+
 class TestSweep:
+    def test_follows_the_calibration_file(self, workdir, capsys):
+        # after calibrating by predicted region, sweep reports the radii and
+        # coverage that evaluate reports, from the same file
+        tmp, config = workdir
+        for argv in (("synth",), ("train",), ("calibrate", "--assignment", "predicted"),
+                     ("evaluate",)):
+            assert run(argv[0], "--config", config, *argv[1:]) == 0
+        evaluated = json.loads((tmp / "out" / "report.json").read_text())
+        calibration = (tmp / "out" / "calibration.json").read_text()
+        assert json.loads(calibration)["assignment"] == "predicted"
+        assert run("sweep", "--config", config, "--alphas", "0.1,0.2") == 0
+        swept = json.loads((tmp / "out" / "report.json").read_text())
+        assert swept["coverage"] == evaluated["coverage"]
+        assert (tmp / "out" / "calibration.json").read_text() == calibration
+        # the grid row at the file's alpha is the file's calibration
+        row = swept["sweep"]["alphas"].index(0.2)
+        radii = [r["radius"] for r in json.loads(calibration)["regions"]]
+        assert swept["sweep"]["radii"][row] == radii
+        capsys.readouterr()
+
+    def test_needs_the_calibration_file(self, workdir, capsys):
+        tmp, config = workdir
+        assert run("synth", "--config", config) == 0
+        assert run("train", "--config", config) == 0
+        capsys.readouterr()
+        assert run("sweep", "--config", config) == 1
+        assert "missing calibration.json" in capsys.readouterr().err
+
+    def test_other_k_than_the_file_fails(self, calibrated, capsys):
+        tmp, config = calibrated
+        cfg = json.loads(Path(config).read_text())
+        cfg["conformal"] = {**cfg["conformal"], "k": 3}
+        other = tmp / "k3.json"
+        other.write_text(json.dumps(cfg))
+        report = tmp / "out" / "report.json"
+        before = report.read_bytes() if report.exists() else None
+        capsys.readouterr()
+        assert run("sweep", "--config", str(other)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "calibration.json" in err
+        assert "rerun `sacloc calibrate`" in err
+        assert (report.read_bytes() if report.exists() else None) == before
+
     def test_regions_fitted_once(self, calibrated, monkeypatch):
         _, config = calibrated
         calls = []

@@ -10,6 +10,7 @@ from sacloc.conformal import (
     CALIBRATION_VERSION,
     SacpCalibration,
     calibrate,
+    calibration_document,
     conformal_rank,
     load_calibration,
     nonconformity_score,
@@ -250,6 +251,33 @@ class TestArtifact:
         del doc["kmeans"]["iteration_cap"]
         path.write_text(json.dumps(doc))
         with pytest.raises(BadCalibration, match="missing key 'iteration_cap'"):
+            load_calibration(path)
+
+    @pytest.mark.parametrize("assignment", ["truth", "predicted"])
+    def test_assignment_round_trip(self, tmp_path, assignment):
+        truths = stream(8, "art").normal(size=(30, 2))
+        cal = calibrate(truths + 0.5, truths, alpha=0.2, k=2, seed=9, assignment=assignment)
+        path = tmp_path / "cal.json"
+        save_calibration(path, cal)
+        assert json.loads(path.read_text())["assignment"] == assignment
+        back = load_calibration(path)
+        assert back.assignment == assignment
+        assert calibration_document(back) == calibration_document(cal)
+
+    def test_rejects_unknown_assignment(self, tmp_path):
+        path, doc = self.saved(tmp_path)
+        doc["assignment"] = "nearest"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(BadCalibration, match="unknown assignment rule 'nearest'"):
+            load_calibration(path)
+
+    def test_rejects_version_1_with_rerun_hint(self, tmp_path):
+        # a version-1 file does not say which rule grouped its scores
+        path, doc = self.saved(tmp_path)
+        doc["version"] = 1
+        del doc["assignment"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(BadCalibration, match="rerun `sacloc calibrate`"):
             load_calibration(path)
 
     @pytest.mark.parametrize("version", [0, CALIBRATION_VERSION + 1, None])

@@ -142,6 +142,22 @@ class TestAlphaSweep:
         assert sweep.global_radii[0] >= sweep.global_radii[1]
         assert sweep.region_counts.sum() == 200
 
+    def test_rows_follow_the_assignment_rule(self):
+        rng = stream(4, "sweep-rule")
+        truths = rng.uniform(0, 40, size=(300, 2))
+        preds = truths + rng.normal(scale=8, size=(300, 2))
+        region_model = kmeans_fit(truths[:200], 3, 5)
+        for assignment in ("truth", "predicted"):
+            sweep = alpha_sweep(preds[:200], truths[:200], preds[200:], truths[200:],
+                                (0.05, 0.2), region_model, assignment)
+            for row, alpha in zip(sweep.radii, sweep.alphas):
+                cal = calibrate(preds[:200], truths[:200], alpha, 3, 5,
+                                assignment=assignment, region_model=region_model)
+                assert np.array_equal(row, cal.radii), assignment
+        by_truth = alpha_sweep(preds[:200], truths[:200], preds[200:], truths[200:],
+                               (0.05, 0.2), region_model)
+        assert not np.array_equal(by_truth.radii, sweep.radii)
+
     def test_given_region_model_is_not_refitted(self, monkeypatch):
         rng = stream(4, "sweep-reuse")
         truths = rng.uniform(0, 40, size=(300, 2))

@@ -115,11 +115,13 @@ def dense_layer(layer, feats, adjacency):
     return (feats @ layer.root.data + total / layer.n_heads) @ layer.merge.data
 
 
-def dense_forward(model, graph):
+def dense_forward(model, graph, masks=(None, None)):
     """Reference single-scan forward over the full (m+1)-node graph of a
     one-scan `LocGraph`, assembled here from its blocks with the user node
     last and no AP -> user link: both layers update every node, and the
-    user row feeds the head -> (2,)."""
+    user row feeds the head -> (2,). `masks` are the (h,) dropout rows
+    (user1, user2) that multiply the user row after each layer's relu, as
+    in training; the AP rows take none."""
     m = graph.ap_features.shape[0]
     adjacency = np.zeros((m + 1, m + 1), dtype=bool)
     adjacency[:m, :m] = graph.ap_adjacency
@@ -128,8 +130,10 @@ def dense_forward(model, graph):
     aps = graph.ap_features @ enc.ap_w.data + enc.ap_b.data
     user = graph.user_features @ enc.user_w.data + enc.user_b.data
     feats = np.vstack([aps, user])
-    for layer in (model.layer1, model.layer2):
+    for layer, mask in zip((model.layer1, model.layer2), masks, strict=True):
         feats = np.maximum(dense_layer(layer, feats, adjacency), 0.0)
+        if mask is not None:
+            feats[m] *= mask
     return feats[m] @ model.head_w.data + model.head_b.data
 
 
@@ -398,6 +402,23 @@ class TestModelForward:
                               predict_positions(model, samples, inventory, graph_cfg))
 
 
+    def test_training_forward_matches_dense_per_scan(self, small_world, graph_cfg):
+        # with dropout, the batched forward is still the block-diagonal graph:
+        # each scan's prediction is its own dense forward with its mask rows
+        _, inventory, samples = small_world
+        model = model_for_inventory(inventory, hidden=16, n_heads=2, seed=5)
+        ap_adj = build_ap_adjacency(inventory, graph_cfg)
+        whole = build_sample_graph(samples, inventory, ap_adj, graph_cfg)
+        masks = gtmodel._batch_masks(model, len(samples), 0.4, stream(5, "masks"))
+        assert all((mask.data == 0.0).any() for mask in masks)
+        batched = forward_batch(Tape(), model, whole.user_features, whole.user_adjacency,
+                                whole.ap_features, whole.ap_adjacency, masks).data
+        for i, sample in enumerate(samples):
+            graph = build_sample_graph(sample, inventory, ap_adj, graph_cfg)
+            dense = dense_forward(model, graph, [mask.data[i] for mask in masks])
+            assert np.max(np.abs(batched[i] - dense)) <= 1e-12, i
+
+
 class TestInventoryMemo:
     """Eval forwards on a loaded model reuse the inventory half."""
 
@@ -651,6 +672,22 @@ class TestTrain:
         assert set(self.dead_nodes_per_step(
             model, samples, graph_cfg, inventory, monkeypatch)) == {3}
 
+
+    def test_step_draws_user_masks_only(self, small_world, graph_cfg, monkeypatch):
+        # dropout acts on the user rows: two (B, h) masks a step, and the
+        # tape holds the inventory half, both user layers, head and loss
+        _, inventory, samples = small_world
+        shapes, sizes = [], []
+        draw, gradients = gtmodel.dropout_mask, Tape.gradients
+        monkeypatch.setattr(gtmodel, "dropout_mask",
+                            lambda shape, *a: shapes.append(shape) or draw(shape, *a))
+        monkeypatch.setattr(Tape, "gradients", lambda tape, loss:
+                            sizes.append(len(tape._nodes)) or gradients(tape, loss))
+        model = model_for_inventory(inventory, hidden=8, n_heads=2, seed=5)
+        tc = TrainConfig(epochs=1, batch_size=16, dropout=0.2, seed=5)
+        train(model, samples[:16], tc, graph_cfg, inventory)
+        assert shapes == [(16, 8), (16, 8)]
+        assert sizes == [39]
 
     def test_step_tape_size_does_not_depend_on_heads(self, small_world, graph_cfg,
                                                      monkeypatch):
