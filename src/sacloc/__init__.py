@@ -11,7 +11,6 @@ from .conformal import (
     calibrate,
     conformal_rank,
     load_calibration,
-    nonconformity_score,
     predict_set,
     save_calibration,
 )

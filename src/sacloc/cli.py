@@ -136,10 +136,13 @@ def load_config(path: str | Path) -> RunConfig:
         model = raw.get("model", {})
         tr = raw.get("train", {})
         conf = raw.get("conformal", {})
-        seed = int(raw.get("seed", 0))
-        hidden, n_heads = int(model.get("hidden", 500)), int(model.get("heads", 4))
-        calibration_fraction = float(tr.get("calibration_fraction", 0.2))
-        alpha, k = float(conf.get("alpha", 0.1)), int(conf.get("k", 5))
+        seed = _number("seed", raw.get("seed", 0), int)
+        hidden = _number("model.hidden", model.get("hidden", 500), int)
+        n_heads = _number("model.heads", model.get("heads", 4), int)
+        calibration_fraction = _number(
+            "train.calibration_fraction", tr.get("calibration_fraction", 0.2), float)
+        alpha = _number("conformal.alpha", conf.get("alpha", 0.1), float)
+        k = _number("conformal.k", conf.get("k", 5), int)
         for key, value, valid, what in (
             ("train.calibration_fraction", calibration_fraction,
              0.0 < calibration_fraction < 1.0, "in (0, 1)"),
@@ -154,20 +157,23 @@ def load_config(path: str | Path) -> RunConfig:
         synth = None
         if "synth" in raw:
             s = raw["synth"]
+            area = s["area"]
+            if not isinstance(area, list) or len(area) != 2:
+                raise ValueError(f"synth.area must be [width, height], got {json.dumps(area)}")
             synth = SyntheticConfig(
-                ap_count=int(s["ap_count"]),
-                area=(float(s["area"][0]), float(s["area"][1])),
+                ap_count=_number("synth.ap_count", s["ap_count"], int),
+                area=(_number("synth.area", area[0], float), _number("synth.area", area[1], float)),
                 seed=seed,
-                **_set_fields(s, SYNTH_FIELDS),
+                **_set_fields(s, "synth", SYNTH_FIELDS),
             )
         return RunConfig(
             fingerprints=Path(ds["fingerprints"]) if "fingerprints" in ds else None,
             inventory=Path(ds["inventory"]) if "inventory" in ds else None,
             test=Path(ds["test"]) if "test" in ds else None,
-            graph=GraphConfig(**_set_fields(raw.get("graph", {}), GRAPH_FIELDS)),
+            graph=GraphConfig(**_set_fields(raw.get("graph", {}), "graph", GRAPH_FIELDS)),
             hidden=hidden,
             n_heads=n_heads,
-            train=TrainConfig(seed=seed, **_set_fields(tr, TRAIN_FIELDS)),
+            train=TrainConfig(seed=seed, **_set_fields(tr, "train", TRAIN_FIELDS)),
             calibration_fraction=calibration_fraction,
             alpha=alpha,
             k=k,
@@ -179,8 +185,19 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"config file {path}: {exc}") from exc
 
 
-def _set_fields(section: dict, fields: dict) -> dict:
-    return {name: kind(section[key]) for key, (name, kind) in fields.items() if key in section}
+def _number(key: str, value, kind: type) -> int | float:
+    """A numeric setting as `kind`: an int key takes only a JSON integer, and
+    no key takes a boolean or a string. ValueError names the key."""
+    accepted = int if kind is int else (int, float)
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"{key} must be {what}, got {json.dumps(value)}")
+    return kind(value)
+
+
+def _set_fields(section: dict, name: str, fields: dict) -> dict:
+    return {field: _number(f"{name}.{key}", section[key], kind)
+            for key, (field, kind) in fields.items() if key in section}
 
 
 def _check_keys(path: str | Path, raw) -> None:

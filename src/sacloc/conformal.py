@@ -20,7 +20,7 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Sequence
 
 import numpy as np
 
@@ -63,12 +63,8 @@ class PredictionSet:
     radius: float  # meters, may be math.inf
 
 
-def nonconformity_score(pred: np.ndarray, truth: np.ndarray) -> float:
-    """Euclidean distance between prediction and truth, in meters."""
-    return float(np.linalg.norm(np.asarray(pred, dtype=np.float64) - np.asarray(truth)))
-
-
 def nonconformity_scores(preds: np.ndarray, truths: np.ndarray) -> np.ndarray:
+    """Euclidean distance between each prediction and its truth, in meters."""
     return np.linalg.norm(np.asarray(preds, dtype=np.float64) - truths, axis=1)
 
 
@@ -90,6 +86,41 @@ def radius_from_scores(scores: np.ndarray, alpha: float) -> float:
     return float(np.sort(np.asarray(scores, dtype=np.float64), kind="stable")[p - 1])
 
 
+def radius_table(
+    preds: np.ndarray,
+    truths: np.ndarray,
+    alphas: Sequence[float],
+    region_model: RegionModel,
+    assignment: str,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-region radii (A, k), k=1 radii (A,) and per-region counts (k,) for
+    the A alphas, each alpha taking `radius_from_scores`'s rank in one stable
+    sort of each region's scores (and one of all scores, for k=1).
+
+    Scores are grouped by true region (assignment="truth") or by predicted
+    region ("predicted").
+    """
+    if len(preds) == 0:
+        raise EmptyCalibration("no calibration samples")
+    if assignment not in ("truth", "predicted"):
+        raise ValueError(f"unknown assignment mode {assignment!r}")
+    scores = nonconformity_scores(preds, truths)
+    region_ids = assign_regions(region_model, truths if assignment == "truth" else preds)
+    groups = [scores[region_ids == r] for r in range(region_model.k)] + [scores]
+    table = np.full((len(alphas), len(groups)), math.inf)  # the last column is k=1
+    for j, group in enumerate(groups):
+        ordered = np.sort(group, kind="stable")
+        for i, alpha in enumerate(alphas):
+            p = conformal_rank(len(ordered), alpha)
+            if p is not math.inf:
+                table[i, j] = ordered[p - 1]
+    counts = np.array([len(group) for group in groups[:-1]])
+    for i, r in zip(*np.nonzero(np.isinf(table[:, :-1]))):
+        log.warning("region %d has only %d calibration samples for alpha=%g; "
+                    "radius is infinite", r, counts[r], alphas[i])
+    return table[:, :-1], table[:, -1], counts
+
+
 def calibrate(
     preds: np.ndarray,
     truths: np.ndarray,
@@ -97,43 +128,24 @@ def calibrate(
     k: int,
     seed: int,
     assignment: str = "truth",
-    region_model: Optional[RegionModel] = None,
 ) -> SacpCalibration:
     """Fit regions on calibration ground truths and compute per-region radii.
 
     Calibration scores are grouped by ground-truth region by default; pass
     assignment="predicted" for the symmetric predicted-location grouping
-    used in coverage experiments. A pre-fitted region_model may be supplied
-    (alpha sweeps reuse one fit across alphas).
+    used in coverage experiments.
     """
-    preds = np.asarray(preds, dtype=np.float64)
-    truths = np.asarray(truths, dtype=np.float64)
-    if len(preds) == 0:
+    if len(truths) == 0:  # before the fit, which would call it too few points
         raise EmptyCalibration("no calibration samples")
-    if assignment not in ("truth", "predicted"):
-        raise ValueError(f"unknown assignment mode {assignment!r}")
-    if region_model is None:
-        region_model = kmeans_fit(truths, k, seed)
-    scores = nonconformity_scores(preds, truths)
-    region_ids = assign_regions(region_model, truths if assignment == "truth" else preds)
-
-    radii = np.empty(region_model.k)
-    counts = np.empty(region_model.k, dtype=int)
-    for r in range(region_model.k):
-        region_scores = scores[region_ids == r]
-        counts[r] = len(region_scores)
-        radii[r] = radius_from_scores(region_scores, alpha)
-        if math.isinf(radii[r]):
-            log.warning(
-                "region %d has only %d calibration samples for alpha=%g; "
-                "radius is infinite", r, counts[r], alpha)
+    region_model = kmeans_fit(truths, k, seed)
+    radii, global_radii, counts = radius_table(preds, truths, (alpha,), region_model, assignment)
     return SacpCalibration(
         alpha=alpha,
         region_model=region_model,
-        radii=radii,
+        radii=radii[0],
         counts=counts,
-        global_radius=radius_from_scores(scores, alpha),
-        global_count=len(scores),
+        global_radius=float(global_radii[0]),
+        global_count=len(truths),
         assignment=assignment,
     )
 

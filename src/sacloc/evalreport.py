@@ -17,11 +17,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .conformal import SacpCalibration, calibrate, nonconformity_scores
+from .conformal import SacpCalibration, nonconformity_scores, radius_table
 from .dataset import ApInventory, ScanSet, detected_mask
 from .errors import EmptyInput, IoError
 from .regions import RegionModel, assign_regions
-# unused here; perfbench's tracer still patches this name
+# unused here; perfbench's tracer still patches these names
+from .conformal import calibrate  # noqa: F401
 from .regions import kmeans_fit  # noqa: F401
 
 # Reference power for baseline weighting: a scan at the ceiling of the usable
@@ -103,6 +104,31 @@ def point_metrics(preds: np.ndarray, truths: np.ndarray) -> PointMetrics:
     )
 
 
+def _coverage_rows(
+    preds: np.ndarray,
+    truths: np.ndarray,
+    region_model: RegionModel,
+    radii: np.ndarray,
+    global_radii: np.ndarray,
+    assignment_mode: str,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-region coverage (A, k), NaN where a region holds no test samples,
+    global coverage (A,) and per-region test counts (k,), for A rows of
+    per-region radii (A, k) and global radii (A,)."""
+    if len(preds) == 0:
+        raise EmptyInput("no samples to cover")
+    if assignment_mode not in ("predicted", "truth"):
+        raise ValueError(f"unknown assignment mode {assignment_mode!r}")
+    regions = assign_regions(region_model, preds if assignment_mode == "predicted" else truths)
+    errors = nonconformity_scores(preds, truths)
+    covered = errors <= radii[:, regions]  # (A, n): each sample against its region's radius
+    counts = np.bincount(regions, minlength=region_model.k)
+    coverages = np.full(radii.shape, np.nan)
+    for r in np.flatnonzero(counts):
+        coverages[:, r] = covered[:, regions == r].mean(axis=1)
+    return coverages, (errors <= global_radii[:, None]).mean(axis=1), counts
+
+
 def coverage_by_region(
     preds: np.ndarray,
     truths: np.ndarray,
@@ -117,35 +143,18 @@ def coverage_by_region(
     checking the per-region guarantee). The global row always uses the
     k=1 global radius over all samples.
     """
-    preds = np.asarray(preds, dtype=np.float64)
-    truths = np.asarray(truths, dtype=np.float64)
-    if len(preds) == 0:
-        raise EmptyInput("no samples to cover")
-    if assignment_mode not in ("predicted", "truth"):
-        raise ValueError(f"unknown assignment mode {assignment_mode!r}")
-    basis = preds if assignment_mode == "predicted" else truths
-    regions = assign_regions(calibration.region_model, basis)
-    errors = nonconformity_scores(preds, truths)
-
-    rows = []
-    for r in range(calibration.k):
-        mask = regions == r
-        n = int(mask.sum())
-        radius = float(calibration.radii[r])
-        cov = float(np.mean(errors[mask] <= radius)) if n else None
-        rows.append(CoverageRow(region=r, count=n, radius=radius, coverage=cov))
-    global_row = CoverageRow(
-        region="global",
-        count=len(preds),
-        radius=float(calibration.global_radius),
-        coverage=float(np.mean(errors <= calibration.global_radius)),
-    )
-    return CoverageReport(
-        alpha=calibration.alpha,
-        assignment_mode=assignment_mode,
-        rows=tuple(rows),
-        global_row=global_row,
-    )
+    coverages, global_coverages, counts = _coverage_rows(
+        preds, truths, calibration.region_model, calibration.radii[None, :],
+        np.array([calibration.global_radius]), assignment_mode)
+    rows = tuple(
+        CoverageRow(region=r, count=int(counts[r]), radius=float(calibration.radii[r]),
+                    coverage=float(coverages[0, r]) if counts[r] else None)
+        for r in range(calibration.k))
+    global_row = CoverageRow(region="global", count=int(counts.sum()),
+                             radius=float(calibration.global_radius),
+                             coverage=float(global_coverages[0]))
+    return CoverageReport(alpha=calibration.alpha, assignment_mode=assignment_mode,
+                          rows=rows, global_row=global_row)
 
 
 def alpha_sweep(
@@ -157,8 +166,8 @@ def alpha_sweep(
     region_model: RegionModel,
     assignment: str = "truth",
 ) -> SweepResult:
-    """Recalibrate radii across an alpha grid with one `region_model` fitted
-    on `cal_truths`.
+    """Radii and coverage across an alpha grid with one `region_model` fitted
+    on `cal_truths`, every alpha read from one sort of each region's scores.
 
     Calibration scores are grouped by region under `assignment`, as in
     `calibrate` (by true region unless told otherwise); test scans are
@@ -170,37 +179,16 @@ def alpha_sweep(
     if np.any((alphas <= 0) | (alphas >= 1)):
         raise ValueError("alphas must lie in (0, 1)")
 
-    radii = np.empty((len(alphas), region_model.k))
-    global_radii = np.empty(len(alphas))
-    coverages = np.full((len(alphas), region_model.k), np.nan)
-    global_coverages = np.empty(len(alphas))
-    region_counts = None
-    for i, alpha in enumerate(alphas):
-        # given a region model, calibrate fits nothing and reads no seed
-        cal = calibrate(cal_preds, cal_truths, float(alpha), region_model.k, 0,
-                        assignment=assignment, region_model=region_model)
-        report = coverage_by_region(test_preds, test_truths, cal)
-        radii[i] = cal.radii
-        global_radii[i] = cal.global_radius
-        for row in report.rows:
-            if row.coverage is not None:
-                coverages[i, row.region] = row.coverage
-        global_coverages[i] = report.global_row.coverage
-        if region_counts is None:
-            region_counts = np.array([row.count for row in report.rows])
-
+    radii, global_radii, _ = radius_table(cal_preds, cal_truths, alphas, region_model, assignment)
     # Quantile ranks shrink as alpha grows, so this cannot fail unless the
     # rank arithmetic regresses. Adjacent rows are compared directly, not
     # through np.diff: two infinite radii in a row would give inf - inf = nan.
     assert np.all(radii[1:] <= radii[:-1]) and np.all(global_radii[1:] <= global_radii[:-1])
-    return SweepResult(
-        alphas=alphas,
-        radii=radii,
-        global_radii=global_radii,
-        coverages=coverages,
-        global_coverages=global_coverages,
-        region_counts=region_counts,
-    )
+    coverages, global_coverages, region_counts = _coverage_rows(
+        test_preds, test_truths, region_model, radii, global_radii, "predicted")
+    return SweepResult(alphas=alphas, radii=radii, global_radii=global_radii,
+                       coverages=coverages, global_coverages=global_coverages,
+                       region_counts=region_counts)
 
 
 def weighted_centroid_baseline(rssi: np.ndarray, inventory: ApInventory) -> np.ndarray:
@@ -307,33 +295,28 @@ def _coverage_table(c: CoverageReport) -> list[str]:
 
 def emit_report(
     out_dir: str | Path,
-    metrics: Optional[PointMetrics] = None,
-    coverage: Optional[CoverageReport] = None,
+    metrics: PointMetrics,
+    coverage: CoverageReport,
+    error_map: ErrorMapData,
+    baseline_metrics: PointMetrics,
     sweep: Optional[SweepResult] = None,
-    error_map: Optional[ErrorMapData] = None,
-    baseline_metrics: Optional[PointMetrics] = None,
 ) -> list[Path]:
     """Write report.json, report.txt and per-figure CSVs; returns the paths.
 
     Output is a pure function of the inputs, so identical inputs produce
     byte-identical files.
     """
-    if metrics is None and coverage is None and sweep is None and error_map is None:
-        raise EmptyInput("nothing to report")
     out_dir = Path(out_dir)
     written: list[Path] = []
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
 
         doc: dict = {
-            "percentile_convention": "linear interpolation between order statistics"
+            "percentile_convention": "linear interpolation between order statistics",
+            "point_metrics": _metrics_json(metrics),
+            "baseline_metrics": _metrics_json(baseline_metrics),
+            "coverage": _coverage_json(coverage),
         }
-        if metrics is not None:
-            doc["point_metrics"] = _metrics_json(metrics)
-        if baseline_metrics is not None:
-            doc["baseline_metrics"] = _metrics_json(baseline_metrics)
-        if coverage is not None:
-            doc["coverage"] = _coverage_json(coverage)
         if sweep is not None:
             doc["sweep"] = _sweep_json(sweep)
         json_path = out_dir / "report.json"
@@ -343,47 +326,33 @@ def emit_report(
         written.append(json_path)
 
         lines = ["# Percentiles: linear interpolation between order statistics", ""]
-        if metrics is not None:
-            named = [("model", metrics)]
-            if baseline_metrics is not None:
-                named.append(("weighted-centroid", baseline_metrics))
-            lines += _metrics_table(named) + [""]
-        if coverage is not None:
-            lines += _coverage_table(coverage) + [""]
+        lines += _metrics_table([("model", metrics), ("weighted-centroid", baseline_metrics)])
+        lines += [""] + _coverage_table(coverage) + [""]
         txt_path = out_dir / "report.txt"
         txt_path.write_text("\n".join(lines), encoding="utf-8")
         written.append(txt_path)
 
-        if error_map is not None:
-            path = out_dir / "fig_error_map.csv"
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write("x,y,error_m,region\n")
-                for x, y, e, r in zip(
-                    error_map.x, error_map.y, error_map.error_m, error_map.region
-                ):
-                    fh.write(f"{x:.6f},{y:.6f},{e:.6f},{int(r)}\n")
-            written.append(path)
+        path = out_dir / "fig_error_map.csv"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("x,y,error_m,region\n")
+            for x, y, e, r in zip(error_map.x, error_map.y, error_map.error_m, error_map.region):
+                fh.write(f"{x:.6f},{y:.6f},{e:.6f},{int(r)}\n")
+        written.append(path)
 
         if sweep is not None:
             cov_path = out_dir / "fig_alpha_coverage.csv"
-            with open(cov_path, "w", encoding="utf-8") as fh:
-                fh.write("alpha,region,coverage\n")
-                for i, alpha in enumerate(sweep.alphas):
-                    for r in range(sweep.radii.shape[1]):
-                        v = sweep.coverages[i, r]
-                        cov = "" if math.isnan(v) else f"{v:.6f}"
-                        fh.write(f"{alpha:.6g},{r},{cov}\n")
-                    fh.write(f"{alpha:.6g},global,{sweep.global_coverages[i]:.6f}\n")
-            written.append(cov_path)
-
             rad_path = out_dir / "fig_alpha_radius.csv"
-            with open(rad_path, "w", encoding="utf-8") as fh:
-                fh.write("alpha,region,radius\n")
+            with open(cov_path, "w", encoding="utf-8") as cov, \
+                    open(rad_path, "w", encoding="utf-8") as rad:
+                cov.write("alpha,region,coverage\n")
+                rad.write("alpha,region,radius\n")
                 for i, alpha in enumerate(sweep.alphas):
-                    for r in range(sweep.radii.shape[1]):
-                        fh.write(f"{alpha:.6g},{r},{_radius_csv(sweep.radii[i, r])}\n")
-                    fh.write(f"{alpha:.6g},global,{_radius_csv(sweep.global_radii[i])}\n")
-            written.append(rad_path)
+                    for r, v in enumerate(sweep.coverages[i]):
+                        cov.write(f"{alpha:.6g},{r},{'' if math.isnan(v) else f'{v:.6f}'}\n")
+                        rad.write(f"{alpha:.6g},{r},{_radius_csv(sweep.radii[i, r])}\n")
+                    cov.write(f"{alpha:.6g},global,{sweep.global_coverages[i]:.6f}\n")
+                    rad.write(f"{alpha:.6g},global,{_radius_csv(sweep.global_radii[i])}\n")
+            written += [cov_path, rad_path]
     except OSError as exc:
         raise IoError(f"cannot write report to {out_dir}: {exc}") from exc
     return written

@@ -210,9 +210,9 @@ def _init_layer(layer: TransformerConvLayer, seed: int, tag: str) -> None:
 def init_model(
     ap_count: int,
     inventory_affine: tuple[np.ndarray, np.ndarray],
-    hidden: int = 500,
-    n_heads: int = 4,
-    seed: int = 0,
+    hidden: int,
+    n_heads: int,
+    seed: int,
 ) -> GtModel:
     """Fresh model with Xavier-uniform weights and zero biases, each weight
     drawn into its view of a new zeroed buffer."""
@@ -259,9 +259,7 @@ def _assemble(flat: np.ndarray, ap_count: int, hidden: int, n_heads: int,
     )
 
 
-def model_for_inventory(
-    inventory: ApInventory, hidden: int = 500, n_heads: int = 4, seed: int = 0
-) -> GtModel:
+def model_for_inventory(inventory: ApInventory, hidden: int, n_heads: int, seed: int) -> GtModel:
     return init_model(inventory.count, coord_affine(inventory), hidden, n_heads, seed)
 
 
@@ -498,9 +496,7 @@ def write_loss_log(path: str | Path, history: Sequence[dict[str, float]]) -> Non
 # -- checkpoints -------------------------------------------------------------
 
 
-def save_model(
-    path: str | Path, model: GtModel, adam: Optional[AdamState] = None, step: int = 0
-) -> None:
+def save_model(path: str | Path, model: GtModel, step: int = 0) -> None:
     extra = {
         "model": {
             "ap_count": model.ap_count,
@@ -510,7 +506,7 @@ def save_model(
             "affine_scale": model.affine_scale.tolist(),
         }
     }
-    save_checkpoint(path, model.parameters(), adam=adam, step=step, extra=extra)
+    save_checkpoint(path, model.parameters(), step=step, extra=extra)
 
 
 def load_model(path: str | Path) -> GtModel:

@@ -299,13 +299,31 @@ class TestBadSettings:
         (("sweep", "--alphas", "0.1,1.5"), {}, "--alphas: 1.5 is not in (0, 1)"),
         (("synth", "--test-samples", "-5"), {},
          "--test-samples must be a positive integer, got '-5'"),
+        (("calibrate",), {"conformal": {"k": 2.7}}, "conformal.k must be an integer, got 2.7"),
+        (("train",), {"train": {"epochs": 3.9}}, "train.epochs must be an integer, got 3.9"),
+        (("train",), {"train": {"batch_size": True}},
+         "train.batch_size must be an integer, got true"),
+        (("train",), {"model": {"hidden": 64.5}}, "model.hidden must be an integer, got 64.5"),
+        (("train",), {"seed": 1.5}, "seed must be an integer, got 1.5"),
+        (("synth",), {"synth": {"ap_count": 5.0}}, "synth.ap_count must be an integer, got 5.0"),
+        (("synth",), {"synth": {"train_samples": "60"}},
+         'synth.train_samples must be an integer, got "60"'),
+        (("train",), {"train": {"lr": "0.003"}}, 'train.lr must be a number, got "0.003"'),
+        (("train",), {"train": {"dropout": False}}, "train.dropout must be a number, got false"),
+        (("calibrate",), {"conformal": {"alpha": True}},
+         "conformal.alpha must be a number, got true"),
+        (("synth",), {"synth": {"area": [40.0]}},
+         "synth.area must be [width, height], got [40.0]"),
     ], ids=["calibration_fraction", "alpha", "k", "heads", "alphas-abc", "alphas-order",
-            "alphas-range", "test-samples"])
+            "alphas-range", "test-samples", "k-fraction", "epochs-fraction",
+            "batch_size-boolean", "hidden-fraction", "seed-fraction", "ap_count-float",
+            "train_samples-string", "lr-string", "dropout-boolean", "alpha-boolean",
+            "area-length"])
     def test_rejected_where_it_arrives(self, workdir, capsys, argv, sections, message):
         tmp, config = workdir
         cfg = json.loads((tmp / "config.json").read_text())
         for section, values in sections.items():
-            cfg[section] = {**cfg[section], **values}
+            cfg[section] = {**cfg[section], **values} if isinstance(values, dict) else values
         (tmp / "config.json").write_text(json.dumps(cfg))
         assert run(argv[0], "--config", config, *argv[1:]) == 1
         captured = capsys.readouterr()

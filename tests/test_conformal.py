@@ -13,7 +13,6 @@ from sacloc.conformal import (
     calibration_document,
     conformal_rank,
     load_calibration,
-    nonconformity_score,
     nonconformity_scores,
     predict_set,
     radius_from_scores,
@@ -22,7 +21,6 @@ from sacloc.conformal import (
 from sacloc.errors import BadCalibration, EmptyCalibration
 from sacloc.graphbuild import build_ap_adjacency, build_sample_graph
 from sacloc.gtmodel import model_for_inventory
-from sacloc.regions import kmeans_fit
 from sacloc.rng import stream
 
 
@@ -37,13 +35,13 @@ def brute_force_radius(scores, alpha):
 
 class TestScore:
     def test_coincident(self):
-        assert nonconformity_score(np.array([3.0, 4.0]), np.array([3.0, 4.0])) == 0.0
+        assert nonconformity_scores(np.array([[3.0, 4.0]]), np.array([[3.0, 4.0]]))[0] == 0.0
 
     def test_three_four_five(self):
-        assert nonconformity_score(np.array([0.0, 0.0]), np.array([3.0, 4.0])) == 5.0
+        assert nonconformity_scores(np.array([[0.0, 0.0]]), np.array([[3.0, 4.0]]))[0] == 5.0
 
     def test_unit_offset(self):
-        assert nonconformity_score(np.array([1.0, 1.0]), np.array([1.0, 2.0])) == 1.0
+        assert nonconformity_scores(np.array([[1.0, 1.0]]), np.array([[1.0, 2.0]]))[0] == 1.0
 
 
 class TestRank:
@@ -130,11 +128,11 @@ class TestCalibrate:
         rng = stream(5, "mono")
         truths = rng.normal(size=(300, 2)) * 10
         preds = truths + rng.normal(size=(300, 2)) * 2
-        region_model = kmeans_fit(truths, 4, seed=6)
-        radii = [
-            calibrate(preds, truths, a, 4, 6, region_model=region_model).radii
-            for a in (0.02, 0.05, 0.1, 0.2, 0.4)
-        ]
+        # the same seed refits the same regions at every alpha
+        cals = [calibrate(preds, truths, a, 4, 6) for a in (0.02, 0.05, 0.1, 0.2, 0.4)]
+        for cal in cals[1:]:
+            assert np.array_equal(cal.region_model.centroids, cals[0].region_model.centroids)
+        radii = [cal.radii for cal in cals]
         for tighter, looser in zip(radii, radii[1:]):
             assert np.all(looser <= tighter)
 
@@ -145,8 +143,9 @@ class TestCalibrate:
         truths = rng.normal(size=(100, 2)) * 10
         preds = truths + rng.normal(size=(100, 2)) * 2
         cal_small_alpha = calibrate(preds, truths, 0.05, 2, 7)
-        cal_large_alpha = calibrate(preds, truths, 0.20, 2, 7,
-                                    region_model=cal_small_alpha.region_model)
+        cal_large_alpha = calibrate(preds, truths, 0.20, 2, 7)  # same seed, same regions
+        assert np.array_equal(cal_large_alpha.region_model.centroids,
+                              cal_small_alpha.region_model.centroids)
         ap_adj = build_ap_adjacency(inventory, graph_cfg)
         graph = build_sample_graph(samples[0], inventory, ap_adj, graph_cfg)
         tight = predict_set(model, cal_large_alpha, graph)

@@ -143,19 +143,33 @@ class TestAlphaSweep:
         assert sweep.region_counts.sum() == 200
 
     def test_rows_follow_the_assignment_rule(self):
+        # every sweep row is what calibrate and coverage_by_region give at its
+        # alpha: integer offsets tie many scores, and at alpha 0.01 a region of
+        # ~67 scans has no conformal rank, so its radius is infinite
         rng = stream(4, "sweep-rule")
         truths = rng.uniform(0, 40, size=(300, 2))
-        preds = truths + rng.normal(scale=8, size=(300, 2))
+        preds = truths + np.round(rng.normal(scale=8, size=(300, 2)))
         region_model = kmeans_fit(truths[:200], 3, 5)
+        grid = (0.01, 0.05, 0.2, 0.5)
         for assignment in ("truth", "predicted"):
             sweep = alpha_sweep(preds[:200], truths[:200], preds[200:], truths[200:],
-                                (0.05, 0.2), region_model, assignment)
-            for row, alpha in zip(sweep.radii, sweep.alphas):
-                cal = calibrate(preds[:200], truths[:200], alpha, 3, 5,
-                                assignment=assignment, region_model=region_model)
-                assert np.array_equal(row, cal.radii), assignment
+                                grid, region_model, assignment)
+            assert np.isinf(sweep.radii[0]).any() and np.isfinite(sweep.radii[-1]).all()
+            scores = nonconformity_scores(preds[:200], truths[:200])
+            assert len(np.unique(scores)) < len(scores)
+            for i, alpha in enumerate(sweep.alphas):
+                # the same seed refits the same regions
+                cal = calibrate(preds[:200], truths[:200], alpha, 3, 5, assignment=assignment)
+                assert np.array_equal(cal.region_model.centroids, region_model.centroids)
+                assert np.array_equal(sweep.radii[i], cal.radii), assignment
+                assert sweep.global_radii[i] == cal.global_radius
+                report = coverage_by_region(preds[200:], truths[200:], cal, "predicted")
+                assert [row.count for row in report.rows] == sweep.region_counts.tolist()
+                assert [row.coverage for row in report.rows] == [
+                    None if math.isnan(v) else v for v in sweep.coverages[i]]
+                assert sweep.global_coverages[i] == report.global_row.coverage
         by_truth = alpha_sweep(preds[:200], truths[:200], preds[200:], truths[200:],
-                               (0.05, 0.2), region_model)
+                               grid, region_model)
         assert not np.array_equal(by_truth.radii, sweep.radii)
 
     def test_given_region_model_is_not_refitted(self, monkeypatch):
@@ -257,12 +271,17 @@ class TestEmitReport:
         errs = nonconformity_scores(preds, truths)
         error_map = ErrorMapData(x=truths[:, 0], y=truths[:, 1],
                                  error_m=errs, region=regions)
-        return metrics, coverage, sweep, error_map
+        baseline = point_metrics(truths + rng.normal(scale=5, size=truths.shape), truths)
+        return metrics, coverage, sweep, error_map, baseline
+
+    def _emit(self, out_dir, sweep=None):
+        metrics, coverage, _, error_map, baseline = self._inputs()
+        return emit_report(out_dir, metrics, coverage, error_map, baseline, sweep=sweep)
 
     def test_files_written(self, tmp_path):
-        metrics, coverage, sweep, error_map = self._inputs()
+        metrics, coverage, sweep, error_map, baseline = self._inputs()
         written = emit_report(tmp_path, metrics=metrics, coverage=coverage,
-                              sweep=sweep, error_map=error_map)
+                              sweep=sweep, error_map=error_map, baseline_metrics=baseline)
         names = {p.name for p in written}
         assert names == {"report.json", "report.txt", "fig_error_map.csv",
                          "fig_alpha_coverage.csv", "fig_alpha_radius.csv"}
@@ -272,45 +291,33 @@ class TestEmitReport:
 
     def test_radius_row_cardinality(self, tmp_path):
         # 5 alphas x (5 regions + global) data rows
-        _, _, sweep, _ = self._inputs()
-        emit_report(tmp_path, sweep=sweep)
+        sweep = self._inputs()[2]
+        self._emit(tmp_path, sweep=sweep)
         lines = (tmp_path / "fig_alpha_radius.csv").read_text().splitlines()
         assert lines[0] == "alpha,region,radius"
         assert len(lines) - 1 == 5 * (5 + 1)
 
     def test_error_map_schema(self, tmp_path):
-        metrics, coverage, sweep, error_map = self._inputs()
-        emit_report(tmp_path, error_map=error_map)
+        written = self._emit(tmp_path)
+        assert {p.name for p in written} == {"report.json", "report.txt", "fig_error_map.csv"}
         lines = (tmp_path / "fig_error_map.csv").read_text().splitlines()
         assert lines[0] == "x,y,error_m,region"
-        assert len(lines) - 1 == len(error_map.x)
-
-    def test_metrics_only_report(self, tmp_path):
-        metrics, *_ = self._inputs()
-        written = emit_report(tmp_path, metrics=metrics)
-        assert {p.name for p in written} == {"report.json", "report.txt"}
-        text = (tmp_path / "report.txt").read_text()
-        assert "MAE" in text and "Median" in text
+        assert len(lines) - 1 == len(self._inputs()[3].x)
 
     def test_byte_identical_rerun(self, tmp_path):
-        metrics, coverage, sweep, error_map = self._inputs()
+        metrics, coverage, sweep, error_map, baseline = self._inputs()
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
         for d in (a_dir, b_dir):
             emit_report(d, metrics=metrics, coverage=coverage, sweep=sweep,
-                        error_map=error_map)
+                        error_map=error_map, baseline_metrics=baseline)
         for name in ("report.json", "report.txt", "fig_error_map.csv",
                      "fig_alpha_coverage.csv", "fig_alpha_radius.csv"):
             assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
-
-    def test_nothing_to_report(self, tmp_path):
-        with pytest.raises(EmptyInput):
-            emit_report(tmp_path)
 
     def test_unwritable_target_raises_io_error(self, tmp_path):
         from sacloc.errors import IoError
 
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")
-        metrics, *_ = self._inputs()
         with pytest.raises(IoError):
-            emit_report(blocker, metrics=metrics)
+            self._emit(blocker)

@@ -879,7 +879,11 @@ class TestCheckpointing:
             adam_step(flat, stream(5, "grad", t).normal(size=flat.size), adam, 1e-3)
         for state in (None, adam):
             path, want = tmp_path / "model.bin", tmp_path / "want.bin"
-            save_model(path, model, adam=state, step=3)
+            save_model(path, model, step=3)
+            if state is not None:
+                # the model's header with the Adam state, written through save_checkpoint
+                extra = load_checkpoint(path)[3]
+                save_checkpoint(path, model.parameters(), adam=state, step=3, extra=extra)
             self.per_array_checkpoint(want, model, adam=state, step=3)
             assert path.read_bytes() == want.read_bytes()
             # load -> save reproduces the file
