@@ -1,4 +1,4 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense float32/float64 tensors with reverse-mode automatic differentiation.
 
 A `Tape` records every primitive application in execution order; its one
 reverse sweep, `gradients` (alias `backward`), walks the records in reverse
@@ -11,6 +11,10 @@ trainer binds each `grad` to its view of one flat buffer. Constants
 (`requires_grad=False` leaves) never receive gradients and their partials
 are not computed.
 
+Primitives keep their inputs' dtype. Training records its tape in float32
+(weights, inputs, masks and gradients alike; only the loss sums in
+float64), while evaluation, calibration and prediction run in float64.
+
 Besides the 2-D algebra, two primitives serve multi-head layers whose heads
 sit side by side in the columns: `multi_head_attention` (per-head masked
 softmax attention as one batched matmul, with a hand-written backward) and
@@ -18,11 +22,13 @@ softmax attention as one batched matmul, with a hand-written backward) and
 `masked_row_softmax`.
 
 Also houses the optimizer pieces the trainer needs: bias-corrected Adam
-with decoupled weight decay over one flat parameter buffer (updated in
-place, block by block; the model that owns the buffer cuts its weights
-from it with `flat_views`), a cosine learning-rate schedule, inverted
-dropout masks, and a versioned binary checkpoint format (a JSON header
-line plus one raw float64 blob, written one parameter array at a time).
+with decoupled weight decay over one flat float64 master buffer (updated in
+place, block by block, with moments in the gradients' dtype and a float32
+working copy of the parameters rewritten in the same pass; the model that
+owns the buffer cuts its weights from it with `flat_views`), a cosine
+learning-rate schedule, float32 inverted dropout masks, and a versioned
+binary checkpoint format (a JSON header line plus one raw float64 blob,
+written one parameter array at a time).
 """
 
 from __future__ import annotations
@@ -44,12 +50,15 @@ CHECKPOINT_DTYPE = "<f8"
 
 
 class Tensor:
-    """A float64 array plus the gradient array a reverse sweep writes."""
+    """A float32 or float64 array plus the gradient array a reverse sweep
+    writes. float32 and float64 arrays are kept as they are; anything else
+    (ints, lists, float16) becomes float64."""
 
     __slots__ = ("data", "requires_grad", "grad", "name")
 
     def __init__(self, data, requires_grad: bool = False, name: Optional[str] = None):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype.char in "fd" else data.astype(np.float64)
         self.requires_grad = requires_grad
         self.grad: Optional[np.ndarray] = None
         self.name = name
@@ -270,7 +279,8 @@ class Tape:
         return self._push(out, tuple(parts), backward)
 
     def sum_all(self, a: Tensor) -> Tensor:
-        out = Tensor(a.data.sum())
+        """The sum of every entry, accumulated in float64."""
+        out = Tensor(a.data.sum(dtype=np.float64))
         return self._push(out, (a,), lambda g: (np.full_like(a.data, float(g)),))
 
     def mean_all(self, a: Tensor) -> Tensor:
@@ -319,9 +329,11 @@ class Tape:
 
 @dataclass
 class AdamState:
-    """First/second moment buffers, flat like the parameters (allocated by
-    the first `adam_step`), plus the step counter. `scratch` holds
-    `adam_step`'s block temporaries; it is not written to checkpoints."""
+    """First/second moment buffers, flat like the parameters and in the
+    gradients' dtype (allocated by the first `adam_step`), plus the step
+    counter. `working` is the float32 copy of the parameters that every
+    `adam_step` rewrites (a float32 tape trains on it); `scratch` holds
+    `adam_step`'s block temporaries. Neither is written to checkpoints."""
 
     beta1: float = 0.9
     beta2: float = 0.999
@@ -330,11 +342,12 @@ class AdamState:
     t: int = 0
     m: Optional[np.ndarray] = None
     v: Optional[np.ndarray] = None
+    working: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
     scratch: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
 
-# Elements per block of `adam_step`: a block's two scratch rows (512 KB)
-# stay in cache, where whole-array temporaries of a 2 MB weight do not.
+# Elements per block of `adam_step`: a block's two scratch rows (at most
+# 512 KB) stay in cache, where whole-array temporaries of a 2 MB weight do not.
 ADAM_BLOCK = 32768
 
 
@@ -344,32 +357,44 @@ def adam_step(
     state: AdamState,
     lr: float,
 ) -> None:
-    """One bias-corrected Adam update with decoupled weight decay.
+    """One bias-corrected Adam update with decoupled weight decay (AdamW).
 
-    `params` and `grads` are (P,) buffers, every parameter at once (Adam is
-    elementwise). In place, block by block, in the operation order of the
-    textbook expression
+    `params` (the master copy) and `grads` are (P,) buffers, every parameter
+    at once (Adam is elementwise). The moments and the block temporaries
+    take the gradients' dtype, so float32 gradients keep float32 moments.
+    Both bias corrections are folded into the step size and epsilon
+    (Kingma & Ba, arXiv 1412.6980, §2), which leaves one divide and one
+    sqrt per element. In place, block by block, in the operation order of
+    the whole-array expression
 
         m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
-        p -= lr * ((m/bc1) / (sqrt(v/bc2) + eps) + wd*p)
+        p = p*(1 - lr*wd) - (m/(sqrt(v) + eps*sqrt(bc2))) * (lr*sqrt(bc2)/bc1)
 
-    so the result is bit for bit the one that expression gives.
+    so the result is bit for bit the one that expression gives. Each block
+    then writes its slice of `state.working`, the float32 copy of `params`.
     """
     if lr < 0:
         raise ValueError("lr must be nonnegative")
     if params.ndim != 1 or grads.shape != params.shape:
         raise ShapeMismatch(f"adam_step: grads {grads.shape} vs params {params.shape}")
     if state.m is None:  # zero moments on the first step only
-        state.m, state.v = np.zeros_like(params), np.zeros_like(params)
+        state.m, state.v = np.zeros_like(grads), np.zeros_like(grads)
     elif state.m.shape != params.shape or state.v.shape != params.shape:
         raise ShapeMismatch(f"adam_step: moments {state.m.shape} vs params {params.shape}")
+    if state.working is None:
+        state.working = np.empty(params.shape, dtype=np.float32)
+    elif state.working.shape != params.shape:
+        raise ShapeMismatch(
+            f"adam_step: working copy {state.working.shape} vs params {params.shape}")
     if state.scratch is None:
-        state.scratch = np.empty((2, ADAM_BLOCK))
+        state.scratch = np.empty((2, ADAM_BLOCK), dtype=grads.dtype)
     state.t += 1
-    b1, b2, eps, wd = state.beta1, state.beta2, state.eps, state.weight_decay
-    bc1 = 1.0 - b1 ** state.t
-    bc2 = 1.0 - b2 ** state.t
-    scratch = state.scratch
+    b1, b2 = state.beta1, state.beta2
+    root_bc2 = math.sqrt(1.0 - b2 ** state.t)
+    step = lr * root_bc2 / (1.0 - b1 ** state.t)
+    eps = state.eps * root_bc2
+    decay = 1.0 - lr * state.weight_decay
+    scratch, working = state.scratch, state.working
     for lo in range(0, params.size, ADAM_BLOCK):
         s = slice(lo, lo + ADAM_BLOCK)
         pb, gb, mb, vb = params[s], grads[s], state.m[s], state.v[s]
@@ -379,14 +404,13 @@ def adam_step(
         vb *= b2
         np.multiply(1.0 - b2, gb, out=t1)
         vb += np.multiply(t1, gb, out=t1)
-        np.divide(mb, bc1, out=t1)
-        np.divide(vb, bc2, out=t2)
-        np.sqrt(t2, out=t2)
+        np.sqrt(vb, out=t2)
         t2 += eps
-        np.divide(t1, t2, out=t1)
-        t1 += np.multiply(wd, pb, out=t2)
-        t1 *= lr
+        np.divide(mb, t2, out=t1)
+        t1 *= step
+        pb *= decay
         pb -= t1
+        working[s] = pb
 
 
 # -- flat parameter views ---------------------------------------------------
@@ -423,13 +447,15 @@ def cosine_lr(schedule: CosineSchedule, step: int) -> float:
 
 
 def dropout_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout: Bernoulli(1-rate)/(1-rate), all ones at rate 0."""
+    """Inverted dropout in float32, the dtype of the rows it multiplies in
+    training: Bernoulli(1-rate) times 1/(1-rate) rounded to float32, all
+    ones at rate 0."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0:
-        return Tensor(np.ones(shape))
+        return Tensor(np.ones(shape, dtype=np.float32))
     keep = rng.random(shape) >= rate
-    return Tensor(keep / (1.0 - rate))
+    return Tensor(np.multiply(keep, 1.0 / (1.0 - rate), dtype=np.float32))
 
 
 # -- checkpoints ----------------------------------------------------------

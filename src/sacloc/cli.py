@@ -64,7 +64,8 @@ from .gtmodel import (
     train,
     write_loss_log,
 )
-from .regions import assign_regions
+# unused here; perfbench's tracer still patches this name
+from .regions import assign_regions  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -405,18 +406,16 @@ def _write_report(
     """Score test predictions, with the weighted-centroid baseline, and write
     the report files; returns the model's metrics, the coverage and the paths.
 
-    Test scans are routed to regions by `assignment` ("predicted" or
-    "truth"), in the coverage table and in the error map alike.
+    Test scans are routed to regions once, by `assignment` ("predicted" or
+    "truth"); the coverage table and the error map share that routing.
     """
     truths = test_samples.truth
     metrics = point_metrics(preds, truths)
     base = point_metrics(baseline_positions(test_samples, inventory), truths)
     coverage = coverage_by_region(preds, truths, calibration, assignment)
-    regions = assign_regions(
-        calibration.region_model, preds if assignment == "predicted" else truths)
     error_map = ErrorMapData(
         x=truths[:, 0], y=truths[:, 1],
-        error_m=np.linalg.norm(preds - truths, axis=1), region=regions)
+        error_m=np.linalg.norm(preds - truths, axis=1), region=coverage.regions)
     written = emit_report(
         out_dir, metrics=metrics, coverage=coverage, sweep=sweep,
         error_map=error_map, baseline_metrics=base)

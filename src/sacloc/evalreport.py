@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -62,6 +62,9 @@ class CoverageReport:
     assignment_mode: str
     rows: tuple[CoverageRow, ...]
     global_row: CoverageRow
+    # (n,) region id of each test scan, routed by `assignment_mode`; the
+    # error map reads it, the report files do not
+    regions: np.ndarray = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -111,10 +114,11 @@ def _coverage_rows(
     radii: np.ndarray,
     global_radii: np.ndarray,
     assignment_mode: str,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-region coverage (A, k), NaN where a region holds no test samples,
-    global coverage (A,) and per-region test counts (k,), for A rows of
-    per-region radii (A, k) and global radii (A,)."""
+    global coverage (A,), per-region test counts (k,) and each test
+    sample's region (n,), for A rows of per-region radii (A, k) and global
+    radii (A,)."""
     if len(preds) == 0:
         raise EmptyInput("no samples to cover")
     if assignment_mode not in ("predicted", "truth"):
@@ -126,7 +130,7 @@ def _coverage_rows(
     coverages = np.full(radii.shape, np.nan)
     for r in np.flatnonzero(counts):
         coverages[:, r] = covered[:, regions == r].mean(axis=1)
-    return coverages, (errors <= global_radii[:, None]).mean(axis=1), counts
+    return coverages, (errors <= global_radii[:, None]).mean(axis=1), counts, regions
 
 
 def coverage_by_region(
@@ -143,7 +147,7 @@ def coverage_by_region(
     checking the per-region guarantee). The global row always uses the
     k=1 global radius over all samples.
     """
-    coverages, global_coverages, counts = _coverage_rows(
+    coverages, global_coverages, counts, regions = _coverage_rows(
         preds, truths, calibration.region_model, calibration.radii[None, :],
         np.array([calibration.global_radius]), assignment_mode)
     rows = tuple(
@@ -154,7 +158,7 @@ def coverage_by_region(
                              radius=float(calibration.global_radius),
                              coverage=float(global_coverages[0]))
     return CoverageReport(alpha=calibration.alpha, assignment_mode=assignment_mode,
-                          rows=rows, global_row=global_row)
+                          rows=rows, global_row=global_row, regions=regions)
 
 
 def alpha_sweep(
@@ -184,7 +188,7 @@ def alpha_sweep(
     # rank arithmetic regresses. Adjacent rows are compared directly, not
     # through np.diff: two infinite radii in a row would give inf - inf = nan.
     assert np.all(radii[1:] <= radii[:-1]) and np.all(global_radii[1:] <= global_radii[:-1])
-    coverages, global_coverages, region_counts = _coverage_rows(
+    coverages, global_coverages, region_counts, _ = _coverage_rows(
         test_preds, test_truths, region_model, radii, global_radii, "predicted")
     return SweepResult(alphas=alphas, radii=radii, global_radii=global_radii,
                        coverages=coverages, global_coverages=global_coverages,

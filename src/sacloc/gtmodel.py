@@ -35,8 +35,15 @@ The model owns its parameters: one (P,) float64 buffer, `GtModel.flat`,
 whose consecutive slices, in the order and shapes of `_parameter_shapes`,
 are the weights. `init_model` draws each weight into its slice of a new
 buffer; `load_model` takes the parameter slice of the checkpoint's blob.
-Adam updates the buffer in one pass, and checkpoints write the weights
-one array at a time, the same bytes as the buffer.
+Checkpoints write the weights one array at a time, the same bytes as the
+buffer.
+
+Training is mixed precision (Micikevicius et al., arXiv 1710.03740): the
+tape runs on a float32 model over `AdamState.working`, a float32 copy of
+`flat`, with float32 scans, masks, affine and truths, and writes a float32
+gradient buffer. Adam keeps float32 moments, updates the float64 `flat` in
+one pass and rewrites the float32 copy in the same pass. Evaluation,
+calibration, prediction and checkpoints use the float64 `flat`.
 
 Training runs both halves on the tape every step. An eval forward on a
 model whose buffer is read-only (what `load_model` returns) keeps
@@ -231,7 +238,7 @@ def init_model(
 def _assemble(flat: np.ndarray, ap_count: int, hidden: int, n_heads: int,
               affine_offset, affine_scale) -> GtModel:
     """The model whose parameters are the views of the (P,) `flat`, cut by
-    `_parameter_shapes`."""
+    `_parameter_shapes`; its affine takes `flat`'s dtype."""
     shapes = _parameter_shapes(ap_count, hidden, n_heads)
     params = {name: Tensor(view, requires_grad=True, name=name)
               for name, view in zip(shapes, flat_views(flat, shapes.values()))}
@@ -252,8 +259,8 @@ def _assemble(flat: np.ndarray, ap_count: int, hidden: int, n_heads: int,
         ap_count=ap_count,
         hidden=hidden,
         n_heads=n_heads,
-        affine_offset=np.asarray(affine_offset, dtype=np.float64),
-        affine_scale=np.asarray(affine_scale, dtype=np.float64),
+        affine_offset=np.asarray(affine_offset, dtype=flat.dtype),
+        affine_scale=np.asarray(affine_scale, dtype=flat.dtype),
         flat=flat,
         _parameters=params,
     )
@@ -421,21 +428,28 @@ def train(
     Mutates `model` in place. The log entries are {"epoch", "lr",
     "train_mae"} with the MAE in meters. Deterministic under cfg.seed.
 
-    One (P,) gradient buffer serves every step: each parameter's `grad` is
-    its view, which a step's reverse sweep writes and Adam reads. After
-    training, the `grad`s hold the last step's gradients.
+    The tape runs in float32 on `work`, the model over Adam's float32
+    working copy of `model.flat` (see the module docstring). One (P,)
+    float32 gradient buffer serves every step: each parameter's `grad`, on
+    `model` and on `work` alike, is its view, which a step's reverse sweep
+    writes and Adam reads. After training, the `grad`s hold the last step's
+    gradients.
     """
     if len(train_samples) == 0:
         raise EmptyBatch("no training samples")
     graph = build_sample_graph(
         train_samples, inventory, build_ap_adjacency(inventory, graph_cfg), graph_cfg)
-    rssi_norm, user_adj = graph.user_features, graph.user_adjacency
-    params = model.parameters().values()
-    grad = np.empty_like(model.flat)
-    for p, view in zip(params, flat_views(grad, [p.shape for p in params])):
-        p.grad = view
-    schedule = CosineSchedule(cfg.base_lr, cfg.epochs)
+    rssi_norm, user_adj = graph.user_features.astype(np.float32), graph.user_adjacency
+    ap_feats, truth = graph.ap_features.astype(np.float32), train_samples.truth.astype(np.float32)
     adam = AdamState(weight_decay=cfg.weight_decay)
+    adam.working = model.flat.astype(np.float32)
+    work = _assemble(adam.working, model.ap_count, model.hidden, model.n_heads,
+                     model.affine_offset, model.affine_scale)
+    params, work_params = model.parameters().values(), work.parameters().values()
+    grad = np.empty_like(adam.working)
+    for p, w, view in zip(params, work_params, flat_views(grad, [p.shape for p in params])):
+        p.grad = w.grad = view
+    schedule = CosineSchedule(cfg.base_lr, cfg.epochs)
     n = len(train_samples)
     history: list[dict[str, float]] = []
     for epoch in range(cfg.epochs):
@@ -449,10 +463,9 @@ def train(
                 drop_rng = stream(cfg.seed, "dropout", epoch, batch_i)
                 masks = _batch_masks(model, len(idx), cfg.dropout, drop_rng)
             tape = Tape()
-            pred = forward_batch(tape, model, rssi_norm[idx], user_adj[idx],
-                                 graph.ap_features, graph.ap_adjacency, masks)
-            loss = mae_loss(tape, denormalize_pred(tape, pred, model),
-                            train_samples.truth[idx])
+            pred = forward_batch(tape, work, rssi_norm[idx], user_adj[idx],
+                                 ap_feats, graph.ap_adjacency, masks)
+            loss = mae_loss(tape, denormalize_pred(tape, pred, work), truth[idx])
             if not np.isfinite(loss.data):
                 raise TrainingDiverged(epoch, batch_i)
             tape.gradients(loss)
@@ -514,8 +527,7 @@ def load_model(path: str | Path) -> GtModel:
     of the loaded blob.
 
     Read-only weights let eval forwards reuse the inventory half (see the
-    module docstring); an in-place write raises. To fine-tune, start from
-    `load_checkpoint`, whose tensors are writeable. A checkpoint without
+    module docstring); an in-place write raises. A checkpoint without
     the model metadata, without one of `PARAMETER_NAMES` (such as one
     written with per-head weights, `layer1.head0.w1`), with a parameter
     of another shape than `init_model` gives for its metadata (such as a

@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -19,6 +20,9 @@ from sacloc.autodiff import (
 from sacloc.errors import BadCheckpoint, NonScalarLoss, ShapeMismatch, StepOutOfRange
 from sacloc.gtmodel import PARAMETER_NAMES, init_model
 from sacloc.rng import stream
+
+# a float32 overflow or invalid value in a training step fails the test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def finite_diff(loss_fn, leaves, step=1e-5):
@@ -44,6 +48,20 @@ def max_rel_err(analytic, numeric):
         float(np.max(np.abs(a - n) / np.maximum(1.0, np.abs(n))))
         for a, n in zip(analytic, numeric)
     )
+
+
+class TestTensor:
+    def test_keeps_float32_and_float64_arrays(self):
+        for dtype in (np.float32, np.float64):
+            a = np.arange(6, dtype=dtype).reshape(2, 3)
+            assert Tensor(a).data is a
+
+    @pytest.mark.parametrize("data", [
+        np.arange(3), [1, 2, 3], [1.0, 2.0, 3.0], np.arange(3, dtype=np.float16), 2, 2.5])
+    def test_anything_else_becomes_float64(self, data):
+        t = Tensor(data)
+        assert t.data.dtype == np.float64
+        assert np.array_equal(t.data, np.asarray(data, dtype=np.float64))
 
 
 class TestForward:
@@ -247,6 +265,30 @@ class TestMultiHead:
         assert np.array_equal(fused[1], np.zeros(2))
 
 
+def folded_adam(p, m, v, g, t, lr, state):
+    """The whole-array update `adam_step` evaluates: moments in the dtype of
+    `g`, both bias corrections folded into the step size and epsilon, and
+    decoupled decay on the float64 master `p` -> (p, m, v)."""
+    b1, b2 = state.beta1, state.beta2
+    root_bc2 = math.sqrt(1.0 - b2 ** t)
+    step = lr * root_bc2 / (1.0 - b1 ** t)
+    m = m * b1 + (1.0 - b1) * g
+    v = v * b2 + (1.0 - b2) * g * g
+    p = p * (1.0 - lr * state.weight_decay) - (m / (np.sqrt(v) + state.eps * root_bc2)) * step
+    return p, m, v
+
+
+def textbook_adam(p, m, v, g, t, lr, state):
+    """Bias-corrected AdamW in float64, term by term -> (p, m, v)."""
+    b1, b2 = state.beta1, state.beta2
+    m = m * b1 + (1.0 - b1) * g
+    v = v * b2 + (1.0 - b2) * g * g
+    m_hat = m / (1.0 - b1 ** t)
+    v_hat = v / (1.0 - b2 ** t)
+    p = p - lr * (m_hat / (np.sqrt(v_hat) + state.eps) + state.weight_decay * p)
+    return p, m, v
+
+
 class TestAdam:
     def test_blocked_update_matches_textbook_bitwise(self):
         # more than two blocks and a ragged tail
@@ -254,18 +296,15 @@ class TestAdam:
         assert 2 * ADAM_BLOCK < size < 3 * ADAM_BLOCK
         rng = stream(4, "adam", "blocks")
         p = rng.normal(size=size)
-        ref, m, v = p.copy(), np.zeros(size), np.zeros(size)
+        ref = p.copy()
+        m, v = np.zeros(size, np.float32), np.zeros(size, np.float32)
         state = AdamState(weight_decay=1e-2)
-        b1, b2, eps, wd = state.beta1, state.beta2, state.eps, state.weight_decay
         for t in range(1, 5):
-            g = rng.normal(size=size) * 10.0 ** (t - 2)
+            g = (rng.normal(size=size) * 10.0 ** (t - 2)).astype(np.float32)
             lr = 0.01 / t
             adam_step(p, g, state, lr)
-            m = m * b1 + (1.0 - b1) * g
-            v = v * b2 + (1.0 - b2) * g * g
-            m_hat = m / (1.0 - b1 ** t)
-            v_hat = v / (1.0 - b2 ** t)
-            ref = ref - lr * (m_hat / (np.sqrt(v_hat) + eps) + wd * ref)
+            ref, m, v = folded_adam(ref, m, v, g, t, lr, state)
+            assert m.dtype == v.dtype == np.float32 and ref.dtype == np.float64
             assert np.array_equal(p, ref), t
             assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
 
@@ -278,25 +317,62 @@ class TestAdam:
         flat = model.flat
         assert flat.size > 10 * ADAM_BLOCK
         ref = {name: p.data.copy() for name, p in params.items()}
-        moments = {name: (np.zeros_like(a), np.zeros_like(a)) for name, a in ref.items()}
+        moments = {name: (np.zeros(a.shape, np.float32), np.zeros(a.shape, np.float32))
+                   for name, a in ref.items()}
         state = AdamState(weight_decay=1e-4)
-        b1, b2, eps, wd = state.beta1, state.beta2, state.eps, state.weight_decay
         rng = stream(4, "adam", "flat")
         for t in range(1, 4):
-            grads = rng.normal(size=flat.size)
+            grads = rng.normal(size=flat.size).astype(np.float32)
             adam_step(flat, grads, state, 1e-3)
             offset = 0
             for name, p in ref.items():
                 g = grads[offset:offset + p.size].reshape(p.shape)
                 offset += p.size
-                m, v = moments[name]
-                m = m * b1 + (1.0 - b1) * g
-                v = v * b2 + (1.0 - b2) * g * g
-                moments[name] = m, v
-                ref[name] = p - 1e-3 * ((m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t))
-                                                                  + eps) + wd * p)
+                ref[name], *moments[name] = folded_adam(p, *moments[name], g, t, 1e-3, state)
             for name, p in params.items():
                 assert p.data.tobytes() == ref[name].tobytes(), (t, name)
+
+    def test_float32_moments_track_the_float64_textbook_update(self):
+        # the folded float32 update is the textbook float64 AdamW up to
+        # float32 rounding: about a dozen roundings of 2**-24 each on a step
+        # whose size is lr * |m_hat / sqrt(v_hat)|, at most lr * (1 - b1) /
+        # sqrt(1 - b2) ~ 3.2 lr, so each step may drift by 16 * 2**-24 * 3.2
+        # lr < 4e-6 lr; random gradients stay near a quarter of that
+        size = 2 * ADAM_BLOCK + 123
+        rng = stream(4, "adam", "textbook")
+        p = rng.normal(size=size)
+        ref, m, v = p.copy(), np.zeros(size), np.zeros(size)
+        state = AdamState(weight_decay=1e-2)
+        drift = 0.0
+        for t in range(1, 6):
+            g = (rng.normal(size=size) * 10.0 ** (t - 3)).astype(np.float32)
+            lr = 0.01 * (1.0 + t % 2) / t
+            adam_step(p, g, state, lr)
+            ref, m, v = textbook_adam(ref, m, v, g.astype(np.float64), t, lr, state)
+            drift += 1e-6 * lr
+            assert np.max(np.abs(p - ref)) <= drift, t
+
+    def test_working_copy_is_the_rounded_master(self):
+        size = ADAM_BLOCK + 5
+        rng = stream(4, "adam", "working")
+        p = rng.normal(size=size)
+        state = AdamState(weight_decay=1e-3)
+        for t in range(1, 4):
+            adam_step(p, rng.normal(size=size).astype(np.float32), state, 0.01)
+            assert state.working.dtype == np.float32
+            assert state.working.tobytes() == p.astype(np.float32).tobytes(), t
+
+    def test_lr_zero_leaves_master_and_working_copy_bitwise(self):
+        size = ADAM_BLOCK + 5
+        rng = stream(4, "adam", "lr0")
+        p = rng.normal(size=size)
+        state = AdamState(weight_decay=1e-3)
+        adam_step(p, rng.normal(size=size).astype(np.float32), state, 0.01)
+        master, working = p.copy(), state.working.copy()
+        for _ in range(3):
+            adam_step(p, rng.normal(size=size).astype(np.float32), state, 0.0)
+            assert p.tobytes() == master.tobytes()
+            assert state.working.tobytes() == working.tobytes()
 
     def test_zero_grad_zero_decay_is_identity(self):
         p = np.array([1.0, -2.0, 3.0])

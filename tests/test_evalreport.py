@@ -120,6 +120,15 @@ class TestCoverage:
             assert row.coverage == np.mean(errors[mask] <= cal.radii[row.region])
         assert report.global_row.coverage == np.mean(errors <= cal.global_radius)
 
+    def test_carries_each_scan_region_by_the_rule(self):
+        # the error map reads these instead of routing the scans again
+        preds, truths, cal = _fitted_calibration(noise=8.0)
+        for mode, points in (("predicted", preds), ("truth", truths)):
+            report = coverage_by_region(preds, truths, cal, mode)
+            assert np.array_equal(report.regions, assign_regions(cal.region_model, points))
+            assert [r.count for r in report.rows] == np.bincount(
+                report.regions, minlength=cal.k).tolist()
+
     def test_assignment_modes_differ(self):
         preds, truths, cal = _fitted_calibration(noise=8.0)
         by_pred = coverage_by_region(preds, truths, cal, "predicted")

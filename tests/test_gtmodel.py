@@ -47,6 +47,9 @@ from sacloc.rng import stream
 
 from conftest import write_fused_root_layout, write_per_head_layout
 
+# a float32 overflow or invalid value in a training step fails the test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def random_blocks(in_dim, n_heads, head_dim, seed, w, scale=0.5):
     """One random (in_dim, head_dim) block per head of projection `w`."""
@@ -705,6 +708,32 @@ class TestTrain:
             train(model, samples[:16], tc, graph_cfg, inventory)
         assert len(sizes[1]) == 1
         assert sizes[1] == sizes[2] == sizes[4]
+
+
+    def test_step_tape_runs_in_float32(self, small_world, graph_cfg, monkeypatch):
+        # a float64 mask, affine, scan or truth would upcast every node after
+        # it, and the float32 step would silently run in float64
+        _, inventory, samples = small_world
+        steps = []
+        gradients = Tape.gradients
+
+        def spy(tape, loss):
+            gradients(tape, loss)
+            steps.append(([out.data.dtype for out, _, _ in tape._nodes if out.data.ndim],
+                          [leaf.grad.dtype for leaf in tape._leaves.values()], loss.data))
+
+        monkeypatch.setattr(Tape, "gradients", spy)
+        model = model_for_inventory(inventory, hidden=8, n_heads=2, seed=5)
+        tc = TrainConfig(epochs=1, batch_size=16, dropout=0.2, seed=5)
+        train(model, samples, tc, graph_cfg, inventory)
+        assert len(steps) == 3
+        for outputs, grads, loss in steps:
+            assert len(outputs) == 37 and set(outputs) == {np.dtype(np.float32)}
+            assert len(grads) == len(PARAMETER_NAMES) and set(grads) == {np.dtype(np.float32)}
+            assert loss.shape == () and loss.dtype == np.float64
+        assert model.flat.dtype == np.float64
+        assert all(p.data.dtype == np.float64 for p in model.parameters().values())
+        assert predict_positions(model, samples, inventory, graph_cfg).dtype == np.float64
 
 
 class TestInPlaceGradients:
