@@ -26,9 +26,10 @@ with decoupled weight decay over one flat float64 master buffer (updated in
 place, block by block, with moments in the gradients' dtype and a float32
 working copy of the parameters rewritten in the same pass; the model that
 owns the buffer cuts its weights from it with `flat_views`), a cosine
-learning-rate schedule, float32 inverted dropout masks, and a versioned
-binary checkpoint format (a JSON header line plus one raw float64 blob,
-written one parameter array at a time).
+learning rate, float32 inverted dropout masks, and a versioned binary
+checkpoint format holding the weights only (a JSON header line plus one raw
+float64 blob, written one parameter array at a time). Optimizer state lives
+only inside one training run and is never written.
 """
 
 from __future__ import annotations
@@ -327,21 +328,26 @@ class Tape:
 # -- optimizer ------------------------------------------------------------
 
 
+# Adam's betas and epsilon (Kingma & Ba, arXiv 1412.6980, §2).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
-    """First/second moment buffers, flat like the parameters and in the
-    gradients' dtype (allocated by the first `adam_step`), plus the step
-    counter. `working` is the float32 copy of the parameters that every
-    `adam_step` rewrites (a float32 tape trains on it); `scratch` holds
-    `adam_step`'s block temporaries. Neither is written to checkpoints."""
+    """AdamW's state for one training run: the decoupled `weight_decay`,
+    with the betas and epsilon the constants `ADAM_BETA1`, `ADAM_BETA2` and
+    `ADAM_EPS`. `m` and `v` are the first/second moment buffers, flat like
+    the parameters and in the gradients' dtype (allocated by the first
+    `adam_step`), and `t` the step counter. `working` is the float32 copy
+    of the parameters that every `adam_step` rewrites (a float32 tape
+    trains on it); `scratch` holds `adam_step`'s block temporaries."""
 
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.0
-    t: int = 0
-    m: Optional[np.ndarray] = None
-    v: Optional[np.ndarray] = None
+    t: int = field(default=0, init=False)
+    m: Optional[np.ndarray] = field(default=None, init=False)
+    v: Optional[np.ndarray] = field(default=None, init=False)
     working: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
     scratch: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
@@ -389,10 +395,10 @@ def adam_step(
     if state.scratch is None:
         state.scratch = np.empty((2, ADAM_BLOCK), dtype=grads.dtype)
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     root_bc2 = math.sqrt(1.0 - b2 ** state.t)
     step = lr * root_bc2 / (1.0 - b1 ** state.t)
-    eps = state.eps * root_bc2
+    eps = ADAM_EPS * root_bc2
     decay = 1.0 - lr * state.weight_decay
     scratch, working = state.scratch, state.working
     for lo in range(0, params.size, ADAM_BLOCK):
@@ -426,24 +432,11 @@ def flat_views(buffer: np.ndarray, shapes: Iterable[tuple[int, ...]]) -> list[np
     return views
 
 
-@dataclass(frozen=True)
-class CosineSchedule:
-    """Half-cosine decay from base_lr to 0 over total_steps."""
-
-    base_lr: float
-    total_steps: int
-
-    def __post_init__(self):
-        if self.total_steps < 1:
-            raise ValueError("total_steps must be >= 1")
-        if self.base_lr < 0.0:
-            raise ValueError("base_lr must be nonnegative")
-
-
-def cosine_lr(schedule: CosineSchedule, step: int) -> float:
-    if not 0 <= step <= schedule.total_steps:
-        raise StepOutOfRange(f"step {step} outside [0, {schedule.total_steps}]")
-    return 0.5 * schedule.base_lr * (1.0 + math.cos(math.pi * step / schedule.total_steps))
+def cosine_lr(base_lr: float, total_steps: int, step: int) -> float:
+    """Half-cosine decay from base_lr at step 0 to 0 at total_steps."""
+    if not 0 <= step <= total_steps:
+        raise StepOutOfRange(f"step {step} outside [0, {total_steps}]")
+    return 0.5 * base_lr * (1.0 + math.cos(math.pi * step / total_steps))
 
 
 def dropout_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator) -> Tensor:
@@ -461,26 +454,27 @@ def dropout_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator) 
 # -- checkpoints ----------------------------------------------------------
 #
 # Layout (version 2): the magic line, one sorted-keys JSON header line, then
-# one raw little-endian float64 blob. The blob holds the parameters in
-# `params` order, then, when the header carries `adam`, the first and the
-# second moments in the same order. The header's `params` lists
-# `[name, shape, offset]`, offsets counting float64 elements into the blob.
+# one raw little-endian float64 blob holding the parameters in `params`
+# order. The header's `params` lists `[name, shape, offset]`, offsets
+# counting float64 elements into the blob.
 
 
 def save_checkpoint(
     path: str | Path,
     params: dict[str, Tensor],
-    adam: Optional[AdamState] = None,
-    step: int = 0,
-    extra: Optional[dict] = None,
+    step: int,
+    extra: dict,
+    adam: None = None,
 ) -> None:
-    """Write parameters (+ optional Adam state) as a header plus a float64 blob.
+    """Write the parameters as a header plus a float64 blob.
 
-    The blob is each parameter array in `params` order, then the two (P,)
-    moment buffers: the same bytes as one buffer holding the parameters
-    back to back. A state before its first step is written with zero
-    moments, the state `adam_step` starts from.
+    The blob is each parameter array in `params` order: the same bytes as
+    one buffer holding the parameters back to back. A checkpoint is the
+    weights only, so `adam` must be None.
     """
+    # perfbench's worker still passes `adam=`, the None `load_checkpoint` gives
+    if adam is not None:
+        raise TypeError("save_checkpoint writes no optimizer state; adam must be None")
     layout, offset = [], 0
     for name, p in params.items():
         layout.append([name, list(p.data.shape), offset])
@@ -488,36 +482,35 @@ def save_checkpoint(
     header: dict = {
         "version": CHECKPOINT_VERSION,
         "step": step,
-        "extra": extra or {},
+        "extra": extra,
         "dtype": CHECKPOINT_DTYPE,
         "params": layout,
     }
-    arrays = [p.data for p in params.values()]
-    if adam is not None:
-        header["adam"] = {
-            "beta1": adam.beta1,
-            "beta2": adam.beta2,
-            "eps": adam.eps,
-            "weight_decay": adam.weight_decay,
-            "t": adam.t,
-        }
-        moments = (adam.m, adam.v) if adam.m is not None else (np.zeros(offset),) * 2
-        _check(all(a.shape == (offset,) for a in moments),
-               "save_checkpoint moments", *(a.shape for a in moments), (offset,))
-        arrays += moments
     with open(path, "wb") as fh:
         fh.write(f"{CHECKPOINT_MAGIC}\n{json.dumps(header, sort_keys=True)}\n".encode())
-        for a in arrays:
-            np.ascontiguousarray(a, dtype=CHECKPOINT_DTYPE).tofile(fh)
+        for p in params.values():
+            np.ascontiguousarray(p.data, dtype=CHECKPOINT_DTYPE).tofile(fh)
 
 
-def read_checkpoint(path: str | Path) -> tuple[dict, np.ndarray, int]:
-    """The header, the whole blob (one read) and the parameter count P of a
-    checkpoint file.
+def is_json_int(x, low: int) -> bool:
+    """Whether the decoded JSON value `x` is an integer (not a boolean) >= low."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= low
 
-    Raises BadCheckpoint for a foreign file, an older version, parameters
-    that are not back to back in header order, or a blob whose length
-    disagrees with the header.
+
+def is_json_number(x) -> bool:
+    """Whether the decoded JSON value `x` is a finite number (not a boolean)."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def read_checkpoint(path: str | Path) -> tuple[dict, np.ndarray]:
+    """The header and the blob (one read) of a checkpoint file; the blob
+    holds exactly the P parameter values.
+
+    Raises BadCheckpoint for a foreign file, an older version, a header
+    that is not an object with `params`, `step` and `extra`, a `params`
+    entry that is not `[name, shape, offset]`, a header with optimizer
+    state (`adam`), parameters that are not back to back in header order,
+    or a blob whose length disagrees with the header.
     """
     magic = f"{CHECKPOINT_MAGIC}\n".encode()
     with open(path, "rb") as fh:
@@ -528,43 +521,47 @@ def read_checkpoint(path: str | Path) -> tuple[dict, np.ndarray, int]:
             header = json.loads(fh.readline())
         except ValueError as exc:
             raise BadCheckpoint(path, f"unreadable header: {exc}") from exc
+        if not isinstance(header, dict):
+            raise BadCheckpoint(path, "header is not a JSON object")
         if header.get("version") != CHECKPOINT_VERSION:
             raise BadCheckpoint(path, f"unsupported checkpoint version {header.get('version')}")
         if header.get("dtype") != CHECKPOINT_DTYPE:
             raise BadCheckpoint(path, f"unsupported dtype {header.get('dtype')}")
+        if "adam" in header:
+            raise BadCheckpoint(path, "optimizer state is no longer read; rerun `sacloc train`")
+        if not (isinstance(header.get("params"), list) and is_json_int(header.get("step"), 0)
+                and isinstance(header.get("extra"), dict)):
+            raise BadCheckpoint(
+                path, "header needs a `params` list, an integer `step` and an `extra` object")
         n = 0
-        for name, shape, offset in header["params"]:
+        for i, entry in enumerate(header["params"]):
+            if not (isinstance(entry, list) and len(entry) == 3 and isinstance(entry[0], str)
+                    and isinstance(entry[1], list) and all(is_json_int(d, 0) for d in entry[1])
+                    and is_json_int(entry[2], 0)):
+                raise BadCheckpoint(path, f"params[{i}] is not [name, shape, offset]")
+            name, shape, offset = entry
             if offset != n:
                 raise BadCheckpoint(path, f"parameter {name} at offset {offset}, expected {n}")
             n += math.prod(shape)
-        count = 3 * n if "adam" in header else n
         nbytes = os.fstat(fh.fileno()).st_size - fh.tell()
-        if nbytes != 8 * count:
+        if nbytes != 8 * n:
             raise BadCheckpoint(
-                path, f"truncated or padded blob: {nbytes} bytes, header needs {8 * count}")
-        return header, np.fromfile(fh, dtype=CHECKPOINT_DTYPE, count=count), n
+                path, f"truncated or padded blob: {nbytes} bytes, header needs {8 * n}")
+        return header, np.fromfile(fh, dtype=CHECKPOINT_DTYPE, count=n)
 
 
-def load_checkpoint(path: str | Path) -> tuple[dict[str, Tensor], Optional[AdamState], int, dict]:
-    """Inverse of save_checkpoint, through `read_checkpoint`.
-
-    Every returned array is a view into the blob: the parameters in header
-    order, then the moments as two (P,) buffers.
-    """
-    header, blob, n = read_checkpoint(path)
+def load_checkpoint(path: str | Path) -> tuple[dict[str, Tensor], None, int, dict]:
+    """Inverse of save_checkpoint, through `read_checkpoint`: the parameters
+    (views into the blob, in header order), None, the step and `extra`."""
+    header, blob = read_checkpoint(path)
     views = flat_views(blob, [shape for _, shape, _ in header["params"]])
     params = {
         name: Tensor(data, requires_grad=True, name=name)
         for (name, _, _), data in zip(header["params"], views)
     }
-    adam = None
-    if "adam" in header:
-        a = header["adam"]
-        adam = AdamState(
-            beta1=a["beta1"], beta2=a["beta2"], eps=a["eps"],
-            weight_decay=a["weight_decay"], t=a["t"], m=blob[n:2 * n], v=blob[2 * n:],
-        )
-    return params, adam, header["step"], header["extra"]
+    # perfbench's worker and tracer still take this 4-tuple; the None slot
+    # once held the optimizer state
+    return params, None, header["step"], header["extra"]
 
 
 def _foreign_reason(fh) -> str:

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import BadCalibration, EmptyCalibration
 from .graphbuild import LocGraph
 from .gtmodel import GtModel, denormalize_pred, forward_graph
-from .autodiff import Tape
+from .autodiff import Tape, is_json_int, is_json_number
 from .regions import RegionModel, assign_region, assign_regions, kmeans_fit
 
 log = logging.getLogger(__name__)
@@ -213,7 +213,11 @@ def load_calibration(path: str | Path) -> SacpCalibration:
 
     Raises BadCalibration for invalid JSON, a foreign file, another format
     version (a version-1 file, which does not record its assignment rule,
-    asks for a rerun of `sacloc calibrate`) or a missing key.
+    asks for a rerun of `sacloc calibrate`), a missing key or a malformed
+    value: an `alpha` outside (0, 1), no regions, region ids other than
+    0..k-1, centroids that are not k finite points, a radius that is not a
+    non-negative number or "inf", or a count that is not a non-negative
+    integer.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -231,9 +235,26 @@ def load_calibration(path: str | Path) -> SacpCalibration:
     try:
         if doc["assignment"] not in ("truth", "predicted"):
             raise BadCalibration(path, f"unknown assignment rule {doc['assignment']!r}")
+        if not (is_json_number(doc["alpha"]) and 0.0 < doc["alpha"] < 1.0):
+            raise ValueError(f"alpha {doc['alpha']!r} is not a number in (0, 1)")
         regions = sorted(doc["regions"], key=lambda r: r["id"])
+        if not regions:
+            raise ValueError("no regions")
+        if [r["id"] for r in regions] != list(range(len(regions))):
+            raise ValueError(f"region ids are not 0..{len(regions) - 1}")
+        centroids = [r["centroid"] for r in regions]
+        if not all(isinstance(c, list) and len(c) == 2 and all(map(is_json_number, c))
+                   for c in centroids):
+            raise ValueError("a region centroid is not two finite numbers")
+        for entry in (*regions, doc["global"]):
+            if not (entry["radius"] == "inf" or is_json_number(entry["radius"])
+                    and entry["radius"] >= 0.0):
+                raise ValueError(f"radius {entry['radius']!r} is not a non-negative "
+                                 "number or \"inf\"")
+            if not is_json_int(entry["count"], 0):
+                raise ValueError(f"count {entry['count']!r} is not a non-negative integer")
         region_model = RegionModel(
-            centroids=np.array([r["centroid"] for r in regions]),
+            centroids=np.array(centroids, dtype=np.float64),
             seed=doc["region_seed"],
             iteration_cap=doc["kmeans"]["iteration_cap"],
             convergence_tol=doc["kmeans"]["convergence_tol"],
@@ -249,3 +270,5 @@ def load_calibration(path: str | Path) -> SacpCalibration:
         )
     except KeyError as exc:
         raise BadCalibration(path, f"missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise BadCalibration(path, f"malformed value: {exc}") from exc

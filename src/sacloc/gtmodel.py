@@ -34,8 +34,8 @@ the user rows only, so the inventory half is the same in both.
 The model owns its parameters: one (P,) float64 buffer, `GtModel.flat`,
 whose consecutive slices, in the order and shapes of `_parameter_shapes`,
 are the weights. `init_model` draws each weight into its slice of a new
-buffer; `load_model` takes the parameter slice of the checkpoint's blob.
-Checkpoints write the weights one array at a time, the same bytes as the
+buffer; `load_model` takes the checkpoint's whole blob. Checkpoints hold
+the weights only, written one array at a time, the same bytes as the
 buffer.
 
 Training is mixed precision (Micikevicius et al., arXiv 1710.03740): the
@@ -64,13 +64,14 @@ import numpy as np
 
 from .autodiff import (
     AdamState,
-    CosineSchedule,
     Tape,
     Tensor,
     adam_step,
     cosine_lr,
     dropout_mask,
     flat_views,
+    is_json_int,
+    is_json_number,
     read_checkpoint,
     save_checkpoint,
 )
@@ -449,11 +450,10 @@ def train(
     grad = np.empty_like(adam.working)
     for p, w, view in zip(params, work_params, flat_views(grad, [p.shape for p in params])):
         p.grad = w.grad = view
-    schedule = CosineSchedule(cfg.base_lr, cfg.epochs)
     n = len(train_samples)
     history: list[dict[str, float]] = []
     for epoch in range(cfg.epochs):
-        lr = cosine_lr(schedule, epoch)
+        lr = cosine_lr(cfg.base_lr, cfg.epochs, epoch)
         order = stream(cfg.seed, "shuffle", epoch).permutation(n)
         loss_sum = 0.0
         for batch_i, start in enumerate(range(0, n, cfg.batch_size)):
@@ -523,42 +523,54 @@ def save_model(path: str | Path, model: GtModel, step: int = 0) -> None:
 
 
 def load_model(path: str | Path) -> GtModel:
-    """The model a checkpoint holds, its buffer the read-only parameter slice
-    of the loaded blob.
+    """The model a checkpoint holds, its buffer the read-only loaded blob.
 
     Read-only weights let eval forwards reuse the inventory half (see the
     module docstring); an in-place write raises. A checkpoint without
-    the model metadata, without one of `PARAMETER_NAMES` (such as one
-    written with per-head weights, `layer1.head0.w1`), with a parameter
-    of another shape than `init_model` gives for its metadata (such as a
-    `layer1.root` with one block per head) or with its parameters in
-    another order than `_parameter_shapes` raises BadCheckpoint.
+    the model metadata, with an `ap_count`, `hidden` or `n_heads` that is
+    not a positive integer (or `n_heads` not dividing `hidden`), with an
+    affine that is not two finite numbers, without one of
+    `PARAMETER_NAMES` (such as one written with per-head weights,
+    `layer1.head0.w1`), with a parameter of another shape than
+    `init_model` gives for its metadata (such as a `layer1.root` with one
+    block per head) or with its parameters in another order than
+    `_parameter_shapes` raises BadCheckpoint.
     """
-    header, blob, size = read_checkpoint(path)
+    header, blob = read_checkpoint(path)
     blob.flags.writeable = False
     layout = {name: tuple(shape) for name, shape, _ in header["params"]}
+    meta = header["extra"].get("model")
+    if not isinstance(meta, dict):
+        raise BadCheckpoint(path, "not a model checkpoint: no 'model'")
     try:
-        meta = header["extra"]["model"]
-        missing = [name for name in PARAMETER_NAMES if name not in layout]
-        if missing:
-            raise BadCheckpoint(
-                path, f"no parameter {missing[0]}: the weights are in a layout this "
-                      "version no longer reads (per head, as in layer1.head0.w1); "
-                      "rerun `sacloc train`")
-        shapes = _parameter_shapes(meta["ap_count"], meta["hidden"], meta["n_heads"])
-        for name, shape in shapes.items():
-            if layout[name] != shape:
-                raise BadCheckpoint(
-                    path, f"parameter {name} has shape {layout[name]}, but the "
-                          f"header's ap_count {meta['ap_count']}, hidden {meta['hidden']} "
-                          f"and n_heads {meta['n_heads']} need {shape} (a checkpoint "
-                          "written before the heads shared one root has one root block "
-                          "per head); rerun `sacloc train`")
-        if [name for name, _, _ in header["params"]] != list(shapes):
-            raise BadCheckpoint(
-                path, "parameters in another order than this version writes; "
-                      "rerun `sacloc train`")
-        return _assemble(blob[:size], meta["ap_count"], meta["hidden"], meta["n_heads"],
-                         meta["affine_offset"], meta["affine_scale"])
+        ap_count, hidden, n_heads = meta["ap_count"], meta["hidden"], meta["n_heads"]
+        affine = meta["affine_offset"], meta["affine_scale"]
     except KeyError as exc:
         raise BadCheckpoint(path, f"not a model checkpoint: no {exc}") from exc
+    if not all(is_json_int(x, 1) for x in (ap_count, hidden, n_heads)) or hidden % n_heads:
+        raise BadCheckpoint(
+            path, f"ap_count {ap_count!r}, hidden {hidden!r} and n_heads {n_heads!r} must be "
+                  "positive integers, with n_heads dividing hidden")
+    for key, a in zip(("affine_offset", "affine_scale"), affine):
+        if not (isinstance(a, list) and len(a) == 2 and all(map(is_json_number, a))):
+            raise BadCheckpoint(path, f"{key} {a!r} is not two finite numbers")
+    missing = [name for name in PARAMETER_NAMES if name not in layout]
+    if missing:
+        raise BadCheckpoint(
+            path, f"no parameter {missing[0]}: the weights are in a layout this "
+                  "version no longer reads (per head, as in layer1.head0.w1); "
+                  "rerun `sacloc train`")
+    shapes = _parameter_shapes(ap_count, hidden, n_heads)
+    for name, shape in shapes.items():
+        if layout[name] != shape:
+            raise BadCheckpoint(
+                path, f"parameter {name} has shape {layout[name]}, but the "
+                      f"header's ap_count {ap_count}, hidden {hidden} "
+                      f"and n_heads {n_heads} need {shape} (a checkpoint "
+                      "written before the heads shared one root has one root block "
+                      "per head); rerun `sacloc train`")
+    if [name for name, _, _ in header["params"]] != list(shapes):
+        raise BadCheckpoint(
+            path, "parameters in another order than this version writes; "
+                  "rerun `sacloc train`")
+    return _assemble(blob, ap_count, hidden, n_heads, *affine)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -66,3 +68,15 @@ def write_fused_root_layout(path):
     save_checkpoint(path, {
         name: Tensor(np.tile(p.data, n_heads)) if name.endswith(".root") else p
         for name, p in params.items()}, step=step, extra=extra)
+
+
+def rewrite_checkpoint_header(path, edit):
+    """Replace a checkpoint's JSON header line by `edit(header)`, keeping the
+    magic line and the blob."""
+    magic, header, blob = path.read_bytes().split(b"\n", 2)
+    path.write_bytes(b"\n".join([magic, json.dumps(edit(json.loads(header))).encode(), blob]))
+
+
+def with_model(header, **fields):
+    """The checkpoint header with `fields` of its model metadata replaced."""
+    return {**header, "extra": {"model": {**header["extra"]["model"], **fields}}}

@@ -6,20 +6,25 @@ import numpy as np
 import pytest
 
 from sacloc.autodiff import (
+    ADAM_BETA1,
+    ADAM_BETA2,
     ADAM_BLOCK,
+    ADAM_EPS,
     AdamState,
-    CosineSchedule,
     Tape,
     Tensor,
     adam_step,
     cosine_lr,
     dropout_mask,
     load_checkpoint,
+    read_checkpoint,
     save_checkpoint,
 )
 from sacloc.errors import BadCheckpoint, NonScalarLoss, ShapeMismatch, StepOutOfRange
 from sacloc.gtmodel import PARAMETER_NAMES, init_model
 from sacloc.rng import stream
+
+from conftest import rewrite_checkpoint_header
 
 # a float32 overflow or invalid value in a training step fails the test
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -269,23 +274,23 @@ def folded_adam(p, m, v, g, t, lr, state):
     """The whole-array update `adam_step` evaluates: moments in the dtype of
     `g`, both bias corrections folded into the step size and epsilon, and
     decoupled decay on the float64 master `p` -> (p, m, v)."""
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     root_bc2 = math.sqrt(1.0 - b2 ** t)
     step = lr * root_bc2 / (1.0 - b1 ** t)
     m = m * b1 + (1.0 - b1) * g
     v = v * b2 + (1.0 - b2) * g * g
-    p = p * (1.0 - lr * state.weight_decay) - (m / (np.sqrt(v) + state.eps * root_bc2)) * step
+    p = p * (1.0 - lr * state.weight_decay) - (m / (np.sqrt(v) + ADAM_EPS * root_bc2)) * step
     return p, m, v
 
 
 def textbook_adam(p, m, v, g, t, lr, state):
     """Bias-corrected AdamW in float64, term by term -> (p, m, v)."""
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     m = m * b1 + (1.0 - b1) * g
     v = v * b2 + (1.0 - b2) * g * g
     m_hat = m / (1.0 - b1 ** t)
     v_hat = v / (1.0 - b2 ** t)
-    p = p - lr * (m_hat / (np.sqrt(v_hat) + state.eps) + state.weight_decay * p)
+    p = p - lr * (m_hat / (np.sqrt(v_hat) + ADAM_EPS) + state.weight_decay * p)
     return p, m, v
 
 
@@ -442,22 +447,19 @@ class TestAdam:
 
 class TestCosine:
     def test_endpoints_and_midpoint(self):
-        sched = CosineSchedule(base_lr=0.001, total_steps=100)
-        assert cosine_lr(sched, 0) == pytest.approx(0.001)
-        assert cosine_lr(sched, 100) == pytest.approx(0.0, abs=1e-18)
-        assert cosine_lr(sched, 50) == pytest.approx(0.0005)
+        assert cosine_lr(0.001, 100, 0) == pytest.approx(0.001)
+        assert cosine_lr(0.001, 100, 100) == pytest.approx(0.0, abs=1e-18)
+        assert cosine_lr(0.001, 100, 50) == pytest.approx(0.0005)
 
     def test_non_increasing(self):
-        sched = CosineSchedule(base_lr=0.01, total_steps=37)
-        values = [cosine_lr(sched, s) for s in range(38)]
+        values = [cosine_lr(0.01, 37, s) for s in range(38)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_out_of_range(self):
-        sched = CosineSchedule(base_lr=0.001, total_steps=10)
         with pytest.raises(StepOutOfRange):
-            cosine_lr(sched, 11)
+            cosine_lr(0.001, 10, 11)
         with pytest.raises(StepOutOfRange):
-            cosine_lr(sched, -1)
+            cosine_lr(0.001, 10, -1)
 
 
 class TestDropout:
@@ -479,34 +481,37 @@ class TestCheckpoint:
         return rng, {"w": Tensor(w, requires_grad=True), "b": Tensor(b, requires_grad=True)}
 
     def test_round_trip_bit_exact(self, tmp_path):
-        rng, params = self._params()
-        adam = AdamState(weight_decay=1e-4, t=7, m=rng.normal(size=8), v=rng.random(8))
+        _, params = self._params()
         path = tmp_path / "ckpt.bin"
-        save_checkpoint(path, params, adam=adam, step=7, extra={"note": 1})
-        loaded, adam2, step, extra = load_checkpoint(path)
+        save_checkpoint(path, params, step=7, extra={"note": 1})
+        loaded, adam, step, extra = load_checkpoint(path)
+        assert adam is None
         assert step == 7 and extra == {"note": 1}
         assert list(loaded) == list(params)
         for k, p in params.items():
             assert np.array_equal(loaded[k].data, p.data)
-        # one blob: the parameters back to back, then the moments
-        assert loaded["w"].data.base is loaded["b"].data.base is adam2.m.base is adam2.v.base
-        assert np.array_equal(adam2.m, adam.m) and np.array_equal(adam2.v, adam.v)
-        assert adam2.t == 7 and adam2.weight_decay == 1e-4
+        # one blob: the parameters back to back, and nothing else
+        assert loaded["w"].data.base is loaded["b"].data.base
+        assert read_checkpoint(path)[1].shape == (8,)
 
-    def test_missing_moments_load_as_zeros(self, tmp_path):
-        # a state before its first step has no moments yet: they are saved as
-        # the zeros `adam_step` would start from
+    def test_rejects_optimizer_state(self, tmp_path):
+        # a header that carries Adam's scalars (its moments followed the weights)
         _, params = self._params()
         path = tmp_path / "ckpt.bin"
-        save_checkpoint(path, params, adam=AdamState())
-        _, adam, _, _ = load_checkpoint(path)
-        assert np.array_equal(adam.m, np.zeros(8)) and np.array_equal(adam.v, np.zeros(8))
+        save_checkpoint(path, params, step=7, extra={})
+        rewrite_checkpoint_header(path, lambda h: {**h, "adam": {
+            "beta1": 0.9, "beta2": 0.999, "eps": 1e-8, "weight_decay": 0.0, "t": 7}})
+        with pytest.raises(BadCheckpoint) as exc:
+            load_checkpoint(path)
+        assert str(exc.value) == (
+            f"{path}: optimizer state is no longer read; rerun `sacloc train`")
 
-    def test_moments_of_another_size_rejected(self, tmp_path):
+    def test_save_rejects_optimizer_state(self, tmp_path):
         _, params = self._params()
-        with pytest.raises(ShapeMismatch, match="save_checkpoint moments"):
-            save_checkpoint(tmp_path / "ckpt.bin", params,
-                            adam=AdamState(m=np.zeros(9), v=np.zeros(9)))
+        path = tmp_path / "ckpt.bin"
+        with pytest.raises(TypeError, match="adam must be None"):
+            save_checkpoint(path, params, step=0, extra={}, adam=AdamState())
+        assert not path.exists()
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "other.json"
@@ -517,7 +522,7 @@ class TestCheckpoint:
     def test_rejects_truncated_blob(self, tmp_path):
         _, params = self._params()
         path = tmp_path / "ckpt.bin"
-        save_checkpoint(path, params)
+        save_checkpoint(path, params, step=0, extra={})
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(BadCheckpoint, match="truncated") as exc:
             load_checkpoint(path)

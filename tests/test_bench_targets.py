@@ -49,3 +49,18 @@ def test_warm_worker_walks_test_scans(tmp_path):
     assert block["failures"] == []
     assert len(block["latencies_ms"]) == 7
     assert len(block["first_pass"]) == len(block["errors_m"]) == 5
+
+
+def test_roundtrip_worker_reproduces_checkpoint(tmp_path):
+    # the worker reads the trained checkpoint through load_checkpoint and
+    # writes it back through save_checkpoint, comparing the bytes
+    _, config = write_config(tmp_path)
+    for command in ("synth", "train"):
+        assert run(command, "--config", config) == 0
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "worker.py"), "roundtrip", "--config", config],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"ok": True, "detail": ""}

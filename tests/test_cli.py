@@ -9,7 +9,12 @@ from sacloc.dataset import SyntheticConfig
 from sacloc.graphbuild import GraphConfig
 from sacloc.gtmodel import TrainConfig
 
-from conftest import write_fused_root_layout, write_per_head_layout
+from conftest import (
+    rewrite_checkpoint_header,
+    with_model,
+    write_fused_root_layout,
+    write_per_head_layout,
+)
 
 TINY_CONFIG = {
     "graph": {"d_p": 25.0, "tau": -80.0},
@@ -130,6 +135,23 @@ class TestPipeline:
             lines = capsys.readouterr().err.splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: ")
             assert "layer1.root" in lines[0] and lines[0].endswith("rerun `sacloc train`")
+
+    def test_malformed_checkpoint_header_rejected(self, workdir, capsys):
+        tmp, config = workdir
+        for cmd in ("synth", "train", "calibrate"):
+            assert run(cmd, "--config", config) == 0
+        path = tmp / "out" / CHECKPOINT_NAME
+        good = path.read_bytes()
+        for edit in (lambda h: {k: v for k, v in h.items() if k != "params"},
+                     lambda h: [h],
+                     lambda h: with_model(h, n_heads="2"),
+                     lambda h: with_model(h, affine_scale=[1.0])):
+            path.write_bytes(good)
+            rewrite_checkpoint_header(path, edit)
+            capsys.readouterr()
+            assert run("evaluate", "--config", config) == 1
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith(f"error: {path}: ")
 
     def test_nan_truth_fails_calibrate(self, workdir, capsys):
         tmp, config = workdir

@@ -252,6 +252,34 @@ class TestArtifact:
         with pytest.raises(BadCalibration, match="missing key 'iteration_cap'"):
             load_calibration(path)
 
+    @pytest.mark.parametrize("edit, reason", [
+        (lambda d: d["regions"][0].update(centroid=[1.0]),
+         "a region centroid is not two finite numbers"),
+        (lambda d: d["regions"][1].update(centroid=[math.nan, 0.0]),
+         "a region centroid is not two finite numbers"),
+        (lambda d: d["regions"][0].update(radius=None), "radius None is not"),
+        (lambda d: d["regions"][0].update(radius=-1.0), "radius -1.0 is not"),
+        (lambda d: d["global"].update(radius="infinity"), "radius 'infinity' is not"),
+        (lambda d: d.update(regions=[]), "no regions"),
+        (lambda d: d["regions"][1].update(id=2), "region ids are not 0..1"),
+        (lambda d: d["regions"][1].update(id="1"), "not supported between"),
+        (lambda d: d.update(alpha="0.1"), "alpha '0.1' is not a number in (0, 1)"),
+        (lambda d: d.update(alpha=1.0), "alpha 1.0 is not a number in (0, 1)"),
+        (lambda d: d["regions"][0].update(count=2.5), "count 2.5 is not a non-negative integer"),
+        (lambda d: d["global"].update(count=True), "count True is not a non-negative integer"),
+        (lambda d: d.update(regions={"0": {}}), "string indices must be integers"),
+    ], ids=["centroid-short", "centroid-nan", "radius-null", "radius-negative",
+            "radius-infinity", "no-regions", "ids-gap", "id-str", "alpha-str", "alpha-one",
+            "count-float", "count-bool", "regions-object"])
+    def test_rejects_malformed_value(self, tmp_path, edit, reason):
+        path, doc = self.saved(tmp_path)
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(BadCalibration) as err:
+            load_calibration(path)
+        assert err.value.reason.startswith("malformed value: ") and reason in err.value.reason
+        assert err.value.path == path
+
     @pytest.mark.parametrize("assignment", ["truth", "predicted"])
     def test_assignment_round_trip(self, tmp_path, assignment):
         truths = stream(8, "art").normal(size=(30, 2))

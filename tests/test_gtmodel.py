@@ -45,7 +45,12 @@ from sacloc.gtmodel import (
 )
 from sacloc.rng import stream
 
-from conftest import write_fused_root_layout, write_per_head_layout
+from conftest import (
+    rewrite_checkpoint_header,
+    with_model,
+    write_fused_root_layout,
+    write_per_head_layout,
+)
 
 # a float32 overflow or invalid value in a training step fails the test
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -871,11 +876,22 @@ class TestInPlaceGradients:
             assert recorded == called > 0
 
 
+def with_param(header, i, j, value):
+    """The checkpoint header with entry j of its i-th `params` row replaced."""
+    params = [list(entry) for entry in header["params"]]
+    params[i][j] = value
+    return {**header, "params": params}
+
+
+HEADER_REASON = "header needs a `params` list, an integer `step` and an `extra` object"
+DIMS_REASON = "must be positive integers, with n_heads dividing hidden"
+
+
 class TestCheckpointing:
     @staticmethod
-    def per_array_checkpoint(path, model, adam=None, step=0):
-        """The checkpoint bytes written one array at a time, with one moment
-        array per parameter (the writer before the flat store)."""
+    def per_array_checkpoint(path, model, step=0):
+        """The checkpoint bytes written one array at a time (the writer
+        before the flat store)."""
         params = model.parameters()
         layout, offset = [], 0
         for name, p in params.items():
@@ -887,17 +903,10 @@ class TestCheckpointing:
             "affine_scale": model.affine_scale.tolist()}}
         header = {"version": CHECKPOINT_VERSION, "step": step, "extra": extra,
                   "dtype": CHECKPOINT_DTYPE, "params": layout}
-        arrays = [p.data for p in params.values()]
-        if adam is not None:
-            header["adam"] = {"beta1": adam.beta1, "beta2": adam.beta2, "eps": adam.eps,
-                              "weight_decay": adam.weight_decay, "t": adam.t}
-            shapes = [p.shape for p in params.values()]
-            arrays += [a.copy() for a in flat_views(adam.m, shapes)]
-            arrays += [a.copy() for a in flat_views(adam.v, shapes)]
         with open(path, "wb") as fh:
             fh.write(f"{CHECKPOINT_MAGIC}\n{json.dumps(header, sort_keys=True)}\n".encode())
-            for a in arrays:
-                np.ascontiguousarray(a, dtype=CHECKPOINT_DTYPE).tofile(fh)
+            for p in params.values():
+                np.ascontiguousarray(p.data, dtype=CHECKPOINT_DTYPE).tofile(fh)
 
     def test_save_matches_per_array_writer(self, tmp_path, small_world):
         _, inventory, _ = small_world
@@ -906,19 +915,14 @@ class TestCheckpointing:
         flat = model.flat
         for t in range(3):
             adam_step(flat, stream(5, "grad", t).normal(size=flat.size), adam, 1e-3)
-        for state in (None, adam):
-            path, want = tmp_path / "model.bin", tmp_path / "want.bin"
-            save_model(path, model, step=3)
-            if state is not None:
-                # the model's header with the Adam state, written through save_checkpoint
-                extra = load_checkpoint(path)[3]
-                save_checkpoint(path, model.parameters(), adam=state, step=3, extra=extra)
-            self.per_array_checkpoint(want, model, adam=state, step=3)
-            assert path.read_bytes() == want.read_bytes()
-            # load -> save reproduces the file
-            params, loaded_adam, step, extra = load_checkpoint(path)
-            save_checkpoint(want, params, adam=loaded_adam, step=step, extra=extra)
-            assert want.read_bytes() == path.read_bytes()
+        path, want = tmp_path / "model.bin", tmp_path / "want.bin"
+        save_model(path, model, step=3)
+        self.per_array_checkpoint(want, model, step=3)
+        assert path.read_bytes() == want.read_bytes()
+        # load -> save reproduces the file
+        params, loaded_adam, step, extra = load_checkpoint(path)
+        save_checkpoint(want, params, adam=loaded_adam, step=step, extra=extra)
+        assert want.read_bytes() == path.read_bytes()
 
     def test_model_is_one_flat_buffer(self, tmp_path, small_world):
         def assert_views_of_buffer(model):
@@ -1010,9 +1014,47 @@ class TestCheckpointing:
 
     def test_load_model_needs_model_metadata(self, tmp_path):
         path = tmp_path / "bare.bin"
-        save_checkpoint(path, {"w": Tensor(np.ones(3), requires_grad=True)})
+        save_checkpoint(path, {"w": Tensor(np.ones(3), requires_grad=True)}, step=0, extra={})
         with pytest.raises(BadCheckpoint, match="not a model checkpoint"):
             load_model(path)
+
+    @pytest.mark.parametrize("edit, reason", [
+        (lambda h: {k: v for k, v in h.items() if k != "params"}, HEADER_REASON),
+        (lambda h: {k: v for k, v in h.items() if k != "step"}, HEADER_REASON),
+        (lambda h: {**h, "extra": []}, HEADER_REASON),
+        (lambda h: [h], "header is not a JSON object"),
+        (lambda h: {**h, "params": [*h["params"], "head.b"]}, "params[16] is not [name, shape, offset]"),
+        (lambda h: with_param(h, 0, 0, 7), "params[0] is not"),
+        (lambda h: with_param(h, 0, 1, [-1, 8]), "params[0] is not"),
+        (lambda h: with_param(h, 1, 2, "48"), "params[1] is not"),
+        (lambda h: {**h, "extra": {"model": []}}, "not a model checkpoint: no 'model'"),
+        (lambda h: {**h, "extra": {"model": {
+            k: v for k, v in h["extra"]["model"].items() if k != "hidden"}}},
+         "not a model checkpoint: no 'hidden'"),
+        (lambda h: with_model(h, n_heads="2"), "n_heads '2' " + DIMS_REASON),
+        (lambda h: with_model(h, n_heads=True), DIMS_REASON),
+        (lambda h: with_model(h, hidden=0), DIMS_REASON),
+        (lambda h: with_model(h, n_heads=3), DIMS_REASON),
+        (lambda h: with_model(h, ap_count=6.0), DIMS_REASON),
+        (lambda h: with_model(h, affine_scale=[1.0]),
+         "affine_scale [1.0] is not two finite numbers"),
+        (lambda h: with_model(h, affine_offset=[math.nan, 0.0]),
+         "affine_offset [nan, 0.0] is not two finite numbers"),
+        (lambda h: with_model(h, affine_offset=["0", "0"]),
+         "affine_offset ['0', '0'] is not two finite numbers"),
+    ], ids=["no-params", "no-step", "extra-list", "header-list", "entry-not-list",
+            "name-not-str", "negative-dim", "offset-str", "model-list", "no-hidden",
+            "heads-str", "heads-bool", "hidden-zero", "heads-not-dividing", "ap-count-float",
+            "affine-short", "affine-nan", "affine-str"])
+    def test_malformed_header_rejected(self, tmp_path, small_world, edit, reason):
+        _, inventory, _ = small_world
+        path = tmp_path / "model.bin"
+        save_model(path, model_for_inventory(inventory, hidden=8, n_heads=2, seed=5))
+        rewrite_checkpoint_header(path, edit)
+        with pytest.raises(BadCheckpoint) as exc:
+            load_model(path)
+        assert reason in exc.value.reason
+        assert exc.value.path == path
 
     def test_save_load_same_predictions(self, tmp_path, small_world, graph_cfg):
         _, inventory, samples = small_world
