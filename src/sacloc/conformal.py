@@ -216,8 +216,11 @@ def load_calibration(path: str | Path) -> SacpCalibration:
     asks for a rerun of `sacloc calibrate`), a missing key or a malformed
     value: an `alpha` outside (0, 1), no regions, region ids other than
     0..k-1, centroids that are not k finite points, a radius that is not a
-    non-negative number or "inf", or a count that is not a non-negative
-    integer.
+    non-negative number or "inf", a count that is not a non-negative
+    integer, region counts that do not sum to the global count, a
+    `region_seed` that is not an integer, a `kmeans.iteration_cap` that is
+    not a positive integer or a `kmeans.convergence_tol` that is not a
+    non-negative number.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -253,17 +256,29 @@ def load_calibration(path: str | Path) -> SacpCalibration:
                                  "number or \"inf\"")
             if not is_json_int(entry["count"], 0):
                 raise ValueError(f"count {entry['count']!r} is not a non-negative integer")
+        counts = [r["count"] for r in regions]
+        if sum(counts) != doc["global"]["count"]:
+            raise ValueError(f"region counts sum to {sum(counts)}, not global.count "
+                             f"{doc['global']['count']}")
+        seed, cap, tol = (doc["region_seed"], doc["kmeans"]["iteration_cap"],
+                          doc["kmeans"]["convergence_tol"])
+        if not is_json_int(seed, -math.inf):
+            raise ValueError(f"region_seed {seed!r} is not an integer")
+        if not is_json_int(cap, 1):
+            raise ValueError(f"kmeans.iteration_cap {cap!r} is not a positive integer")
+        if not (is_json_number(tol) and tol >= 0.0):
+            raise ValueError(f"kmeans.convergence_tol {tol!r} is not a non-negative number")
         region_model = RegionModel(
             centroids=np.array(centroids, dtype=np.float64),
-            seed=doc["region_seed"],
-            iteration_cap=doc["kmeans"]["iteration_cap"],
-            convergence_tol=doc["kmeans"]["convergence_tol"],
+            seed=seed,
+            iteration_cap=cap,
+            convergence_tol=tol,
         )
         return SacpCalibration(
             alpha=doc["alpha"],
             region_model=region_model,
             radii=np.array([_radius_from_json(r["radius"]) for r in regions]),
-            counts=np.array([r["count"] for r in regions], dtype=int),
+            counts=np.array(counts, dtype=int),
             global_radius=_radius_from_json(doc["global"]["radius"]),
             global_count=doc["global"]["count"],
             assignment=doc["assignment"],

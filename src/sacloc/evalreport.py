@@ -87,6 +87,26 @@ class ErrorMapData:
     region: np.ndarray
 
 
+def linear_percentiles(values: np.ndarray, percents: Sequence[float]) -> list[float]:
+    """`np.percentile(values, q)` for each q in `percents`, bit for bit, from
+    one sort: numpy's default "linear" rule. The virtual index
+    (n - 1) * q / 100 falls between order statistics a and b at fraction t,
+    read as a + (b - a) * t, or as b - (b - a) * (1 - t) when t >= 0.5; a
+    NaN anywhere makes every percentile NaN."""
+    ordered = np.sort(values)
+    n = len(ordered)
+    if math.isnan(ordered[-1]):
+        return [math.nan] * len(percents)
+    out = []
+    for q in percents:
+        index = (n - 1) * (q / 100)
+        lo = math.floor(index)
+        t = index - lo
+        a, b = ordered[lo], ordered[min(lo + 1, n - 1)]
+        out.append(float(a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)))
+    return out
+
+
 def point_metrics(preds: np.ndarray, truths: np.ndarray) -> PointMetrics:
     preds = np.asarray(preds, dtype=np.float64)
     truths = np.asarray(truths, dtype=np.float64)
@@ -96,13 +116,14 @@ def point_metrics(preds: np.ndarray, truths: np.ndarray) -> PointMetrics:
         raise ValueError(f"shape mismatch: {preds.shape} vs {truths.shape}")
     diff = preds - truths
     euclid = np.linalg.norm(diff, axis=1)
+    median, p75, p95 = linear_percentiles(euclid, (50, 75, 95))
     return PointMetrics(
         mae_l1=float(np.abs(diff).sum(axis=1).mean()),
         mae_euclid=float(euclid.mean()),
         rmse=float(np.sqrt(np.mean(euclid**2))),
-        median=float(np.percentile(euclid, 50)),
-        p75=float(np.percentile(euclid, 75)),
-        p95=float(np.percentile(euclid, 95)),
+        median=median,
+        p75=p75,
+        p95=p95,
         count=len(preds),
     )
 

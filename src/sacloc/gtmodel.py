@@ -19,6 +19,14 @@ per-type linear encoders (user: RSSI vector, APs: 2D coordinates) since
 the two node types carry different raw dimensions; the prediction is read
 off the user node and mapped to coordinates by a final linear head.
 
+Layer 1's keys and values act on the AP coordinates. Its sources are the
+AP rows only, and the linear AP encoder makes them `[x, y, 1] @ [ap_w; ap_b]`,
+so `key` and `value` reach the layer only through that (3, h) product:
+layer 1 stores the product, a (3, h) map of `[x, y, 1]`, and the encoder
+feeds only the layer-1 AP queries and roots. TransformerConv asks only that
+the source keys and values be linear maps of the source features, and
+these are.
+
 One forward, `forward_batch`, serves training, calibration and single-scan
 prediction, on the fields of a `graphbuild.LocGraph` (B user rows and the
 AP blocks they share), in two halves. AP nodes never receive messages from the user,
@@ -99,8 +107,10 @@ class TransformerConvLayer:
     """One layer: every head fused into one weight per attention projection.
 
     `query`, `key` and `value` are (in_dim, n_heads * head_dim); head i owns
-    columns [i * head_dim, (i + 1) * head_dim) of each. `root` is
-    (in_dim, head_dim), shared by the heads.
+    columns [i * head_dim, (i + 1) * head_dim) of each. `key` and `value`
+    have a row per source feature: in_dim in layer 2, three (the APs'
+    `[x, y, 1]`) in layer 1. `root` is (in_dim, head_dim), shared by the
+    heads.
     """
 
     query: Tensor
@@ -173,12 +183,17 @@ def _parameter_shapes(ap_count: int, hidden: int, n_heads: int) -> dict[str, tup
     """The parameters by checkpoint name, in buffer order, with their shapes:
     the one table of the layout."""
     head_dim = hidden // n_heads
-    layer = {"query": (hidden, hidden), "key": (hidden, hidden), "value": (hidden, hidden),
-             "root": (hidden, head_dim), "merge": (head_dim, hidden)}
+
+    def layer(tag: str, sources: int) -> dict[str, tuple[int, int]]:
+        shapes = ((hidden, hidden), (sources, hidden), (sources, hidden),
+                  (hidden, head_dim), (head_dim, hidden))
+        return {f"{tag}.{wn}": shape for wn, shape in zip(LAYER_WEIGHTS, shapes)}
+
     return {
         "enc.user.w": (ap_count, hidden), "enc.user.b": (hidden,),
         "enc.ap.w": (2, hidden), "enc.ap.b": (hidden,),
-        **{f"layer{li}.{wn}": layer[wn] for li in (1, 2) for wn in LAYER_WEIGHTS},
+        **layer("layer1", 3),  # its sources are the APs' [x, y, 1]
+        **layer("layer2", hidden),
         "head.w": (hidden, 2), "head.b": (2,),
     }
 
@@ -195,17 +210,25 @@ def _xavier(out: np.ndarray, rng: np.random.Generator) -> None:
     out -= limit
 
 
-def _init_layer(layer: TransformerConvLayer, seed: int, tag: str) -> None:
+def _init_layer(layer: TransformerConvLayer, seed: int, tag: str,
+                sources: Optional[np.ndarray] = None) -> None:
     """Draw a layer's weights in place. Each head's block of a projection is
     drawn from its own stream into its columns; the shared root is the mean
     of the per-head root draws, so a fresh layer computes what per-head
-    roots averaged over the heads would."""
+    roots averaged over the heads would.
+
+    `sources` is layer 1's (3, in_dim) `[enc.ap.w; enc.ap.b]`: each head's
+    key and value block is drawn at (in_dim, head_dim), as for keys and
+    values of the encoded AP rows, and stored as `sources @ block`, so a
+    fresh model computes what one encoding the AP rows first would."""
     n, d = layer.n_heads, layer.head_dim
     block = np.empty_like(layer.root.data)  # one head's (in_dim, head_dim) draw
     for wn, stream_tag in (("query", "w3"), ("key", "w4"), ("value", "w2")):
+        on_sources = sources is not None and wn != "query"
         for hi in range(n):
             _xavier(block, stream(seed, "init", tag, hi, stream_tag))
-            getattr(layer, wn).data[:, hi * d:(hi + 1) * d] = block
+            getattr(layer, wn).data[:, hi * d:(hi + 1) * d] = (
+                sources @ block if on_sources else block)
     root = layer.root.data  # summed in head order, then divided: np.mean's bits
     _xavier(root, stream(seed, "init", tag, 0, "w1"))
     for hi in range(1, n):
@@ -231,7 +254,8 @@ def init_model(
     for w, tag in ((model.encoders.user_w, "enc.user"), (model.encoders.ap_w, "enc.ap"),
                    (model.head_w, "head")):
         _xavier(w.data, stream(seed, "init", tag))
-    _init_layer(model.layer1, seed, "layer1")
+    enc = model.encoders
+    _init_layer(model.layer1, seed, "layer1", np.vstack([enc.ap_w.data, enc.ap_b.data]))
     _init_layer(model.layer2, seed, "layer2")
     return model
 
@@ -310,14 +334,16 @@ def encode_inventory(
 ) -> tuple[KeysValues, KeysValues]:
     """The inventory half of the forward: the keys and values of layers 1 and 2.
 
-    Encodes the AP rows, updates them by layer-1 attention over themselves
-    (then relu) and returns the layer-1 keys and values of the encoded rows
-    and the layer-2 ones of the updated rows. Dropout never touches them,
-    so this is the same function of the weights in training and in eval.
+    Takes the layer-1 keys and values of the APs' `[x, y, 1]`, encodes the
+    AP rows, updates them by layer-1 attention over the APs (then relu) and
+    returns those keys and values and the layer-2 ones of the updated rows.
+    Dropout never touches them, so this is the same function of the weights
+    in training and in eval.
     """
+    ones = np.ones((len(ap_feats_norm), 1), dtype=ap_feats_norm.dtype)
+    kv1 = _keys_values(tape, model.layer1, Tensor(np.hstack([ap_feats_norm, ones])))
     enc = model.encoders
     aps = tape.add_bias(tape.matmul(Tensor(ap_feats_norm), enc.ap_w), enc.ap_b)
-    kv1 = _keys_values(tape, model.layer1, aps)
     aps = tape.relu(_attend(tape, model.layer1, aps, kv1, ap_adj))
     return kv1, _keys_values(tape, model.layer2, aps)
 
@@ -522,6 +548,17 @@ def save_model(path: str | Path, model: GtModel, step: int = 0) -> None:
     save_checkpoint(path, model.parameters(), step=step, extra=extra)
 
 
+def _old_layout(name: str, shape: tuple[int, ...], hidden: int) -> str:
+    """Which earlier layout a parameter's shape is from, if a known one."""
+    if name.endswith(".root") and shape == (hidden, hidden):
+        return (" (a checkpoint written before the heads shared one root has one "
+                "root block per head)")
+    if name in ("layer1.key", "layer1.value") and shape == (hidden, hidden):
+        return (" (a checkpoint written before layer 1's keys and values acted on "
+                "the AP coordinates has them act on the encoded AP rows)")
+    return ""
+
+
 def load_model(path: str | Path) -> GtModel:
     """The model a checkpoint holds, its buffer the read-only loaded blob.
 
@@ -533,8 +570,10 @@ def load_model(path: str | Path) -> GtModel:
     `PARAMETER_NAMES` (such as one written with per-head weights,
     `layer1.head0.w1`), with a parameter of another shape than
     `init_model` gives for its metadata (such as a `layer1.root` with one
-    block per head) or with its parameters in another order than
-    `_parameter_shapes` raises BadCheckpoint.
+    block per head, or the (hidden, hidden) `layer1.key` of the layout
+    before layer 1's keys and values acted on the AP coordinates) or with
+    its parameters in another order than `_parameter_shapes` raises
+    BadCheckpoint.
     """
     header, blob = read_checkpoint(path)
     blob.flags.writeable = False
@@ -566,9 +605,8 @@ def load_model(path: str | Path) -> GtModel:
             raise BadCheckpoint(
                 path, f"parameter {name} has shape {layout[name]}, but the "
                       f"header's ap_count {ap_count}, hidden {hidden} "
-                      f"and n_heads {n_heads} need {shape} (a checkpoint "
-                      "written before the heads shared one root has one root block "
-                      "per head); rerun `sacloc train`")
+                      f"and n_heads {n_heads} need {shape}"
+                      f"{_old_layout(name, layout[name], hidden)}; rerun `sacloc train`")
     if [name for name, _, _ in header["params"]] != list(shapes):
         raise BadCheckpoint(
             path, "parameters in another order than this version writes; "

@@ -70,6 +70,19 @@ def write_fused_root_layout(path):
         for name, p in params.items()}, step=step, extra=extra)
 
 
+def write_encoded_key_layout(path):
+    """Rewrite a model checkpoint's (3, hidden) `layer1.key` and
+    `layer1.value` as the (hidden, hidden) ones of the layout before they
+    acted on the AP coordinates (they acted on the encoded AP rows): the
+    stored rows over hidden - 3 zero rows, under the same names."""
+    params, _, step, extra = load_checkpoint(path)
+    hidden = extra["model"]["hidden"]
+    save_checkpoint(path, {
+        name: Tensor(np.vstack([p.data, np.zeros((hidden - 3, hidden))]))
+        if name in ("layer1.key", "layer1.value") else p
+        for name, p in params.items()}, step=step, extra=extra)
+
+
 def rewrite_checkpoint_header(path, edit):
     """Replace a checkpoint's JSON header line by `edit(header)`, keeping the
     magic line and the blob."""

@@ -268,9 +268,17 @@ class TestArtifact:
         (lambda d: d["regions"][0].update(count=2.5), "count 2.5 is not a non-negative integer"),
         (lambda d: d["global"].update(count=True), "count True is not a non-negative integer"),
         (lambda d: d.update(regions={"0": {}}), "string indices must be integers"),
+        (lambda d: d.update(region_seed="s"), "region_seed 's' is not an integer"),
+        (lambda d: d["kmeans"].update(iteration_cap="x"),
+         "kmeans.iteration_cap 'x' is not a positive integer"),
+        (lambda d: d["kmeans"].update(convergence_tol=None),
+         "kmeans.convergence_tol None is not a non-negative number"),
+        (lambda d: d["regions"][0].update(count=d["regions"][0]["count"] + 1),
+         "region counts sum to 31, not global.count 30"),
     ], ids=["centroid-short", "centroid-nan", "radius-null", "radius-negative",
             "radius-infinity", "no-regions", "ids-gap", "id-str", "alpha-str", "alpha-one",
-            "count-float", "count-bool", "regions-object"])
+            "count-float", "count-bool", "regions-object", "seed-str", "cap-str", "tol-null",
+            "counts-sum"])
     def test_rejects_malformed_value(self, tmp_path, edit, reason):
         path, doc = self.saved(tmp_path)
         edit(doc)

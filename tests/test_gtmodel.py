@@ -3,12 +3,14 @@ import json
 import math
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sacloc import gtmodel
 from sacloc.autodiff import (
+    ADAM_BLOCK,
     CHECKPOINT_DTYPE,
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
@@ -48,6 +50,7 @@ from sacloc.rng import stream
 from conftest import (
     rewrite_checkpoint_header,
     with_model,
+    write_encoded_key_layout,
     write_fused_root_layout,
     write_per_head_layout,
 )
@@ -90,13 +93,15 @@ class EmptyNeighborhood(Exception):
     """The reference attention row was asked for a node with no neighbors."""
 
 
-def attention_coefficients(layer, head_index, features, node, neighbors):
-    """Reference attention row for one node: softmax of scaled query-key dots."""
+def attention_coefficients(layer, head_index, features, node, neighbors, sources=None):
+    """Reference attention row for one node: softmax of scaled query-key
+    dots. The keys act on the rows of `sources` (default `features`)."""
     if len(neighbors) == 0:
         raise EmptyNeighborhood(f"node {node} has no neighbors")
+    sources = features if sources is None else sources
     cols = slice(head_index * layer.head_dim, (head_index + 1) * layer.head_dim)
     q = features[node] @ layer.query.data[:, cols]
-    k = features[list(neighbors)] @ layer.key.data[:, cols]
+    k = sources[list(neighbors)] @ layer.key.data[:, cols]
     logits = (k @ q) / math.sqrt(layer.head_dim)
     e = np.exp(logits - logits.max())
     return e / e.sum()
@@ -108,26 +113,31 @@ def transformer_conv(tape, layer, features, adjacency):
                            adjacency)
 
 
-def dense_layer(layer, feats, adjacency):
+def dense_layer(layer, feats, adjacency, sources=None):
     """Reference layer application, head by head and node by node from the
     per-head value blocks, in plain numpy: the root transform plus the mean
-    over heads of the attention-weighted values, then the merge."""
+    over heads of the attention-weighted values, then the merge. The keys
+    and values act on the rows of `sources` (default `feats`)."""
+    sources = feats if sources is None else sources
     total = np.zeros((feats.shape[0], layer.head_dim))
     for head, value in enumerate(head_blocks(layer, "value")):
-        values = feats @ value
+        values = sources @ value
         for node in range(feats.shape[0]):
             neighbors = np.nonzero(adjacency[node])[0]
             if len(neighbors):
-                beta = attention_coefficients(layer, head, feats, node, list(neighbors))
+                beta = attention_coefficients(layer, head, feats, node, list(neighbors),
+                                              sources)
                 total[node] += beta @ values[neighbors]
     return (feats @ layer.root.data + total / layer.n_heads) @ layer.merge.data
 
 
-def dense_forward(model, graph, masks=(None, None)):
+def dense_forward(model, graph, masks=(None, None), encoded_kv=None):
     """Reference single-scan forward over the full (m+1)-node graph of a
     one-scan `LocGraph`, assembled here from its blocks with the user node
     last and no AP -> user link: both layers update every node, and the
-    user row feeds the head -> (2,). `masks` are the (h,) dropout rows
+    user row feeds the head -> (2,). Layer 1's keys and values act on the
+    APs' `[x, y, 1]`, or, given `encoded_kv`, (h, h) key and value that act
+    on the encoded AP rows replace them. `masks` are the (h,) dropout rows
     (user1, user2) that multiply the user row after each layer's relu, as
     in training; the AP rows take none."""
     m = graph.ap_features.shape[0]
@@ -138,8 +148,16 @@ def dense_forward(model, graph, masks=(None, None)):
     aps = graph.ap_features @ enc.ap_w.data + enc.ap_b.data
     user = graph.user_features @ enc.user_w.data + enc.user_b.data
     feats = np.vstack([aps, user])
-    for layer, mask in zip((model.layer1, model.layer2), masks, strict=True):
-        feats = np.maximum(dense_layer(layer, feats, adjacency), 0.0)
+    # the user node is no node's source: its NaN row would reach the output
+    sources = np.vstack([np.hstack([graph.ap_features, np.ones((m, 1))]),
+                         np.full((1, 3), np.nan)])
+    layer1 = model.layer1
+    if encoded_kv is not None:
+        key, value = encoded_kv
+        layer1, sources = replace(layer1, key=Tensor(key), value=Tensor(value)), None
+    for layer, layer_sources, mask in zip((layer1, model.layer2), (sources, None), masks,
+                                          strict=True):
+        feats = np.maximum(dense_layer(layer, feats, adjacency, layer_sources), 0.0)
         if mask is not None:
             feats[m] *= mask
     return feats[m] @ model.head_w.data + model.head_b.data
@@ -292,14 +310,18 @@ class TestSharedRoot:
             def blocks(tag, w):
                 return [xavier((hidden, head_dim), tag, hi, w) for hi in range(n_heads)]
 
+            # layer 1's key and value blocks act on the encoded AP rows,
+            # [x, y, 1] @ [enc.ap.w; enc.ap.b]: their product is stored
+            sources = np.vstack([xavier((2, hidden), "enc.ap"), np.zeros(hidden)])
             want = {"enc.user.w": xavier((3, hidden), "enc.user"),
                     "enc.user.b": np.zeros(hidden),
                     "enc.ap.w": xavier((2, hidden), "enc.ap"), "enc.ap.b": np.zeros(hidden),
                     "head.w": xavier((hidden, 2), "head"), "head.b": np.zeros(2)}
             for tag in ("layer1", "layer2"):
+                on = (lambda b: sources @ b) if tag == "layer1" else (lambda b: b)
                 want |= {f"{tag}.query": np.hstack(blocks(tag, "w3")),
-                         f"{tag}.key": np.hstack(blocks(tag, "w4")),
-                         f"{tag}.value": np.hstack(blocks(tag, "w2")),
+                         f"{tag}.key": np.hstack([on(b) for b in blocks(tag, "w4")]),
+                         f"{tag}.value": np.hstack([on(b) for b in blocks(tag, "w2")]),
                          f"{tag}.root": np.mean(blocks(tag, "w1"), axis=0),
                          f"{tag}.merge": xavier((head_dim, hidden), tag, "merge")}
             params = model.parameters()
@@ -324,8 +346,9 @@ class TestSharedRoot:
         inventory = ApInventory(ap_ids=tuple(f"ap{i}" for i in range(20)),
                                 coordinates=stream(22, "aps").uniform(0.0, 50.0, (20, 2)))
         params = model_for_inventory(inventory, hidden=500, n_heads=4, seed=11).parameters()
-        assert sum(p.data.size for p in params.values()) == 1_763_002
+        assert sum(p.data.size for p in params.values()) == 1_266_002
         assert params["layer1.root"].shape == params["layer2.root"].shape == (500, 125)
+        assert params["layer1.key"].shape == params["layer1.value"].shape == (3, 500)
         assert {name: p.shape for name, p in params.items()} == \
             gtmodel._parameter_shapes(20, 500, 4)
 
@@ -409,6 +432,27 @@ class TestModelForward:
         assert np.array_equal(predict_positions(loaded, samples, inventory, graph_cfg),
                               predict_positions(model, samples, inventory, graph_cfg))
 
+    def test_fresh_model_predicts_the_encoded_key_formula(self, small_world, graph_cfg):
+        # layer 1's keys and values were (coords @ ap_w + ap_b) @ key, with an
+        # (h, h) key drawn head block by head block; a fresh model's (3, h)
+        # product of the same draws predicts what that formula does
+        _, inventory, samples = small_world
+        hidden, n_heads, seed = 64, 4, 5
+        head_dim = hidden // n_heads
+        model = model_for_inventory(inventory, hidden=hidden, n_heads=n_heads, seed=seed)
+        limit = math.sqrt(6.0 / (hidden + head_dim))
+
+        def drawn(w):
+            return np.hstack([stream(seed, "init", "layer1", hi, w).uniform(
+                -limit, limit, (hidden, head_dim)) for hi in range(n_heads)])
+
+        ap_adj = build_ap_adjacency(inventory, graph_cfg)
+        want = np.stack([
+            dense_forward(model, build_sample_graph(s, inventory, ap_adj, graph_cfg),
+                          encoded_kv=(drawn("w4"), drawn("w2")))
+            for s in samples]) * model.affine_scale + model.affine_offset
+        got = predict_positions(model, samples, inventory, graph_cfg)
+        assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_training_forward_matches_dense_per_scan(self, small_world, graph_cfg):
         # with dropout, the batched forward is still the block-diagonal graph:
@@ -811,6 +855,29 @@ class TestInPlaceGradients:
             assert v0 is v1 is p.grad, p.name
             assert np.shares_memory(v0, grad0)
 
+    def test_train_holds_one_master_and_four_float32_buffers(self, graph_cfg):
+        # the float64 master plus Adam's float32 working copy, the gradients
+        # and the two moments; the slack is Adam's block scratch, one small
+        # step's activations and numpy's casting buffers, well under one more
+        # float32 copy of the parameters, so such a copy fails here
+        cfg = SyntheticConfig(
+            ap_count=20, area=(100.0, 40.0), path_loss_exponent=2.2,
+            ref_power_dbm=-40.0, noise_sigma_db=4.0, detection_floor_dbm=-95.0,
+            sample_count=4, seed=11)
+        inventory, samples = generate_synthetic(cfg)
+        tracemalloc.start()
+        try:
+            model = model_for_inventory(inventory, hidden=64, n_heads=4, seed=11)
+            train(model, samples, TrainConfig(epochs=2, batch_size=4, seed=11),
+                  graph_cfg, inventory)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        float32_buffer = 4 * model.flat.size
+        slack = 2 * ADAM_BLOCK * 4 + 256 * 1024
+        assert float32_buffer > 80 * 1024
+        assert peak < model.flat.nbytes + 4 * float32_buffer + slack
+
     def test_step_tapes_die_by_refcount(self, small_world, graph_cfg, monkeypatch):
         # a backward rule that holds its tape makes a tape <-> closure cycle,
         # and dead tapes then wait for the cyclic collector with all their
@@ -984,6 +1051,22 @@ class TestCheckpointing:
             load_model(path)
         assert "parameter layer1.root has shape (8, 8)" in str(exc.value)
         assert "need (8, 4)" in str(exc.value)
+        assert "one root block per head" in str(exc.value)
+        assert exc.value.path == path
+
+    def test_encoded_key_layout_rejected(self, tmp_path, small_world):
+        # the layout before layer 1's keys and values acted on the AP
+        # coordinates: the same names, an (h, h) key and value
+        _, inventory, _ = small_world
+        path = tmp_path / "model.bin"
+        save_model(path, model_for_inventory(inventory, hidden=8, n_heads=2, seed=5))
+        write_encoded_key_layout(path)
+        assert load_checkpoint(path)[0]["layer1.key"].shape == (8, 8)
+        with pytest.raises(BadCheckpoint, match="rerun `sacloc train`$") as exc:
+            load_model(path)
+        assert "parameter layer1.key has shape (8, 8)" in str(exc.value)
+        assert "need (3, 8)" in str(exc.value)
+        assert "act on the encoded AP rows" in str(exc.value)
         assert exc.value.path == path
 
     def test_per_head_layout_rejected(self, tmp_path, small_world):
@@ -998,14 +1081,14 @@ class TestCheckpointing:
         assert exc.value.path == path
 
     def test_reordered_layout_rejected(self, tmp_path, small_world):
-        # the right names and shapes, with layer1's query and key (one shape)
+        # the right names and shapes, with layer1's key and value (one shape)
         # swapped: views cut in table order would read each as the other
         _, inventory, _ = small_world
         path = tmp_path / "model.bin"
         save_model(path, model_for_inventory(inventory, hidden=8, n_heads=2, seed=5))
         params, _, step, extra = load_checkpoint(path)
         names = list(params)
-        i, j = names.index("layer1.query"), names.index("layer1.key")
+        i, j = names.index("layer1.key"), names.index("layer1.value")
         names[i], names[j] = names[j], names[i]
         save_checkpoint(path, {name: params[name] for name in names}, step=step, extra=extra)
         with pytest.raises(BadCheckpoint, match="another order.*rerun `sacloc train`$") as exc:
