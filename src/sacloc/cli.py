@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -188,11 +189,14 @@ def load_config(path: str | Path) -> RunConfig:
 
 def _number(key: str, value, kind: type) -> int | float:
     """A numeric setting as `kind`: an int key takes only a JSON integer, and
-    no key takes a boolean or a string. ValueError names the key."""
+    no key takes a boolean, a string or the `NaN` and `Infinity` that Python's
+    JSON reader accepts. ValueError names the key."""
     accepted = int if kind is int else (int, float)
     if isinstance(value, bool) or not isinstance(value, accepted):
         what = "an integer" if kind is int else "a number"
         raise ValueError(f"{key} must be {what}, got {json.dumps(value)}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {json.dumps(value)}")
     return kind(value)
 
 

@@ -179,6 +179,8 @@ class SyntheticConfig:
             raise ValueError("noise sigma must be >= 0")
         if self.area[0] <= 0 or self.area[1] <= 0:
             raise ValueError("area dimensions must be positive")
+        if not self.sample_count >= 1:  # NaN fails too
+            raise ValueError(f"sample_count must be at least 1, got {self.sample_count}")
 
 
 def detected_mask(rssi: np.ndarray) -> np.ndarray:

@@ -88,12 +88,14 @@ class ErrorMapData:
 
 
 def linear_percentiles(values: np.ndarray, percents: Sequence[float]) -> list[float]:
-    """`np.percentile(values, q)` for each q in `percents`, bit for bit, from
-    one sort: numpy's default "linear" rule. The virtual index
+    """`np.percentile(values + 0.0, q)` for each q in `percents`, bit for bit,
+    from one sort: numpy's default "linear" rule. The virtual index
     (n - 1) * q / 100 falls between order statistics a and b at fraction t,
     read as a + (b - a) * t, or as b - (b - a) * (1 - t) when t >= 0.5; a
-    NaN anywhere makes every percentile NaN."""
-    ordered = np.sort(values)
+    NaN anywhere makes every percentile NaN. Adding 0.0 makes every -0.0 a
+    +0.0: numpy selects by partition, which orders -0.0 and +0.0 unlike a
+    sort, so with both present only the sign of a zero result could differ."""
+    ordered = np.sort(values + 0.0)
     n = len(ordered)
     if math.isnan(ordered[-1]):
         return [math.nan] * len(percents)

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -336,11 +337,22 @@ class TestBadSettings:
          "conformal.alpha must be a number, got true"),
         (("synth",), {"synth": {"area": [40.0]}},
          "synth.area must be [width, height], got [40.0]"),
+        (("train",), {"graph": {"tau": math.nan}}, "graph.tau must be finite, got NaN"),
+        (("train",), {"graph": {"d_p": math.nan}}, "graph.d_p must be finite, got NaN"),
+        (("train",), {"train": {"lr": math.inf}}, "train.lr must be finite, got Infinity"),
+        (("synth",), {"synth": {"noise_sigma_db": math.nan}},
+         "synth.noise_sigma_db must be finite, got NaN"),
+        (("synth",), {"synth": {"area": [40.0, -math.inf]}},
+         "synth.area must be finite, got -Infinity"),
+        (("synth",), {"synth": {"train_samples": -5}}, "sample_count must be at least 1, got -5"),
+        (("train",), {"train": {"weight_decay": -0.1}},
+         "weight_decay must be nonnegative, got -0.1"),
     ], ids=["calibration_fraction", "alpha", "k", "heads", "alphas-abc", "alphas-order",
             "alphas-range", "test-samples", "k-fraction", "epochs-fraction",
             "batch_size-boolean", "hidden-fraction", "seed-fraction", "ap_count-float",
             "train_samples-string", "lr-string", "dropout-boolean", "alpha-boolean",
-            "area-length"])
+            "area-length", "tau-nan", "d_p-nan", "lr-infinity", "noise_sigma_db-nan",
+            "area-infinity", "train_samples-negative", "weight_decay-negative"])
     def test_rejected_where_it_arrives(self, workdir, capsys, argv, sections, message):
         tmp, config = workdir
         cfg = json.loads((tmp / "config.json").read_text())

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sacloc import conformal, evalreport
@@ -80,12 +80,15 @@ class TestPointMetrics:
            percents=st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=1,
                              max_size=5),
            duplicate=st.booleans())
+    @example(values=[-0.0], percents=[0.0], duplicate=False)
+    @example(values=[0.0, -0.0, -0.0, 1.0], percents=[25.0, 50.0], duplicate=True)
     @settings(max_examples=300)
     def test_linear_percentiles_are_numpys_bitwise(self, values, percents, duplicate):
         # one sort, read by numpy's default rule, gives np.percentile's bits
+        # once -0.0 is +0.0
         a = np.array(values * 2 if duplicate else values)
         got = np.array(linear_percentiles(a, percents))
-        want = np.array([np.percentile(a, q) for q in percents])
+        want = np.array([np.percentile(a + 0.0, q) for q in percents])
         assert got.tobytes() == want.tobytes()
 
     def test_point_percentiles_are_numpys_bitwise(self):
