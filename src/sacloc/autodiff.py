@@ -204,37 +204,38 @@ class Tape:
         return self._push(Tensor(p), (logits,), lambda g: (_softmax_backward(p, g),))
 
     def multi_head_attention(
-        self, q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray, n_heads: int, scale: float
+        self, q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray, n_heads: int
     ) -> Tensor:
-        """Per-head masked dot-product attention -> (B, H*dv).
+        """Per-head masked scaled dot-product attention -> (B, H*d).
 
-        `q` is (B, H*dk), `k` is (n, H*dk) and `v` is (n, H*dv); head i owns
-        columns [i*dk, (i+1)*dk) of `q` and `k` and [i*dv, (i+1)*dv) of `v`.
-        Row b of head i is softmax(scale * q_i k_iᵀ) over the True entries of
-        `mask[b]` (an all-False row gives zeros), times v_i. The heads run as
-        one batched matmul over (H, ·, dk) and (H, ·, dv) views.
+        `q` is (B, H*d), `k` and `v` are (n, H*d); head i owns columns
+        [i*d, (i+1)*d) of each. Row b of head i is softmax(q_i k_iᵀ/√d) over
+        the True entries of `mask[b]` (an all-False row gives zeros), times
+        v_i. The heads run as one batched matmul over (H, ·, d) views.
         """
-        _check(q.data.ndim == 2 and k.data.ndim == 2 and v.data.ndim == 2
-               and q.shape[1] == k.shape[1] and k.shape[0] == v.shape[0]
-               and q.shape[1] % n_heads == 0 and v.shape[1] % n_heads == 0
+        _check(q.data.ndim == 2 and k.data.ndim == 2 and k.shape == v.shape
+               and q.shape[1] == k.shape[1] and q.shape[1] % n_heads == 0
                and mask.shape == (q.shape[0], k.shape[0]),
                "multi_head_attention", q.shape, k.shape, v.shape, mask.shape)
+        width = q.shape[1]
+        d = width // n_heads
+        inv_sqrt = 1.0 / math.sqrt(d)
 
         def heads(x: np.ndarray) -> np.ndarray:  # (rows, H*d) -> (H, rows, d) view
-            return x.reshape(len(x), n_heads, x.shape[1] // n_heads).transpose(1, 0, 2)
+            return x.reshape(len(x), n_heads, d).transpose(1, 0, 2)
 
         def merged(x: np.ndarray) -> np.ndarray:  # (H, rows, d) -> (rows, H*d)
-            rows = np.ascontiguousarray(x.transpose(1, 0, 2))
-            return rows.reshape(x.shape[1], n_heads * x.shape[2])
+            return np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(x.shape[1], width)
 
         qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
-        p = _masked_softmax(np.matmul(qh, kh.transpose(0, 2, 1)) * scale, mask.astype(bool))
+        p = _masked_softmax(np.matmul(qh, kh.transpose(0, 2, 1)) * inv_sqrt,
+                            mask.astype(bool))
         out = Tensor(merged(np.matmul(p, vh)))
         need_q, need_k, need_v = self._needs(q), self._needs(k), self._needs(v)
 
         def backward(g):
             gh = heads(g)
-            dlogits = _softmax_backward(p, np.matmul(gh, vh.transpose(0, 2, 1))) * scale
+            dlogits = _softmax_backward(p, np.matmul(gh, vh.transpose(0, 2, 1))) * inv_sqrt
             return (merged(np.matmul(dlogits, kh)) if need_q else None,
                     merged(np.matmul(dlogits.transpose(0, 2, 1), qh)) if need_k else None,
                     merged(np.matmul(p.transpose(0, 2, 1), gh)) if need_v else None)

@@ -145,6 +145,11 @@ def load_config(path: str | Path) -> RunConfig:
             "train.calibration_fraction", tr.get("calibration_fraction", 0.2), float)
         alpha = _number("conformal.alpha", conf.get("alpha", 0.1), float)
         k = _number("conformal.k", conf.get("k", 5), int)
+        train_fields = _set_fields(tr, "train", TRAIN_FIELDS)
+        synth_fields = _set_fields(raw.get("synth", {}), "synth", SYNTH_FIELDS)
+        lr = train_fields.get("base_lr", 0.0)
+        weight_decay = train_fields.get("weight_decay", 0.0)
+        train_samples = synth_fields.get("sample_count", 1)
         for key, value, valid, what in (
             ("train.calibration_fraction", calibration_fraction,
              0.0 < calibration_fraction < 1.0, "in (0, 1)"),
@@ -153,6 +158,9 @@ def load_config(path: str | Path) -> RunConfig:
             ("model.hidden", hidden, hidden >= 1, "at least 1"),
             ("model.heads", n_heads, n_heads >= 1 and hidden % n_heads == 0,
              f"a positive divisor of model.hidden ({hidden})"),
+            ("train.lr", lr, lr >= 0.0, "nonnegative"),
+            ("train.weight_decay", weight_decay, weight_decay >= 0.0, "nonnegative"),
+            ("synth.train_samples", train_samples, train_samples >= 1, "at least 1"),
         ):
             if not valid:
                 raise ConfigError(f"config file {path}: {key} must be {what}, got {value}")
@@ -166,7 +174,7 @@ def load_config(path: str | Path) -> RunConfig:
                 ap_count=_number("synth.ap_count", s["ap_count"], int),
                 area=(_number("synth.area", area[0], float), _number("synth.area", area[1], float)),
                 seed=seed,
-                **_set_fields(s, "synth", SYNTH_FIELDS),
+                **synth_fields,
             )
         return RunConfig(
             fingerprints=Path(ds["fingerprints"]) if "fingerprints" in ds else None,
@@ -175,7 +183,7 @@ def load_config(path: str | Path) -> RunConfig:
             graph=GraphConfig(**_set_fields(raw.get("graph", {}), "graph", GRAPH_FIELDS)),
             hidden=hidden,
             n_heads=n_heads,
-            train=TrainConfig(seed=seed, **_set_fields(tr, "train", TRAIN_FIELDS)),
+            train=TrainConfig(seed=seed, **train_fields),
             calibration_fraction=calibration_fraction,
             alpha=alpha,
             k=k,

@@ -9,24 +9,23 @@ width:
     out = (X @ root + mean_i softmax(Q_i K_i^T / sqrt(d)) V_i) @ merge
 
 A layer keeps one weight per projection. `query`, `key` and `value` fuse
-every head, head i in columns [i*d, (i+1)*d) (layer 1 differs, see below),
-as in the TransformerConv of Shi et al. (arXiv 2009.03509): each projection
-is one matmul, and the heads' attention is one `Tape.multi_head_attention`
-call. `root` is one (in, d) weight shared by the heads (PyG's `lin_skip`):
-per-head roots R_i averaged over the heads give X @ mean_i R_i, so they
-would add parameters and no expressiveness. Node features enter through
-per-type linear encoders (user: RSSI vector, APs: 2D coordinates) since the
-two node types carry different raw dimensions; the prediction is read off
-the user node and mapped to coordinates by a final linear head.
+every head, head i in columns [i*d, (i+1)*d), as in the TransformerConv of
+Shi et al. (arXiv 2009.03509): each projection is one matmul, and the
+heads' attention is one `Tape.multi_head_attention` call. `root` is one
+(in, d) weight shared by the heads (PyG's `lin_skip`): per-head roots R_i
+averaged over the heads give X @ mean_i R_i, so they would add parameters
+and no expressiveness. Node features enter through
+per-type linear encoders (user: RSSI vector, APs: 2D coordinates) since
+the two node types carry different raw dimensions; the prediction is read
+off the user node and mapped to coordinates by a final linear head.
 
-Layer 1's sources are the AP rows, `[x, y, 1] @ [ap_w; ap_b]`, so it
-stores `value` as a (3, h) map of `[x, y, 1]`, and head i's logits
-`(X Q_i)([x, y, 1] K_i)^T` see its query and key blocks only through
-their (h, 3) product, the rank a 3-wide source allows (Bhojanapalli et
-al., arXiv 2002.07028): layer 1 stores the products as its (h, 3 * heads)
-`query` and has no `key`. Its keys are `[x, y, 1]`, one copy per head, its
-logits keep the 1/sqrt(d) of the head width, and TransformerConv's one
-demand, source keys and values linear in the source features, holds.
+Layer 1's keys and values act on the AP coordinates. Its sources are the
+AP rows only, and the linear AP encoder makes them `[x, y, 1] @ [ap_w; ap_b]`,
+so `key` and `value` reach the layer only through that (3, h) product:
+layer 1 stores the product, a (3, h) map of `[x, y, 1]`, and the encoder
+feeds only the layer-1 AP queries and roots. TransformerConv asks only that
+the source keys and values be linear maps of the source features, and
+these are.
 
 One forward, `forward_batch`, serves training, calibration and single-scan
 prediction, on the fields of a `graphbuild.LocGraph` (B user rows and the
@@ -99,7 +98,7 @@ from .graphbuild import user_edge_mask  # noqa: F401
 from .rng import stream
 
 
-# The weights of one layer, in checkpoint order; layer 1 has no `key`.
+# The weights of one layer, in checkpoint order.
 LAYER_WEIGHTS = ("query", "key", "value", "root", "merge")
 
 
@@ -107,15 +106,15 @@ LAYER_WEIGHTS = ("query", "key", "value", "root", "merge")
 class TransformerConvLayer:
     """One layer: every head fused into one weight per attention projection.
 
-    Head i owns the i-th of `n_heads` equal column blocks of `query`, `key`
-    and `value`. In layer 2 each is (in_dim, n_heads * head_dim). Layer 1's
-    `value` is (3, n_heads * head_dim), a map of the APs' `[x, y, 1]`; its
-    `query` is (in_dim, 3 * n_heads), each head's query-key product, and its
-    `key` is None. `root` is (in_dim, head_dim), shared by the heads.
+    `query`, `key` and `value` are (in_dim, n_heads * head_dim); head i owns
+    columns [i * head_dim, (i + 1) * head_dim) of each. `key` and `value`
+    have a row per source feature: in_dim in layer 2, three (the APs'
+    `[x, y, 1]`) in layer 1. `root` is (in_dim, head_dim), shared by the
+    heads.
     """
 
     query: Tensor
-    key: Optional[Tensor]
+    key: Tensor
     value: Tensor  # the message transform
     root: Tensor  # added after the head mean
     merge: Tensor  # (head_dim, out_dim), restores width after head averaging
@@ -123,7 +122,7 @@ class TransformerConvLayer:
 
     @property
     def head_dim(self) -> int:
-        return self.root.shape[1]
+        return self.query.shape[1] // self.n_heads
 
 
 @dataclass
@@ -185,16 +184,18 @@ class TrainConfig:
 def _parameter_shapes(ap_count: int, hidden: int, n_heads: int) -> dict[str, tuple[int, ...]]:
     """The parameters by checkpoint name, in buffer order, with their shapes:
     the one table of the layout."""
-    root, merge = (hidden, hidden // n_heads), (hidden // n_heads, hidden)
+    head_dim = hidden // n_heads
+
+    def layer(tag: str, sources: int) -> dict[str, tuple[int, int]]:
+        shapes = ((hidden, hidden), (sources, hidden), (sources, hidden),
+                  (hidden, head_dim), (head_dim, hidden))
+        return {f"{tag}.{wn}": shape for wn, shape in zip(LAYER_WEIGHTS, shapes)}
+
     return {
         "enc.user.w": (ap_count, hidden), "enc.user.b": (hidden,),
         "enc.ap.w": (2, hidden), "enc.ap.b": (hidden,),
-        # its sources are the APs' [x, y, 1]: the query holds each head's
-        # (hidden, 3) query-key product
-        "layer1.query": (hidden, 3 * n_heads), "layer1.value": (3, hidden),
-        "layer1.root": root, "layer1.merge": merge,
-        "layer2.query": (hidden, hidden), "layer2.key": (hidden, hidden),
-        "layer2.value": (hidden, hidden), "layer2.root": root, "layer2.merge": merge,
+        **layer("layer1", 3),  # its sources are the APs' [x, y, 1]
+        **layer("layer2", hidden),
         "head.w": (hidden, 2), "head.b": (2,),
     }
 
@@ -219,25 +220,22 @@ def _init_layer(layer: TransformerConvLayer, seed: int, tag: str,
     roots averaged over the heads would.
 
     `sources` is layer 1's (3, in_dim) `[enc.ap.w; enc.ap.b]`: each head's
-    blocks are drawn as for the encoded AP rows and stored as `sources @ v`
-    and `q @ (sources @ k)^T`, so a fresh model computes what one encoding
-    the AP rows first would."""
+    key and value block is drawn at (in_dim, head_dim), as for keys and
+    values of the encoded AP rows, and stored as `sources @ block`, so a
+    fresh model computes what one encoding the AP rows first would."""
     n, d = layer.n_heads, layer.head_dim
-    q, k, v = (np.empty_like(layer.root.data) for _ in range(3))  # one head's draws
-    for hi in range(n):
-        for block, stream_tag in ((q, "w3"), (k, "w4"), (v, "w2")):
+    block = np.empty_like(layer.root.data)  # one head's (in_dim, head_dim) draw
+    for wn, stream_tag in (("query", "w3"), ("key", "w4"), ("value", "w2")):
+        on_sources = sources is not None and wn != "query"
+        for hi in range(n):
             _xavier(block, stream(seed, "init", tag, hi, stream_tag))
-        cols = slice(hi * d, (hi + 1) * d)
-        if sources is None:
-            layer.query.data[:, cols], layer.key.data[:, cols], layer.value.data[:, cols] = q, k, v
-        else:
-            layer.query.data[:, 3 * hi:3 * (hi + 1)] = q @ (sources @ k).T
-            layer.value.data[:, cols] = sources @ v
+            getattr(layer, wn).data[:, hi * d:(hi + 1) * d] = (
+                sources @ block if on_sources else block)
     root = layer.root.data  # summed in head order, then divided: np.mean's bits
     _xavier(root, stream(seed, "init", tag, 0, "w1"))
     for hi in range(1, n):
-        _xavier(q, stream(seed, "init", tag, hi, "w1"))  # q is free scratch by now
-        root += q
+        _xavier(block, stream(seed, "init", tag, hi, "w1"))
+        root += block
     root /= n
     _xavier(layer.merge.data, stream(seed, "init", tag, "merge"))
 
@@ -273,7 +271,7 @@ def _assemble(flat: np.ndarray, ap_count: int, hidden: int, n_heads: int,
               for name, view in zip(shapes, flat_views(flat, shapes.values()))}
 
     def layer(tag: str) -> TransformerConvLayer:
-        return TransformerConvLayer(*(params.get(f"{tag}.{wn}") for wn in LAYER_WEIGHTS),
+        return TransformerConvLayer(*(params[f"{tag}.{wn}"] for wn in LAYER_WEIGHTS),
                                     n_heads=n_heads)
 
     return GtModel(
@@ -302,9 +300,14 @@ def model_for_inventory(inventory: ApInventory, hidden: int, n_heads: int, seed:
 # -- forward passes --------------------------------------------------------
 
 
-# The keys and the values of a layer's source rows, every head side by side;
-# they do not depend on the targets.
+# The keys and the values (n, n_heads * head_dim) of a layer's source rows.
 KeysValues = tuple[Tensor, Tensor]
+
+
+def _keys_values(tape: Tape, layer: TransformerConvLayer, sources: Tensor) -> KeysValues:
+    """Keys and values of `sources`, every head at once; they do not depend
+    on the targets."""
+    return tape.matmul(sources, layer.key), tape.matmul(sources, layer.value)
 
 
 def _attend(
@@ -319,8 +322,7 @@ def _attend(
     rows whose adjacency is empty receive their root transform only."""
     keys, values = kv
     messages = tape.multi_head_attention(
-        tape.matmul(targets, layer.query), keys, values, adjacency, layer.n_heads,
-        1.0 / math.sqrt(layer.head_dim))
+        tape.matmul(targets, layer.query), keys, values, adjacency, layer.n_heads)
     z = tape.add(tape.matmul(targets, layer.root), tape.head_mean(messages, layer.n_heads))
     return tape.matmul(z, layer.merge)
 
@@ -334,19 +336,18 @@ def encode_inventory(
 ) -> tuple[KeysValues, KeysValues]:
     """The inventory half of the forward: the keys and values of layers 1 and 2.
 
-    Layer 1's keys are the APs' `[x, y, 1]`, one copy per head (a constant),
-    and its values `[x, y, 1] @ layer1.value`. Encodes the AP rows, updates
-    them by layer-1 attention (then relu) and returns both layers' keys and
-    values. Dropout never touches them, so this is the same function of the
-    weights in training and in eval.
+    Takes the layer-1 keys and values of the APs' `[x, y, 1]`, encodes the
+    AP rows, updates them by layer-1 attention over the APs (then relu) and
+    returns those keys and values and the layer-2 ones of the updated rows.
+    Dropout never touches them, so this is the same function of the weights
+    in training and in eval.
     """
     ones = np.ones((len(ap_feats_norm), 1), dtype=ap_feats_norm.dtype)
-    coords = np.hstack([ap_feats_norm, ones])
-    layer1, layer2, enc = model.layer1, model.layer2, model.encoders
-    kv1 = Tensor(np.tile(coords, layer1.n_heads)), tape.matmul(Tensor(coords), layer1.value)
+    kv1 = _keys_values(tape, model.layer1, Tensor(np.hstack([ap_feats_norm, ones])))
+    enc = model.encoders
     aps = tape.add_bias(tape.matmul(Tensor(ap_feats_norm), enc.ap_w), enc.ap_b)
-    aps = tape.relu(_attend(tape, layer1, aps, kv1, ap_adj))
-    return kv1, (tape.matmul(aps, layer2.key), tape.matmul(aps, layer2.value))
+    aps = tape.relu(_attend(tape, model.layer1, aps, kv1, ap_adj))
+    return kv1, _keys_values(tape, model.layer2, aps)
 
 
 def _pinned(a: np.ndarray) -> np.ndarray:
@@ -554,9 +555,9 @@ def _old_layout(name: str, shape: tuple[int, ...], hidden: int) -> str:
     if name.endswith(".root") and shape == (hidden, hidden):
         return (" (a checkpoint written before the heads shared one root has one "
                 "root block per head)")
-    if name == "layer1.key":
-        return (" (a checkpoint written before layer 1 stored each head's query-key "
-                "product has a layer1.key and a (hidden, hidden) layer1.query)")
+    if name in ("layer1.key", "layer1.value") and shape == (hidden, hidden):
+        return (" (a checkpoint written before layer 1's keys and values acted on "
+                "the AP coordinates has them act on the encoded AP rows)")
     return ""
 
 
@@ -569,12 +570,12 @@ def load_model(path: str | Path) -> GtModel:
     not a positive integer (or `n_heads` not dividing `hidden`), with an
     affine that is not two finite numbers, without one of
     `PARAMETER_NAMES` (such as one written with per-head weights,
-    `layer1.head0.w1`), with a parameter that is not one of them (such as
-    the `layer1.key` of the layouts before layer 1 stored each head's
-    query-key product), with a parameter of another shape than
+    `layer1.head0.w1`), with a parameter of another shape than
     `init_model` gives for its metadata (such as a `layer1.root` with one
-    block per head) or with its parameters in another order than
-    `_parameter_shapes` raises BadCheckpoint.
+    block per head, or the (hidden, hidden) `layer1.key` of the layout
+    before layer 1's keys and values acted on the AP coordinates) or with
+    its parameters in another order than `_parameter_shapes` raises
+    BadCheckpoint.
     """
     header, blob = read_checkpoint(path)
     blob.flags.writeable = False
@@ -601,12 +602,6 @@ def load_model(path: str | Path) -> GtModel:
                   "version no longer reads (per head, as in layer1.head0.w1); "
                   "rerun `sacloc train`")
     shapes = _parameter_shapes(ap_count, hidden, n_heads)
-    unknown = [name for name in layout if name not in shapes]
-    if unknown:
-        raise BadCheckpoint(
-            path, f"parameter {unknown[0]} of shape {layout[unknown[0]]} is not one this "
-                  f"version reads{_old_layout(unknown[0], layout[unknown[0]], hidden)}; "
-                  "rerun `sacloc train`")
     for name, shape in shapes.items():
         if layout[name] != shape:
             raise BadCheckpoint(

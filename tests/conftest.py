@@ -70,35 +70,11 @@ def write_fused_root_layout(path):
         for name, p in params.items()}, step=step, extra=extra)
 
 
-def write_coordinate_key_layout(path):
-    """Rewrite a model checkpoint's (hidden, 3 * n_heads) `layer1.query`, each
-    head's query-key product P_i, as the factors of the layout before layer 1
-    stored the products: an (hidden, hidden) `layer1.query` with head block
-    [P_i, 0] and a (3, hidden) `layer1.key` with head block [I_3, 0], whose
-    products are the P_i again. Needs head_dim >= 3."""
-    params, _, step, extra = load_checkpoint(path)
-    hidden, n_heads = extra["model"]["hidden"], extra["model"]["n_heads"]
-    head_dim = hidden // n_heads
-    key_block = np.eye(3, head_dim)
-    products = np.hsplit(params["layer1.query"].data, n_heads)
-    old = {}
-    for name, p in params.items():
-        if name == "layer1.query":
-            old[name] = Tensor(np.hstack([np.hstack([pi, np.zeros((hidden, head_dim - 3))])
-                                          for pi in products]))
-            old["layer1.key"] = Tensor(np.tile(key_block, n_heads))
-        else:
-            old[name] = p
-    save_checkpoint(path, old, step=step, extra=extra)
-
-
 def write_encoded_key_layout(path):
-    """Rewrite a model checkpoint in the layout before layer 1's keys and
-    values acted on the AP coordinates (they acted on the encoded AP rows):
-    `write_coordinate_key_layout`'s (3, hidden) `layer1.key` and
-    `layer1.value` as (hidden, hidden) ones, the stored rows over hidden - 3
-    zero rows, under the same names."""
-    write_coordinate_key_layout(path)
+    """Rewrite a model checkpoint's (3, hidden) `layer1.key` and
+    `layer1.value` as the (hidden, hidden) ones of the layout before they
+    acted on the AP coordinates (they acted on the encoded AP rows): the
+    stored rows over hidden - 3 zero rows, under the same names."""
     params, _, step, extra = load_checkpoint(path)
     hidden = extra["model"]["hidden"]
     save_checkpoint(path, {

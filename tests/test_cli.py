@@ -344,15 +344,18 @@ class TestBadSettings:
          "synth.noise_sigma_db must be finite, got NaN"),
         (("synth",), {"synth": {"area": [40.0, -math.inf]}},
          "synth.area must be finite, got -Infinity"),
-        (("synth",), {"synth": {"train_samples": -5}}, "sample_count must be at least 1, got -5"),
+        (("synth",), {"synth": {"train_samples": -5}},
+         "synth.train_samples must be at least 1, got -5"),
         (("train",), {"train": {"weight_decay": -0.1}},
-         "weight_decay must be nonnegative, got -0.1"),
+         "train.weight_decay must be nonnegative, got -0.1"),
+        (("train",), {"train": {"lr": -0.001}}, "train.lr must be nonnegative, got -0.001"),
     ], ids=["calibration_fraction", "alpha", "k", "heads", "alphas-abc", "alphas-order",
             "alphas-range", "test-samples", "k-fraction", "epochs-fraction",
             "batch_size-boolean", "hidden-fraction", "seed-fraction", "ap_count-float",
             "train_samples-string", "lr-string", "dropout-boolean", "alpha-boolean",
             "area-length", "tau-nan", "d_p-nan", "lr-infinity", "noise_sigma_db-nan",
-            "area-infinity", "train_samples-negative", "weight_decay-negative"])
+            "area-infinity", "train_samples-negative", "weight_decay-negative",
+            "lr-negative"])
     def test_rejected_where_it_arrives(self, workdir, capsys, argv, sections, message):
         tmp, config = workdir
         cfg = json.loads((tmp / "config.json").read_text())

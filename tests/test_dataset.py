@@ -317,6 +317,11 @@ class TestSampleValidation:
         with pytest.raises(ValueError):
             make_sample([np.nan, -60.0])
 
+    @pytest.mark.parametrize("count", [0, -5, float("nan")])
+    def test_synthetic_config_refuses_fewer_than_one_sample(self, count):
+        with pytest.raises(ValueError, match="sample_count must be at least 1"):
+            SyntheticConfig(ap_count=3, area=(10.0, 10.0), sample_count=count, seed=1)
+
     def test_inventory_rejects_duplicate_ids(self):
         with pytest.raises(ValueError):
             ApInventory(ap_ids=("a", "a"), coordinates=np.zeros((2, 2)))

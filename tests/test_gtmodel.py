@@ -50,7 +50,6 @@ from sacloc.rng import stream
 from conftest import (
     rewrite_checkpoint_header,
     with_model,
-    write_coordinate_key_layout,
     write_encoded_key_layout,
     write_fused_root_layout,
     write_per_head_layout,
@@ -95,29 +94,23 @@ class EmptyNeighborhood(Exception):
 
 
 def attention_coefficients(layer, head_index, features, node, neighbors, sources=None):
-    """Reference attention row for one node: softmax of the query-key dots
-    over sqrt(head_dim). The keys act on the rows of `sources` (default
-    `features`). A layer without `key` (layer 1) stores each head's (in, 3)
-    query-key product in `query`, and its keys are the 3-wide sources."""
+    """Reference attention row for one node: softmax of scaled query-key
+    dots. The keys act on the rows of `sources` (default `features`)."""
     if len(neighbors) == 0:
         raise EmptyNeighborhood(f"node {node} has no neighbors")
     sources = features if sources is None else sources
-    if layer.key is None:
-        product = layer.query.data[:, 3 * head_index:3 * (head_index + 1)]
-        logits = sources[list(neighbors)] @ (features[node] @ product)
-    else:
-        cols = slice(head_index * layer.head_dim, (head_index + 1) * layer.head_dim)
-        q = features[node] @ layer.query.data[:, cols]
-        logits = (sources[list(neighbors)] @ layer.key.data[:, cols]) @ q
-    logits = logits / math.sqrt(layer.head_dim)
+    cols = slice(head_index * layer.head_dim, (head_index + 1) * layer.head_dim)
+    q = features[node] @ layer.query.data[:, cols]
+    k = sources[list(neighbors)] @ layer.key.data[:, cols]
+    logits = (k @ q) / math.sqrt(layer.head_dim)
     e = np.exp(logits - logits.max())
     return e / e.sum()
 
 
 def transformer_conv(tape, layer, features, adjacency):
     """Dense layer application over an (n, h) feature matrix and (n, n) adjacency."""
-    kv = tape.matmul(features, layer.key), tape.matmul(features, layer.value)
-    return gtmodel._attend(tape, layer, features, kv, adjacency)
+    return gtmodel._attend(tape, layer, features, gtmodel._keys_values(tape, layer, features),
+                           adjacency)
 
 
 def dense_layer(layer, feats, adjacency, sources=None):
@@ -138,15 +131,15 @@ def dense_layer(layer, feats, adjacency, sources=None):
     return (feats @ layer.root.data + total / layer.n_heads) @ layer.merge.data
 
 
-def dense_forward(model, graph, masks=(None, None), factored=None):
+def dense_forward(model, graph, masks=(None, None), encoded_kv=None):
     """Reference single-scan forward over the full (m+1)-node graph of a
     one-scan `LocGraph`, assembled here from its blocks with the user node
     last and no AP -> user link: both layers update every node, and the
     user row feeds the head -> (2,). Layer 1's keys and values act on the
-    APs' `[x, y, 1]`; given `factored`, an (h, h) query and a (3, h) key
-    replace its stored query-key products. `masks` are the (h,) dropout
-    rows (user1, user2) that multiply the user row after each layer's
-    relu, as in training; the AP rows take none."""
+    APs' `[x, y, 1]`, or, given `encoded_kv`, (h, h) key and value that act
+    on the encoded AP rows replace them. `masks` are the (h,) dropout rows
+    (user1, user2) that multiply the user row after each layer's relu, as
+    in training; the AP rows take none."""
     m = graph.ap_features.shape[0]
     adjacency = np.zeros((m + 1, m + 1), dtype=bool)
     adjacency[:m, :m] = graph.ap_adjacency
@@ -159,9 +152,9 @@ def dense_forward(model, graph, masks=(None, None), factored=None):
     sources = np.vstack([np.hstack([graph.ap_features, np.ones((m, 1))]),
                          np.full((1, 3), np.nan)])
     layer1 = model.layer1
-    if factored is not None:
-        query, key = factored
-        layer1 = replace(layer1, query=Tensor(query), key=Tensor(key))
+    if encoded_kv is not None:
+        key, value = encoded_kv
+        layer1, sources = replace(layer1, key=Tensor(key), value=Tensor(value)), None
     for layer, layer_sources, mask in zip((layer1, model.layer2), (sources, None), masks,
                                           strict=True):
         feats = np.maximum(dense_layer(layer, feats, adjacency, layer_sources), 0.0)
@@ -295,7 +288,7 @@ class TestSharedRoot:
         t = Tape(record=False)
         messages = t.multi_head_attention(
             t.matmul(feats, layer.query), t.matmul(feats, layer.key),
-            t.matmul(feats, layer.value), adj, n_heads, 1.0 / math.sqrt(head_dim))
+            t.matmul(feats, layer.value), adj, n_heads)
         per_head = t.matmul(t.head_mean(t.add(t.matmul(feats, roots), messages), n_heads),
                             layer.merge).data
         shared = transformer_conv(t, layer, feats, adj).data
@@ -318,22 +311,18 @@ class TestSharedRoot:
                 return [xavier((hidden, head_dim), tag, hi, w) for hi in range(n_heads)]
 
             # layer 1's key and value blocks act on the encoded AP rows,
-            # [x, y, 1] @ [enc.ap.w; enc.ap.b]: the values' product is stored,
-            # and each head's query block times its key's product
+            # [x, y, 1] @ [enc.ap.w; enc.ap.b]: their product is stored
             sources = np.vstack([xavier((2, hidden), "enc.ap"), np.zeros(hidden)])
             want = {"enc.user.w": xavier((3, hidden), "enc.user"),
                     "enc.user.b": np.zeros(hidden),
                     "enc.ap.w": xavier((2, hidden), "enc.ap"), "enc.ap.b": np.zeros(hidden),
-                    "layer1.query": np.hstack([
-                        q @ (sources @ k).T
-                        for q, k in zip(blocks("layer1", "w3"), blocks("layer1", "w4"))]),
-                    "layer1.value": np.hstack([sources @ b for b in blocks("layer1", "w2")]),
-                    "layer2.query": np.hstack(blocks("layer2", "w3")),
-                    "layer2.key": np.hstack(blocks("layer2", "w4")),
-                    "layer2.value": np.hstack(blocks("layer2", "w2")),
                     "head.w": xavier((hidden, 2), "head"), "head.b": np.zeros(2)}
             for tag in ("layer1", "layer2"):
-                want |= {f"{tag}.root": np.mean(blocks(tag, "w1"), axis=0),
+                on = (lambda b: sources @ b) if tag == "layer1" else (lambda b: b)
+                want |= {f"{tag}.query": np.hstack(blocks(tag, "w3")),
+                         f"{tag}.key": np.hstack([on(b) for b in blocks(tag, "w4")]),
+                         f"{tag}.value": np.hstack([on(b) for b in blocks(tag, "w2")]),
+                         f"{tag}.root": np.mean(blocks(tag, "w1"), axis=0),
                          f"{tag}.merge": xavier((head_dim, hidden), tag, "merge")}
             params = model.parameters()
             assert sorted(params) == sorted(want)
@@ -357,11 +346,9 @@ class TestSharedRoot:
         inventory = ApInventory(ap_ids=tuple(f"ap{i}" for i in range(20)),
                                 coordinates=stream(22, "aps").uniform(0.0, 50.0, (20, 2)))
         params = model_for_inventory(inventory, hidden=500, n_heads=4, seed=11).parameters()
-        assert sum(p.data.size for p in params.values()) == 1_020_502
+        assert sum(p.data.size for p in params.values()) == 1_266_002
         assert params["layer1.root"].shape == params["layer2.root"].shape == (500, 125)
-        assert params["layer1.query"].shape == (500, 12)
-        assert params["layer1.value"].shape == (3, 500)
-        assert "layer1.key" not in params
+        assert params["layer1.key"].shape == params["layer1.value"].shape == (3, 500)
         assert {name: p.shape for name, p in params.items()} == \
             gtmodel._parameter_shapes(20, 500, 4)
 
@@ -445,14 +432,12 @@ class TestModelForward:
         assert np.array_equal(predict_positions(loaded, samples, inventory, graph_cfg),
                               predict_positions(model, samples, inventory, graph_cfg))
 
-    @pytest.mark.parametrize("hidden", [64, 500])
-    def test_fresh_model_predicts_the_factored_formula(self, small_world, graph_cfg, hidden):
-        # layer 1's logits were (X query_i)(coords @ key_i)^T, with an (h, h)
-        # query and a (3, h) key, [enc.ap.w; enc.ap.b] times an (h, h) draw,
-        # drawn head block by head block; a fresh model's per-head products
-        # of the same draws predict what that formula does
+    def test_fresh_model_predicts_the_encoded_key_formula(self, small_world, graph_cfg):
+        # layer 1's keys and values were (coords @ ap_w + ap_b) @ key, with an
+        # (h, h) key drawn head block by head block; a fresh model's (3, h)
+        # product of the same draws predicts what that formula does
         _, inventory, samples = small_world
-        n_heads, seed = 4, 5
+        hidden, n_heads, seed = 64, 4, 5
         head_dim = hidden // n_heads
         model = model_for_inventory(inventory, hidden=hidden, n_heads=n_heads, seed=seed)
         limit = math.sqrt(6.0 / (hidden + head_dim))
@@ -461,12 +446,10 @@ class TestModelForward:
             return np.hstack([stream(seed, "init", "layer1", hi, w).uniform(
                 -limit, limit, (hidden, head_dim)) for hi in range(n_heads)])
 
-        enc = model.encoders
-        factored = drawn("w3"), np.vstack([enc.ap_w.data, enc.ap_b.data]) @ drawn("w4")
         ap_adj = build_ap_adjacency(inventory, graph_cfg)
         want = np.stack([
             dense_forward(model, build_sample_graph(s, inventory, ap_adj, graph_cfg),
-                          factored=factored)
+                          encoded_kv=(drawn("w4"), drawn("w2")))
             for s in samples]) * model.affine_scale + model.affine_offset
         got = predict_positions(model, samples, inventory, graph_cfg)
         assert np.max(np.abs(got - want)) <= 1e-12
@@ -640,6 +623,11 @@ class TestFullModelGradient:
 
 
 class TestTrain:
+    @pytest.mark.parametrize("weight_decay", [-0.1, math.nan])
+    def test_config_refuses_negative_or_nan_weight_decay(self, weight_decay):
+        with pytest.raises(ValueError, match="weight_decay must be nonnegative"):
+            TrainConfig(weight_decay=weight_decay)
+
     def test_lr_zero_leaves_parameters(self, small_world, graph_cfg):
         _, inventory, samples = small_world
         model = model_for_inventory(inventory, hidden=8, n_heads=2, seed=5)
@@ -756,7 +744,7 @@ class TestTrain:
         tc = TrainConfig(epochs=1, batch_size=16, dropout=0.2, seed=5)
         train(model, samples[:16], tc, graph_cfg, inventory)
         assert shapes == [(16, 8), (16, 8)]
-        assert sizes == [38]
+        assert sizes == [39]
 
     def test_step_tape_size_does_not_depend_on_heads(self, small_world, graph_cfg,
                                                      monkeypatch):
@@ -794,7 +782,7 @@ class TestTrain:
         train(model, samples, tc, graph_cfg, inventory)
         assert len(steps) == 3
         for outputs, grads, loss in steps:
-            assert len(outputs) == 36 and set(outputs) == {np.dtype(np.float32)}
+            assert len(outputs) == 37 and set(outputs) == {np.dtype(np.float32)}
             assert len(grads) == len(PARAMETER_NAMES) and set(grads) == {np.dtype(np.float32)}
             assert loss.shape == () and loss.dtype == np.float64
         assert model.flat.dtype == np.float64
@@ -884,7 +872,7 @@ class TestInPlaceGradients:
         inventory, samples = generate_synthetic(cfg)
         tracemalloc.start()
         try:
-            model = model_for_inventory(inventory, hidden=72, n_heads=4, seed=11)
+            model = model_for_inventory(inventory, hidden=64, n_heads=4, seed=11)
             train(model, samples, TrainConfig(epochs=2, batch_size=4, seed=11),
                   graph_cfg, inventory)
             _, peak = tracemalloc.get_traced_memory()
@@ -1071,29 +1059,19 @@ class TestCheckpointing:
         assert "one root block per head" in str(exc.value)
         assert exc.value.path == path
 
-    @pytest.mark.parametrize("rewrite, hidden, n_heads, key_shape", [
-        (write_coordinate_key_layout, 8, 2, (3, 8)),
-        # hidden = 3 * heads: the (hidden, hidden) query has the new shape,
-        # so only the extra layer1.key tells the layouts apart
-        (write_coordinate_key_layout, 12, 4, (3, 12)),
-        (write_encoded_key_layout, 8, 2, (8, 8)),
-    ], ids=["coordinate-key", "coordinate-key-square-query", "encoded-key"])
-    def test_query_key_layouts_rejected(self, tmp_path, small_world, rewrite, hidden,
-                                        n_heads, key_shape):
-        # the layouts before layer 1 stored each head's query-key product:
-        # an (h, h) layer1.query and a layer1.key, of (3, h) when its keys
-        # acted on the AP coordinates and of (h, h) before that
+    def test_encoded_key_layout_rejected(self, tmp_path, small_world):
+        # the layout before layer 1's keys and values acted on the AP
+        # coordinates: the same names, an (h, h) key and value
         _, inventory, _ = small_world
         path = tmp_path / "model.bin"
-        save_model(path, model_for_inventory(inventory, hidden=hidden, n_heads=n_heads, seed=5))
-        rewrite(path)
-        params = load_checkpoint(path)[0]
-        assert params["layer1.query"].shape == (hidden, hidden)
-        assert params["layer1.key"].shape == key_shape
+        save_model(path, model_for_inventory(inventory, hidden=8, n_heads=2, seed=5))
+        write_encoded_key_layout(path)
+        assert load_checkpoint(path)[0]["layer1.key"].shape == (8, 8)
         with pytest.raises(BadCheckpoint, match="rerun `sacloc train`$") as exc:
             load_model(path)
-        assert f"parameter layer1.key of shape {key_shape} is not one" in str(exc.value)
-        assert "before layer 1 stored each head's query-key product" in str(exc.value)
+        assert "parameter layer1.key has shape (8, 8)" in str(exc.value)
+        assert "need (3, 8)" in str(exc.value)
+        assert "act on the encoded AP rows" in str(exc.value)
         assert exc.value.path == path
 
     def test_per_head_layout_rejected(self, tmp_path, small_world):
@@ -1108,14 +1086,14 @@ class TestCheckpointing:
         assert exc.value.path == path
 
     def test_reordered_layout_rejected(self, tmp_path, small_world):
-        # the right names and shapes, with layer2's key and value (one shape)
+        # the right names and shapes, with layer1's key and value (one shape)
         # swapped: views cut in table order would read each as the other
         _, inventory, _ = small_world
         path = tmp_path / "model.bin"
         save_model(path, model_for_inventory(inventory, hidden=8, n_heads=2, seed=5))
         params, _, step, extra = load_checkpoint(path)
         names = list(params)
-        i, j = names.index("layer2.key"), names.index("layer2.value")
+        i, j = names.index("layer1.key"), names.index("layer1.value")
         names[i], names[j] = names[j], names[i]
         save_checkpoint(path, {name: params[name] for name in names}, step=step, extra=extra)
         with pytest.raises(BadCheckpoint, match="another order.*rerun `sacloc train`$") as exc:
@@ -1133,7 +1111,7 @@ class TestCheckpointing:
         (lambda h: {k: v for k, v in h.items() if k != "step"}, HEADER_REASON),
         (lambda h: {**h, "extra": []}, HEADER_REASON),
         (lambda h: [h], "header is not a JSON object"),
-        (lambda h: {**h, "params": [*h["params"], "head.b"]}, "params[15] is not [name, shape, offset]"),
+        (lambda h: {**h, "params": [*h["params"], "head.b"]}, "params[16] is not [name, shape, offset]"),
         (lambda h: with_param(h, 0, 0, 7), "params[0] is not"),
         (lambda h: with_param(h, 0, 1, [-1, 8]), "params[0] is not"),
         (lambda h: with_param(h, 1, 2, "48"), "params[1] is not"),
