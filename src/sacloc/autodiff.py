@@ -15,11 +15,12 @@ Primitives keep their inputs' dtype. Training records its tape in float32
 (weights, inputs, masks and gradients alike; only the loss sums in
 float64), while evaluation, calibration and prediction run in float64.
 
-Besides the 2-D algebra, two primitives serve multi-head layers whose heads
-sit side by side in the columns: `multi_head_attention` (per-head masked
-softmax attention as one batched matmul, with a hand-written backward) and
-`head_mean`. The masked softmax and its backward are shared with
-`masked_row_softmax`.
+Besides the 2-D algebra, three primitives serve multi-head layers whose
+heads sit side by side in the columns: `multi_head_attention` (per-head
+masked softmax attention as one batched matmul, with a hand-written
+backward; the key width may differ from the value width), `head_products`
+(each head's product of two weights' column blocks) and `head_mean`. The
+masked softmax and its backward are shared with `masked_row_softmax`.
 
 Also houses the optimizer pieces the trainer needs: bias-corrected Adam
 with decoupled weight decay over one flat float64 master buffer (updated in
@@ -93,6 +94,17 @@ def _softmax_backward(p: np.ndarray, g: np.ndarray) -> np.ndarray:
     """d(loss)/d(logits) of `_masked_softmax`, given its output and d(loss)/d(p)."""
     inner = (g * p).sum(axis=-1, keepdims=True)
     return p * (g - inner)
+
+
+def _heads(x: np.ndarray, n_heads: int) -> np.ndarray:
+    """(rows, H*w) -> the (H, rows, w) view, head i from columns [i*w, (i+1)*w)."""
+    return x.reshape(len(x), n_heads, x.shape[1] // n_heads).transpose(1, 0, 2)
+
+
+def _merged(x: np.ndarray) -> np.ndarray:
+    """(H, rows, w) -> (rows, H*w), the inverse of `_heads`."""
+    n_heads, rows, w = x.shape
+    return np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(rows, n_heads * w)
 
 
 class Tape:
@@ -208,39 +220,54 @@ class Tape:
     ) -> Tensor:
         """Per-head masked scaled dot-product attention -> (B, H*d).
 
-        `q` is (B, H*d), `k` and `v` are (n, H*d); head i owns columns
-        [i*d, (i+1)*d) of each. Row b of head i is softmax(q_i k_iᵀ/√d) over
-        the True entries of `mask[b]` (an all-False row gives zeros), times
-        v_i. The heads run as one batched matmul over (H, ·, d) views.
+        `q` is (B, H*w) and `k` (n, H*w), head i in columns [i*w, (i+1)*w);
+        `v` is (n, H*d), head i in columns [i*d, (i+1)*d). The key width w
+        may differ from the value width d; the scale follows d, so keys of
+        width 3 keep a width-d model's 1/√d. Row b of head i is
+        softmax(q_i k_iᵀ/√d) over the True entries of `mask[b]` (an
+        all-False row gives zeros), times v_i. The heads run as one batched
+        matmul over (H, ·, ·) views.
         """
-        _check(q.data.ndim == 2 and k.data.ndim == 2 and k.shape == v.shape
-               and q.shape[1] == k.shape[1] and q.shape[1] % n_heads == 0
+        _check(q.data.ndim == 2 and k.data.ndim == 2 and v.data.ndim == 2
+               and q.shape[1] == k.shape[1] and k.shape[0] == v.shape[0]
+               and q.shape[1] % n_heads == 0 and v.shape[1] % n_heads == 0
                and mask.shape == (q.shape[0], k.shape[0]),
                "multi_head_attention", q.shape, k.shape, v.shape, mask.shape)
-        width = q.shape[1]
-        d = width // n_heads
-        inv_sqrt = 1.0 / math.sqrt(d)
-
-        def heads(x: np.ndarray) -> np.ndarray:  # (rows, H*d) -> (H, rows, d) view
-            return x.reshape(len(x), n_heads, d).transpose(1, 0, 2)
-
-        def merged(x: np.ndarray) -> np.ndarray:  # (H, rows, d) -> (rows, H*d)
-            return np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(x.shape[1], width)
-
-        qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
-        p = _masked_softmax(np.matmul(qh, kh.transpose(0, 2, 1)) * inv_sqrt,
-                            mask.astype(bool))
-        out = Tensor(merged(np.matmul(p, vh)))
+        scale = 1.0 / math.sqrt(v.shape[1] // n_heads)
+        qh, kh, vh = _heads(q.data, n_heads), _heads(k.data, n_heads), _heads(v.data, n_heads)
+        p = _masked_softmax(np.matmul(qh, kh.transpose(0, 2, 1)) * scale,
+                            np.asarray(mask, dtype=bool))
+        out = Tensor(_merged(np.matmul(p, vh)))
         need_q, need_k, need_v = self._needs(q), self._needs(k), self._needs(v)
 
         def backward(g):
-            gh = heads(g)
-            dlogits = _softmax_backward(p, np.matmul(gh, vh.transpose(0, 2, 1))) * inv_sqrt
-            return (merged(np.matmul(dlogits, kh)) if need_q else None,
-                    merged(np.matmul(dlogits.transpose(0, 2, 1), qh)) if need_k else None,
-                    merged(np.matmul(p.transpose(0, 2, 1), gh)) if need_v else None)
+            gh = _heads(g, n_heads)
+            dlogits = _softmax_backward(p, np.matmul(gh, vh.transpose(0, 2, 1))) * scale
+            return (_merged(np.matmul(dlogits, kh)) if need_q else None,
+                    _merged(np.matmul(dlogits.transpose(0, 2, 1), qh)) if need_k else None,
+                    _merged(np.matmul(p.transpose(0, 2, 1), gh)) if need_v else None)
 
         return self._push(out, (q, k, v), backward)
+
+    def head_products(self, a: Tensor, b: Tensor, n_heads: int) -> Tensor:
+        """Each head's a_i b_iᵀ side by side -> (n, H*k).
+
+        `a` is (n, H*d) and `b` (k, H*d), head i in columns [i*d, (i+1)*d);
+        head i of the result is the (n, k) product in columns [i*k, (i+1)*k),
+        one batched matmul over (H, ·, d) views.
+        """
+        _check(a.data.ndim == 2 and b.data.ndim == 2 and a.shape[1] == b.shape[1]
+               and a.shape[1] % n_heads == 0, "head_products", a.shape, b.shape)
+        ah, bh = _heads(a.data, n_heads), _heads(b.data, n_heads)
+        out = Tensor(_merged(np.matmul(ah, bh.transpose(0, 2, 1))))
+        need_a, need_b = self._needs(a), self._needs(b)
+
+        def backward(g):
+            gh = _heads(g, n_heads)
+            return (_merged(np.matmul(gh, bh)) if need_a else None,
+                    _merged(np.matmul(gh.transpose(0, 2, 1), ah)) if need_b else None)
+
+        return self._push(out, (a, b), backward)
 
     def head_mean(self, x: Tensor, n_heads: int) -> Tensor:
         """(B, H*d) -> (B, d): the heads summed in order, then scaled by 1/H."""

@@ -43,7 +43,14 @@ from .dataset import (
     split_train_calibration,
     synthesize_scans,
 )
-from .errors import BadCalibration, ConfigError, MissingArtifact, SaclocError
+from .errors import (
+    BadCalibration,
+    ConfigError,
+    MissingArtifact,
+    OutOfRange,
+    SaclocError,
+    check_ranges,
+)
 from .evalreport import (
     CoverageReport,
     ErrorMapData,
@@ -145,12 +152,7 @@ def load_config(path: str | Path) -> RunConfig:
             "train.calibration_fraction", tr.get("calibration_fraction", 0.2), float)
         alpha = _number("conformal.alpha", conf.get("alpha", 0.1), float)
         k = _number("conformal.k", conf.get("k", 5), int)
-        train_fields = _set_fields(tr, "train", TRAIN_FIELDS)
-        synth_fields = _set_fields(raw.get("synth", {}), "synth", SYNTH_FIELDS)
-        lr = train_fields.get("base_lr", 0.0)
-        weight_decay = train_fields.get("weight_decay", 0.0)
-        train_samples = synth_fields.get("sample_count", 1)
-        for key, value, valid, what in (
+        check_ranges((
             ("train.calibration_fraction", calibration_fraction,
              0.0 < calibration_fraction < 1.0, "in (0, 1)"),
             ("conformal.alpha", alpha, 0.0 < alpha < 1.0, "in (0, 1)"),
@@ -158,32 +160,29 @@ def load_config(path: str | Path) -> RunConfig:
             ("model.hidden", hidden, hidden >= 1, "at least 1"),
             ("model.heads", n_heads, n_heads >= 1 and hidden % n_heads == 0,
              f"a positive divisor of model.hidden ({hidden})"),
-            ("train.lr", lr, lr >= 0.0, "nonnegative"),
-            ("train.weight_decay", weight_decay, weight_decay >= 0.0, "nonnegative"),
-            ("synth.train_samples", train_samples, train_samples >= 1, "at least 1"),
-        ):
-            if not valid:
-                raise ConfigError(f"config file {path}: {key} must be {what}, got {value}")
+        ))
+        train = _section(raw, "train", TRAIN_FIELDS, TrainConfig, seed=seed)
+        graph = _section(raw, "graph", GRAPH_FIELDS, GraphConfig)
         synth = None
         if "synth" in raw:
             s = raw["synth"]
             area = s["area"]
             if not isinstance(area, list) or len(area) != 2:
                 raise ValueError(f"synth.area must be [width, height], got {json.dumps(area)}")
-            synth = SyntheticConfig(
+            synth = _section(
+                raw, "synth", SYNTH_FIELDS, SyntheticConfig,
                 ap_count=_number("synth.ap_count", s["ap_count"], int),
                 area=(_number("synth.area", area[0], float), _number("synth.area", area[1], float)),
                 seed=seed,
-                **synth_fields,
             )
         return RunConfig(
             fingerprints=Path(ds["fingerprints"]) if "fingerprints" in ds else None,
             inventory=Path(ds["inventory"]) if "inventory" in ds else None,
             test=Path(ds["test"]) if "test" in ds else None,
-            graph=GraphConfig(**_set_fields(raw.get("graph", {}), "graph", GRAPH_FIELDS)),
+            graph=graph,
             hidden=hidden,
             n_heads=n_heads,
-            train=TrainConfig(seed=seed, **train_fields),
+            train=train,
             calibration_fraction=calibration_fraction,
             alpha=alpha,
             k=k,
@@ -211,6 +210,17 @@ def _number(key: str, value, kind: type) -> int | float:
 def _set_fields(section: dict, name: str, fields: dict) -> dict:
     return {field: _number(f"{name}.{key}", section[key], kind)
             for key, (field, kind) in fields.items() if key in section}
+
+
+def _section(raw: dict, name: str, fields: dict, kind: type, **extra):
+    """`kind` built from section `name`'s keys in `fields` plus `extra`. Its
+    own range checks name a dataclass field; the OutOfRange re-raised here
+    names the config key instead (`train.lr`, not `base_lr`)."""
+    try:
+        return kind(**_set_fields(raw.get(name, {}), name, fields), **extra)
+    except OutOfRange as exc:
+        key = next((k for k, (f, _) in fields.items() if f == exc.field), exc.field)
+        raise OutOfRange(f"{name}.{key}", exc.what, exc.value) from exc
 
 
 def _check_keys(path: str | Path, raw) -> None:

@@ -32,6 +32,7 @@ from .errors import (
     EmptyInput,
     MalformedRow,
     MissingColumn,
+    check_ranges,
 )
 from .rng import stream
 
@@ -173,14 +174,12 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.ap_count < 3:
-            raise ValueError("need at least 3 APs")
-        if self.noise_sigma_db < 0:
-            raise ValueError("noise sigma must be >= 0")
-        if self.area[0] <= 0 or self.area[1] <= 0:
-            raise ValueError("area dimensions must be positive")
-        if not self.sample_count >= 1:  # NaN fails too
-            raise ValueError(f"sample_count must be at least 1, got {self.sample_count}")
+        check_ranges((
+            ("ap_count", self.ap_count, self.ap_count >= 3, "at least 3"),
+            ("area", list(self.area), all(a > 0 for a in self.area), "positive"),
+            ("noise_sigma_db", self.noise_sigma_db, self.noise_sigma_db >= 0, "nonnegative"),
+            ("sample_count", self.sample_count, self.sample_count >= 1, "at least 1"),
+        ))
 
 
 def detected_mask(rssi: np.ndarray) -> np.ndarray:

@@ -5,6 +5,27 @@ class SaclocError(Exception):
     """Base class for all errors raised by this package."""
 
 
+# settings --------------------------------------------------------------
+
+class OutOfRange(ValueError):
+    """A setting outside its range. `field` names the setting (a dataclass
+    field, or a config key once the config loader has renamed it)."""
+
+    def __init__(self, field: str, what: str, value):
+        self.field = field
+        self.what = what
+        self.value = value
+        super().__init__(f"{field} must be {what}, got {value}")
+
+
+def check_ranges(rows) -> None:
+    """Raise OutOfRange for the first (field, value, valid, what) row whose
+    `valid` is false. Write each test so that NaN fails it."""
+    for field, value, valid, what in rows:
+        if not valid:
+            raise OutOfRange(field, what, value)
+
+
 # dataset ---------------------------------------------------------------
 
 class MissingColumn(SaclocError):

@@ -20,6 +20,7 @@ from .dataset import (
     detected_mask,
     normalize_rssi,
 )
+from .errors import check_ranges
 
 
 @dataclass(frozen=True)
@@ -30,10 +31,8 @@ class GraphConfig:
     tau: float = -75.0
 
     def __post_init__(self):
-        if self.d_p <= 0:
-            raise ValueError("d_p must be positive")
-        if self.tau > 0:
-            raise ValueError("tau must be <= 0 dBm")
+        check_ranges((("d_p", self.d_p, self.d_p > 0, "positive"),
+                      ("tau", self.tau, self.tau <= 0, "at most 0 dBm")))
 
 
 @dataclass(frozen=True)

@@ -27,17 +27,28 @@ feeds only the layer-1 AP queries and roots. TransformerConv asks only that
 the source keys and values be linear maps of the source features, and
 these are.
 
+Layer 1 also scores in `[x, y, 1]` space. Head i's logits are
+targets @ query_i @ key_iᵀ @ [x, y, 1]ᵀ / sqrt(d), and the forward
+multiplies in that order: it forms each head's (h, 3) query-key product
+from the stored factors (`Tape.head_products`), so the targets meet an
+(h, 3 * heads) map instead of the (h, h) query, and the keys are
+`[x, y, 1]` itself, tiled once per head. `query` and `key` stay the
+parameters Adam steps; only the order of the multiplications differs
+from the textbook one. Layer 2 scores as written above: its keys act on
+the width-h AP rows, so its product would be h x (heads * m).
+
 One forward, `forward_batch`, serves training, calibration and single-scan
 prediction, on the fields of a `graphbuild.LocGraph` (B user rows and the
 AP blocks they share), in two halves. AP nodes never receive messages from the user,
 so everything on the AP side is the same for every scan sharing an
-inventory: the AP encoder, the layer-1 AP update and the keys and values
-both layers attend over. `encode_inventory` computes that inventory
-half; the scan half runs only the B user rows through both layers against
-those keys and values. Layer-2 AP embeddings are never computed, since
-nothing reads them. This equals the block-diagonal batched graph
-evaluated without its redundancy, in training as in eval: dropout acts on
-the user rows only, so the inventory half is the same in both.
+inventory: the AP encoder, the layer-1 AP update and what both layers
+attend over (layer 1's query-key map, keys and values, layer 2's keys
+and values). `encode_inventory` computes that inventory half; the scan
+half runs only the B user rows through both layers against it. Layer-2
+AP embeddings are never computed, since nothing reads them. This equals
+the block-diagonal batched graph evaluated without its redundancy, in
+training as in eval: dropout acts on the user rows only, so the
+inventory half is the same in both.
 
 The model owns its parameters: one (P,) float64 buffer, `GtModel.flat`,
 whose consecutive slices, in the order and shapes of `_parameter_shapes`,
@@ -91,6 +102,7 @@ from .errors import (
     DimensionMismatch,
     EmptyBatch,
     TrainingDiverged,
+    check_ranges,
 )
 from .graphbuild import GraphConfig, LocGraph, build_ap_adjacency, build_sample_graph
 # unused here; perfbench's tracer still patches this name
@@ -171,14 +183,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.epochs, self.batch_size) < 1:
-            raise ValueError("epochs and batch_size must be positive")
-        if self.base_lr < 0:
-            raise ValueError("base_lr must be nonnegative")
-        if not self.weight_decay >= 0:  # NaN fails too
-            raise ValueError(f"weight_decay must be nonnegative, got {self.weight_decay}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must be in [0, 1)")
+        check_ranges((
+            ("epochs", self.epochs, self.epochs >= 1, "at least 1"),
+            ("batch_size", self.batch_size, self.batch_size >= 1, "at least 1"),
+            ("base_lr", self.base_lr, self.base_lr >= 0, "nonnegative"),
+            ("weight_decay", self.weight_decay, self.weight_decay >= 0, "nonnegative"),
+            ("dropout", self.dropout, 0.0 <= self.dropout < 1.0, "in [0, 1)"),
+        ))
 
 
 def _parameter_shapes(ap_count: int, hidden: int, n_heads: int) -> dict[str, tuple[int, ...]]:
@@ -300,29 +311,46 @@ def model_for_inventory(inventory: ApInventory, hidden: int, n_heads: int, seed:
 # -- forward passes --------------------------------------------------------
 
 
-# The keys and the values (n, n_heads * head_dim) of a layer's source rows.
-KeysValues = tuple[Tensor, Tensor]
+# What target rows attend over in one layer: the query map (in_dim,
+# n_heads * w) that takes target rows to per-head queries, and the keys
+# (n, n_heads * w) and values (n, n_heads * head_dim) of the n source rows,
+# w being the key width.
+Sources = tuple[Tensor, Tensor, Tensor]
 
 
-def _keys_values(tape: Tape, layer: TransformerConvLayer, sources: Tensor) -> KeysValues:
-    """Keys and values of `sources`, every head at once; they do not depend
-    on the targets."""
-    return tape.matmul(sources, layer.key), tape.matmul(sources, layer.value)
+def _sources(tape: Tape, layer: TransformerConvLayer, rows: Tensor) -> Sources:
+    """The query weight and the keys and values of `rows`, every head at
+    once (w = head_dim); none of them depends on the targets."""
+    return layer.query, tape.matmul(rows, layer.key), tape.matmul(rows, layer.value)
+
+
+def _coordinate_sources(
+    tape: Tape, layer: TransformerConvLayer, ap_feats_norm: np.ndarray
+) -> Sources:
+    """Layer 1's sources, scored in the APs' `[x, y, 1]` space (w = 3), in
+    the features' dtype. Head i's logits are
+    targets @ query_i @ key_iᵀ @ [x, y, 1]ᵀ, so its query map is the
+    (in_dim, 3) product query_i @ key_iᵀ and its keys are `[x, y, 1]`
+    itself, tiled once per head; the values are `[x, y, 1] @ value`."""
+    ones = np.ones((len(ap_feats_norm), 1), dtype=ap_feats_norm.dtype)
+    xy1 = np.hstack([ap_feats_norm, ones])
+    return (tape.head_products(layer.query, layer.key, layer.n_heads),
+            Tensor(np.tile(xy1, layer.n_heads)), tape.matmul(Tensor(xy1), layer.value))
 
 
 def _attend(
     tape: Tape,
     layer: TransformerConvLayer,
     targets: Tensor,
-    kv: KeysValues,
+    sources: Sources,
     adjacency: np.ndarray,
 ) -> Tensor:
-    """Attention aggregation of the sources behind `kv` into `targets` along
-    `adjacency` rows, averaged over the heads, plus the root transform;
-    rows whose adjacency is empty receive their root transform only."""
-    keys, values = kv
+    """Attention aggregation of `sources` into `targets` along `adjacency`
+    rows, averaged over the heads, plus the root transform; rows whose
+    adjacency is empty receive their root transform only."""
+    query_map, keys, values = sources
     messages = tape.multi_head_attention(
-        tape.matmul(targets, layer.query), keys, values, adjacency, layer.n_heads)
+        tape.matmul(targets, query_map), keys, values, adjacency, layer.n_heads)
     z = tape.add(tape.matmul(targets, layer.root), tape.head_mean(messages, layer.n_heads))
     return tape.matmul(z, layer.merge)
 
@@ -333,21 +361,20 @@ def _dropout(tape: Tape, x: Tensor, mask: Optional[Tensor]) -> Tensor:
 
 def encode_inventory(
     tape: Tape, model: GtModel, ap_feats_norm: np.ndarray, ap_adj: np.ndarray
-) -> tuple[KeysValues, KeysValues]:
-    """The inventory half of the forward: the keys and values of layers 1 and 2.
+) -> tuple[Sources, Sources]:
+    """The inventory half of the forward: what layers 1 and 2 attend over.
 
-    Takes the layer-1 keys and values of the APs' `[x, y, 1]`, encodes the
-    AP rows, updates them by layer-1 attention over the APs (then relu) and
-    returns those keys and values and the layer-2 ones of the updated rows.
-    Dropout never touches them, so this is the same function of the weights
-    in training and in eval.
+    Takes layer 1's sources in the APs' `[x, y, 1]` space, encodes the AP
+    rows, updates them by layer-1 attention over the APs (then relu) and
+    returns layer 1's sources and the layer-2 keys and values of the
+    updated rows. Dropout never touches them, so this is the same function
+    of the weights in training and in eval.
     """
-    ones = np.ones((len(ap_feats_norm), 1), dtype=ap_feats_norm.dtype)
-    kv1 = _keys_values(tape, model.layer1, Tensor(np.hstack([ap_feats_norm, ones])))
+    src1 = _coordinate_sources(tape, model.layer1, ap_feats_norm)
     enc = model.encoders
     aps = tape.add_bias(tape.matmul(Tensor(ap_feats_norm), enc.ap_w), enc.ap_b)
-    aps = tape.relu(_attend(tape, model.layer1, aps, kv1, ap_adj))
-    return kv1, _keys_values(tape, model.layer2, aps)
+    aps = tape.relu(_attend(tape, model.layer1, aps, src1, ap_adj))
+    return src1, _sources(tape, model.layer2, aps)
 
 
 def _pinned(a: np.ndarray) -> np.ndarray:
@@ -366,7 +393,7 @@ def _same(pinned: np.ndarray, a: np.ndarray) -> bool:
 
 def _inventory(
     tape: Tape, model: GtModel, ap_feats_norm: np.ndarray, ap_adj: np.ndarray
-) -> tuple[KeysValues, KeysValues]:
+) -> tuple[Sources, Sources]:
     """`encode_inventory`, reused from the model's memo in eval mode when
     every weight is read-only and the AP features and adjacency match: the
     very arrays the memo pinned, or equal ones."""
@@ -375,9 +402,9 @@ def _inventory(
     memo = model.inventory_memo
     if memo is not None and _same(memo[0], ap_feats_norm) and _same(memo[1], ap_adj):
         return memo[2]
-    kv = encode_inventory(tape, model, ap_feats_norm, ap_adj)
-    model.inventory_memo = (_pinned(ap_feats_norm), _pinned(ap_adj), kv)
-    return kv
+    sources = encode_inventory(tape, model, ap_feats_norm, ap_adj)
+    model.inventory_memo = (_pinned(ap_feats_norm), _pinned(ap_adj), sources)
+    return sources
 
 
 def forward_batch(
@@ -393,19 +420,19 @@ def forward_batch(
 
     `masks` are the dropout masks (user1, user2) of the user rows, or None
     for no dropout. The inventory half comes from `encode_inventory` (or
-    the model's memo); the B user rows then attend over its keys and values
-    in both layers. A graph for another AP count raises DimensionMismatch.
+    the model's memo); the B user rows then attend over its sources in both
+    layers. A graph for another AP count raises DimensionMismatch.
     """
     if ap_feats_norm.shape[0] != model.ap_count:
         raise DimensionMismatch(
             f"graph has {ap_feats_norm.shape[0]} APs, model expects {model.ap_count}")
     user_mask1, user_mask2 = masks if masks is not None else (None, None)
-    kv1, kv2 = _inventory(tape, model, ap_feats_norm, ap_adj)
+    src1, src2 = _inventory(tape, model, ap_feats_norm, ap_adj)
     enc = model.encoders
     users = tape.add_bias(tape.matmul(Tensor(rssi_norm), enc.user_w), enc.user_b)
-    users = _dropout(tape, tape.relu(_attend(tape, model.layer1, users, kv1, user_adj)),
+    users = _dropout(tape, tape.relu(_attend(tape, model.layer1, users, src1, user_adj)),
                      user_mask1)
-    users = _dropout(tape, tape.relu(_attend(tape, model.layer2, users, kv2, user_adj)),
+    users = _dropout(tape, tape.relu(_attend(tape, model.layer2, users, src2, user_adj)),
                      user_mask2)
     return tape.add_bias(tape.matmul(users, model.head_w), model.head_b)
 

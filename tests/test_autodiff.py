@@ -240,6 +240,57 @@ class TestMultiHead:
         if case == "empty row":
             assert np.array_equal(q.grad[1], np.zeros(6))
 
+    @pytest.mark.parametrize("case", MASKS)
+    def test_attention_gradients_key_width_differs(self, case):
+        # per-head keys of width 3 (layer 1's [x, y, 1]) against values of
+        # width 4; the scale follows the value width, 1/sqrt(4)
+        mask = self.MASKS[case]
+        rng = stream(1, "fd", "attention", "widths", case)
+        b, n = mask.shape
+        q, k = (Tensor(rng.normal(size=(rows, 6)), requires_grad=True) for rows in (b, n))
+        v = Tensor(rng.normal(size=(n, 8)), requires_grad=True)
+        weights = Tensor(rng.normal(size=(b, 8)))
+
+        def forward(t):
+            return t.sum_all(t.mul(t.multi_head_attention(q, k, v, mask, 2), weights))
+
+        t = Tape()
+        t.backward(forward(t))
+        leaves = [q, k, v]
+        numeric = finite_diff(lambda: float(forward(Tape(record=False)).data), leaves)
+        err = max_rel_err([x.grad for x in leaves], numeric)
+        assert err < 1e-4, f"rel err {err}"
+        out = Tape(record=False).multi_head_attention(q, k, v, mask, 2).data
+        logits = q.data[:, 3:] @ k.data[:, 3:].T * 0.5
+        p = np.where(mask, np.exp(logits - logits.max(axis=1, keepdims=True)), 0.0)
+        p /= np.maximum(p.sum(axis=1, keepdims=True), 1e-300)
+        assert np.max(np.abs(out[:, 4:] - p @ v.data[:, 4:])) <= 1e-12
+
+    @pytest.mark.parametrize("n_heads", [1, 2, 3])
+    def test_head_products_gradients(self, n_heads):
+        rng = stream(n_heads, "fd", "head-products")
+        a = Tensor(rng.normal(size=(5, 2 * n_heads)), requires_grad=True)
+        b = Tensor(rng.normal(size=(3, 2 * n_heads)), requires_grad=True)
+        weights = Tensor(rng.normal(size=(5, 3 * n_heads)))
+
+        def forward(t):
+            return t.sum_all(t.mul(t.head_products(a, b, n_heads), weights))
+
+        t = Tape()
+        t.backward(forward(t))
+        numeric = finite_diff(lambda: float(forward(Tape(record=False)).data), [a, b])
+        assert max_rel_err([a.grad, b.grad], numeric) < 1e-4
+
+    def test_head_products_are_per_head_matmuls(self):
+        rng = stream(3, "head-products", "per-head")
+        a, b = Tensor(rng.normal(size=(5, 6))), Tensor(rng.normal(size=(3, 6)))
+        got = Tape(record=False).head_products(a, b, 2).data
+        want = np.hstack([a.data[:, :3] @ b.data[:, :3].T, a.data[:, 3:] @ b.data[:, 3:].T])
+        assert got.shape == (5, 6)
+        assert np.max(np.abs(got - want)) <= 1e-15
+        with pytest.raises(ShapeMismatch, match="head_products"):
+            Tape(record=False).head_products(a, Tensor(np.ones((3, 4))), 2)
+
     @pytest.mark.parametrize("b", [1, 3])
     def test_head_mean_gradients(self, b):
         rng = stream(b, "fd", "head-mean")

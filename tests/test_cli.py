@@ -349,13 +349,24 @@ class TestBadSettings:
         (("train",), {"train": {"weight_decay": -0.1}},
          "train.weight_decay must be nonnegative, got -0.1"),
         (("train",), {"train": {"lr": -0.001}}, "train.lr must be nonnegative, got -0.001"),
+        (("train",), {"train": {"epochs": 0}}, "train.epochs must be at least 1, got 0"),
+        (("train",), {"train": {"batch_size": 0}}, "train.batch_size must be at least 1, got 0"),
+        (("train",), {"train": {"dropout": 1.5}}, "train.dropout must be in [0, 1), got 1.5"),
+        (("train",), {"graph": {"d_p": 0}}, "graph.d_p must be positive, got 0.0"),
+        (("train",), {"graph": {"tau": 5.0}}, "graph.tau must be at most 0 dBm, got 5.0"),
+        (("synth",), {"synth": {"noise_sigma_db": -1}},
+         "synth.noise_sigma_db must be nonnegative, got -1.0"),
+        (("synth",), {"synth": {"ap_count": 2}}, "synth.ap_count must be at least 3, got 2"),
+        (("synth",), {"synth": {"area": [100.0, 0.0]}},
+         "synth.area must be positive, got [100.0, 0.0]"),
     ], ids=["calibration_fraction", "alpha", "k", "heads", "alphas-abc", "alphas-order",
             "alphas-range", "test-samples", "k-fraction", "epochs-fraction",
             "batch_size-boolean", "hidden-fraction", "seed-fraction", "ap_count-float",
             "train_samples-string", "lr-string", "dropout-boolean", "alpha-boolean",
             "area-length", "tau-nan", "d_p-nan", "lr-infinity", "noise_sigma_db-nan",
             "area-infinity", "train_samples-negative", "weight_decay-negative",
-            "lr-negative"])
+            "lr-negative", "epochs-zero", "batch_size-zero", "dropout-range", "d_p-zero",
+            "tau-positive", "noise_sigma_db-negative", "ap_count-two", "area-zero"])
     def test_rejected_where_it_arrives(self, workdir, capsys, argv, sections, message):
         tmp, config = workdir
         cfg = json.loads((tmp / "config.json").read_text())

@@ -109,7 +109,7 @@ def attention_coefficients(layer, head_index, features, node, neighbors, sources
 
 def transformer_conv(tape, layer, features, adjacency):
     """Dense layer application over an (n, h) feature matrix and (n, n) adjacency."""
-    return gtmodel._attend(tape, layer, features, gtmodel._keys_values(tape, layer, features),
+    return gtmodel._attend(tape, layer, features, gtmodel._sources(tape, layer, features),
                            adjacency)
 
 
@@ -454,6 +454,26 @@ class TestModelForward:
         got = predict_positions(model, samples, inventory, graph_cfg)
         assert np.max(np.abs(got - want)) <= 1e-12
 
+    @pytest.mark.parametrize("hidden", [64, 500])
+    @pytest.mark.parametrize("ap_count", [20, 200, 520])
+    def test_coordinate_scoring_matches_the_query_association(self, hidden, ap_count):
+        # layer 1 scores targets @ (query_i key_iᵀ) against [x, y, 1]; the
+        # dense reference forms each query targets @ query_i first, as the
+        # textbook layer does
+        cfg = SyntheticConfig(
+            ap_count=ap_count, area=(100.0, 40.0), path_loss_exponent=2.2,
+            ref_power_dbm=-40.0, noise_sigma_db=4.0, detection_floor_dbm=-95.0,
+            sample_count=1, seed=ap_count)
+        inventory, samples = generate_synthetic(cfg)
+        graph_cfg = GraphConfig(d_p=20.0, tau=-75.0)
+        model = model_for_inventory(inventory, hidden=hidden, n_heads=4, seed=hidden)
+        graph = build_sample_graph(
+            samples, inventory, build_ap_adjacency(inventory, graph_cfg), graph_cfg)
+        assert graph.user_adjacency.any() and graph.ap_adjacency.any()
+        want = dense_forward(model, graph) * model.affine_scale + model.affine_offset
+        got = predict_positions(model, samples, inventory, graph_cfg)
+        assert np.max(np.abs(got - want)) <= 1e-9
+
     def test_training_forward_matches_dense_per_scan(self, small_world, graph_cfg):
         # with dropout, the batched forward is still the block-diagonal graph:
         # each scan's prediction is its own dense forward with its mask rows
@@ -469,6 +489,44 @@ class TestModelForward:
             graph = build_sample_graph(sample, inventory, ap_adj, graph_cfg)
             dense = dense_forward(model, graph, [mask.data[i] for mask in masks])
             assert np.max(np.abs(batched[i] - dense)) <= 1e-12, i
+
+
+class TestNoWidthHLayer1Query:
+    """`layer1.query` reaches the targets only through its query-key product."""
+
+    @staticmethod
+    def right_operands(monkeypatch):
+        seen = []
+        matmul = Tape.matmul
+        monkeypatch.setattr(Tape, "matmul",
+                            lambda tape, a, b: seen.append(b) or matmul(tape, a, b))
+        return seen
+
+    def test_training_step(self, small_world, graph_cfg, monkeypatch):
+        _, inventory, samples = small_world
+        seen = self.right_operands(monkeypatch)
+        model = model_for_inventory(inventory, hidden=8, n_heads=2, seed=5)
+        train(model, samples[:16], TrainConfig(epochs=1, batch_size=16, dropout=0.2, seed=5),
+              graph_cfg, inventory)
+        names = [b.name for b in seen]
+        assert "layer2.query" in names and "layer1.value" in names
+        assert "layer1.query" not in names and "layer1.key" not in names
+
+    def test_warm_scan(self, small_world, graph_cfg, monkeypatch, tmp_path):
+        _, inventory, samples = small_world
+        save_model(tmp_path / "model.bin", model_for_inventory(inventory, hidden=8, n_heads=2,
+                                                               seed=5))
+        model = load_model(tmp_path / "model.bin")
+        ap_adj = build_ap_adjacency(inventory, graph_cfg)
+        graphs = [build_sample_graph(s, inventory, ap_adj, graph_cfg) for s in samples[:3]]
+        forward_graph(Tape(record=False), model, graphs[0])
+        seen = self.right_operands(monkeypatch)
+        for graph in graphs[1:]:
+            forward_graph(Tape(record=False), model, graph)
+        assert seen and "layer1.query" not in [b.name for b in seen]
+        # the memo holds layer 1's (h, 3 * heads) map, not (m, h) keys
+        query_map, keys, values = model.inventory_memo[2][0]
+        assert query_map.shape == (8, 6) and keys.shape == (6, 6) and values.shape == (6, 8)
 
 
 class TestInventoryMemo:
@@ -827,11 +885,19 @@ class TestInPlaceGradients:
             leaf.grad = view
         tape = Tape()
         loss = record(tape)
-        # layer 1's query, root and merge serve the AP rows and the user rows
+        # layer 1's root and merge serve the AP rows and the user rows; its
+        # query and key reach both only through one query-key product node
         matmul_weights = [inputs[1] for _, inputs, backward in tape._nodes
                           if backward.__qualname__.startswith("Tape.matmul.")]
-        for name in ("layer1.query", "layer1.root", "layer1.merge"):
+        for name in ("layer1.root", "layer1.merge"):
             assert sum(w is params[name] for w in matmul_weights) == 2, name
+        products = [inputs for _, inputs, backward in tape._nodes
+                    if backward.__qualname__.startswith("Tape.head_products.")]
+        assert len(products) == 1
+        assert products[0] == (params["layer1.query"], params["layer1.key"])
+        assert not any(params[name] in inputs for name in ("layer1.query", "layer1.key")
+                       for _, inputs, backward in tape._nodes
+                       if not backward.__qualname__.startswith("Tape.head_products."))
         tape.gradients(loss)
         for leaf, view, want in zip(leaves, views, expected):
             assert view.tobytes() == want.tobytes(), leaf.name
