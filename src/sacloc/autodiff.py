@@ -4,10 +4,11 @@ A `Tape` records every primitive application in execution order; its one
 reverse sweep, `gradients` (alias `backward`), walks the records in reverse
 and writes each recorded `requires_grad` leaf's gradient into `Tensor.grad`,
 which gets a zeroed array if it has none. A leaf's first contribution in a
-sweep lands there (a weight's matmul partial through `out=`), later ones are
-added in place in arrival order, and a leaf the sweep does not reach is
-zero-filled: every sweep overwrites, nothing accumulates across sweeps. The
-trainer binds each `grad` to its view of one flat buffer. Constants
+sweep lands there: a weight's `matmul` or `head_products` partial is written
+into it through `out=`, any other is copied. Later ones are added in place in
+arrival order, and a leaf the sweep does not reach is zero-filled: every
+sweep overwrites, nothing accumulates across sweeps. The trainer binds each
+`grad` to its view of one flat buffer. Constants
 (`requires_grad=False` leaves) never receive gradients and their partials
 are not computed.
 
@@ -19,8 +20,10 @@ Besides the 2-D algebra, three primitives serve multi-head layers whose
 heads sit side by side in the columns: `multi_head_attention` (per-head
 masked softmax attention as one batched matmul, with a hand-written
 backward; the key width may differ from the value width), `head_products`
-(each head's product of two weights' column blocks) and `head_mean`. The
-masked softmax and its backward are shared with `masked_row_softmax`.
+(each head's product of two operands' column blocks) and `head_mean`. The
+masked softmax and its backward are shared with `masked_row_softmax`. Their
+per-head results are written through the head view of one (rows, H*w)
+buffer, never merged by a copy.
 
 Also houses the optimizer pieces the trainer needs: bias-corrected Adam
 with decoupled weight decay over one flat float64 master buffer (updated in
@@ -101,10 +104,14 @@ def _heads(x: np.ndarray, n_heads: int) -> np.ndarray:
     return x.reshape(len(x), n_heads, x.shape[1] // n_heads).transpose(1, 0, 2)
 
 
-def _merged(x: np.ndarray) -> np.ndarray:
-    """(H, rows, w) -> (rows, H*w), the inverse of `_heads`."""
-    n_heads, rows, w = x.shape
-    return np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(rows, n_heads * w)
+def _head_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (H, rows, w) stack `a @ b` as (rows, H*w), head i in columns
+    [i*w, (i+1)*w): written through the `_heads` view of a fresh buffer, so
+    no (H, rows, w) result is copied into place."""
+    n_heads, rows, _ = a.shape
+    out = np.empty((rows, n_heads * b.shape[2]), dtype=np.result_type(a, b))
+    np.matmul(a, b, out=_heads(out, n_heads))
+    return out
 
 
 class Tape:
@@ -237,15 +244,15 @@ class Tape:
         qh, kh, vh = _heads(q.data, n_heads), _heads(k.data, n_heads), _heads(v.data, n_heads)
         p = _masked_softmax(np.matmul(qh, kh.transpose(0, 2, 1)) * scale,
                             np.asarray(mask, dtype=bool))
-        out = Tensor(_merged(np.matmul(p, vh)))
+        out = Tensor(_head_matmul(p, vh))
         need_q, need_k, need_v = self._needs(q), self._needs(k), self._needs(v)
 
         def backward(g):
             gh = _heads(g, n_heads)
             dlogits = _softmax_backward(p, np.matmul(gh, vh.transpose(0, 2, 1))) * scale
-            return (_merged(np.matmul(dlogits, kh)) if need_q else None,
-                    _merged(np.matmul(dlogits.transpose(0, 2, 1), qh)) if need_k else None,
-                    _merged(np.matmul(p.transpose(0, 2, 1), gh)) if need_v else None)
+            return (_head_matmul(dlogits, kh) if need_q else None,
+                    _head_matmul(dlogits.transpose(0, 2, 1), qh) if need_k else None,
+                    _head_matmul(p.transpose(0, 2, 1), gh) if need_v else None)
 
         return self._push(out, (q, k, v), backward)
 
@@ -254,18 +261,29 @@ class Tape:
 
         `a` is (n, H*d) and `b` (k, H*d), head i in columns [i*d, (i+1)*d);
         head i of the result is the (n, k) product in columns [i*k, (i+1)*k),
-        one batched matmul over (H, ·, d) views.
+        one batched matmul over (H, ·, d) views. As in `matmul`, a weight's
+        first partial of a sweep is written straight into its `grad`.
         """
         _check(a.data.ndim == 2 and b.data.ndim == 2 and a.shape[1] == b.shape[1]
                and a.shape[1] % n_heads == 0, "head_products", a.shape, b.shape)
         ah, bh = _heads(a.data, n_heads), _heads(b.data, n_heads)
-        out = Tensor(_merged(np.matmul(ah, bh.transpose(0, 2, 1))))
+        out = Tensor(_head_matmul(ah, bh.transpose(0, 2, 1)))
         need_a, need_b = self._needs(a), self._needs(b)
+        filled = self._filled
+
+        def partial(x, gh, other):
+            """x's partial, the heads' gh @ other: into `x.grad` if it is the
+            first of the sweep for a weight, else returned to the sweep."""
+            if not x.requires_grad or x in filled:
+                return _head_matmul(gh, other)
+            np.matmul(gh, other, out=_heads(x.grad, n_heads))
+            filled.add(x)
+            return None
 
         def backward(g):
             gh = _heads(g, n_heads)
-            return (_merged(np.matmul(gh, bh)) if need_a else None,
-                    _merged(np.matmul(gh.transpose(0, 2, 1), ah)) if need_b else None)
+            return (partial(a, gh, bh) if need_a else None,
+                    partial(b, gh.transpose(0, 2, 1), ah) if need_b else None)
 
         return self._push(out, (a, b), backward)
 

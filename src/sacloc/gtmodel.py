@@ -34,16 +34,26 @@ from the stored factors (`Tape.head_products`), so the targets meet an
 (h, 3 * heads) map instead of the (h, h) query, and the keys are
 `[x, y, 1]` itself, tiled once per head. `query` and `key` stay the
 parameters Adam steps; only the order of the multiplications differs
-from the textbook one. Layer 2 scores as written above: its keys act on
-the width-h AP rows, so its product would be h x (heads * m).
+from the textbook one.
+
+Layer 2's keys act on the m encoded AP rows, so head i's logits are
+targets @ query_i @ (aps @ key_i)ᵀ / sqrt(d), and its query-key product is
+(h, m). When heads * m < h, that (h, heads * m) map is narrower than the
+(h, h) query, and layer 2 scores the way layer 1 does: the forward forms
+the map from `query` and the AP keys, and the keys are I_m, tiled once
+per head. Nothing new is stored. At heads * m >= h the map would be as
+wide as the query or wider, so layer 2 scores as written above: at h=500
+and 4 heads, from m=125 on. There the map costs more than it saves: at
+m=520, an UJIIndoorLoc-sized inventory, a folded warm forward is ~1.7x
+as slow, where at m=20 it is ~25% faster.
 
 One forward, `forward_batch`, serves training, calibration and single-scan
 prediction, on the fields of a `graphbuild.LocGraph` (B user rows and the
 AP blocks they share), in two halves. AP nodes never receive messages from the user,
 so everything on the AP side is the same for every scan sharing an
 inventory: the AP encoder, the layer-1 AP update and what both layers
-attend over (layer 1's query-key map, keys and values, layer 2's keys
-and values). `encode_inventory` computes that inventory half; the scan
+attend over (each layer's query map or query, keys and values).
+`encode_inventory` computes that inventory half; the scan
 half runs only the B user rows through both layers against it. Layer-2
 AP embeddings are never computed, since nothing reads them. This equals
 the block-diagonal batched graph evaluated without its redundancy, in
@@ -324,18 +334,41 @@ def _sources(tape: Tape, layer: TransformerConvLayer, rows: Tensor) -> Sources:
     return layer.query, tape.matmul(rows, layer.key), tape.matmul(rows, layer.value)
 
 
+def _mapped_sources(
+    tape: Tape, layer: TransformerConvLayer, key_rows: Tensor, basis: np.ndarray,
+    rows: Tensor
+) -> Sources:
+    """The sources `rows`, whose head-i keys are `basis @ key_rows_i`, scored
+    in `basis`'s column space (w = its width). Head i's logits are
+    targets @ query_i @ key_rows_iᵀ @ basisᵀ, so its query map is the
+    (in_dim, w) product query_i @ key_rows_iᵀ and its keys are `basis`
+    itself, tiled once per head; the values are `rows @ value`."""
+    return (tape.head_products(layer.query, key_rows, layer.n_heads),
+            Tensor(np.tile(basis, layer.n_heads)), tape.matmul(rows, layer.value))
+
+
 def _coordinate_sources(
     tape: Tape, layer: TransformerConvLayer, ap_feats_norm: np.ndarray
 ) -> Sources:
     """Layer 1's sources, scored in the APs' `[x, y, 1]` space (w = 3), in
-    the features' dtype. Head i's logits are
-    targets @ query_i @ key_iᵀ @ [x, y, 1]ᵀ, so its query map is the
-    (in_dim, 3) product query_i @ key_iᵀ and its keys are `[x, y, 1]`
-    itself, tiled once per head; the values are `[x, y, 1] @ value`."""
+    the features' dtype: the stored (3, h) `key` is its key rows."""
     ones = np.ones((len(ap_feats_norm), 1), dtype=ap_feats_norm.dtype)
     xy1 = np.hstack([ap_feats_norm, ones])
-    return (tape.head_products(layer.query, layer.key, layer.n_heads),
-            Tensor(np.tile(xy1, layer.n_heads)), tape.matmul(Tensor(xy1), layer.value))
+    return _mapped_sources(tape, layer, layer.key, xy1, Tensor(xy1))
+
+
+def _ap_row_sources(tape: Tape, layer: TransformerConvLayer, aps: Tensor) -> Sources:
+    """Layer 2's sources, the m encoded AP rows. When heads * m < h, they
+    are scored against the AP rows themselves (w = m): the query map is
+    each head's (h, m) query_i @ (aps @ key_i)ᵀ and the keys are I_m, so
+    targets meet an (h, heads * m) map narrower than the (h, h) query.
+    Otherwise the map would be as wide as the query or wider, and the
+    targets meet the query and the (m, h) keys."""
+    m = aps.shape[0]
+    if layer.n_heads * m >= layer.query.shape[1]:
+        return _sources(tape, layer, aps)
+    return _mapped_sources(tape, layer, tape.matmul(aps, layer.key),
+                           np.eye(m, dtype=aps.data.dtype), aps)
 
 
 def _attend(
@@ -366,15 +399,15 @@ def encode_inventory(
 
     Takes layer 1's sources in the APs' `[x, y, 1]` space, encodes the AP
     rows, updates them by layer-1 attention over the APs (then relu) and
-    returns layer 1's sources and the layer-2 keys and values of the
-    updated rows. Dropout never touches them, so this is the same function
-    of the weights in training and in eval.
+    returns layer 1's sources and layer 2's, those of the updated rows.
+    Dropout never touches them, so this is the same function of the
+    weights in training and in eval.
     """
     src1 = _coordinate_sources(tape, model.layer1, ap_feats_norm)
     enc = model.encoders
     aps = tape.add_bias(tape.matmul(Tensor(ap_feats_norm), enc.ap_w), enc.ap_b)
     aps = tape.relu(_attend(tape, model.layer1, aps, src1, ap_adj))
-    return src1, _sources(tape, model.layer2, aps)
+    return src1, _ap_row_sources(tape, model.layer2, aps)
 
 
 def _pinned(a: np.ndarray) -> np.ndarray:

@@ -455,11 +455,13 @@ class TestModelForward:
         assert np.max(np.abs(got - want)) <= 1e-12
 
     @pytest.mark.parametrize("hidden", [64, 500])
-    @pytest.mark.parametrize("ap_count", [20, 200, 520])
+    @pytest.mark.parametrize("ap_count", [20, 200, 520, 10, 125])
     def test_coordinate_scoring_matches_the_query_association(self, hidden, ap_count):
-        # layer 1 scores targets @ (query_i key_iᵀ) against [x, y, 1]; the
-        # dense reference forms each query targets @ query_i first, as the
-        # textbook layer does
+        # layer 1 scores targets @ (query_i key_iᵀ) against [x, y, 1], and
+        # layer 2, when 4 * m < h, targets @ (query_i (aps key_i)ᵀ) against
+        # the AP rows: at (64, 10), (500, 20) and (500, 10), not at the
+        # boundary (500, 125); the dense reference forms each query
+        # targets @ query_i first, as the textbook layer does
         cfg = SyntheticConfig(
             ap_count=ap_count, area=(100.0, 40.0), path_loss_exponent=2.2,
             ref_power_dbm=-40.0, noise_sigma_db=4.0, detection_floor_dbm=-95.0,
@@ -527,6 +529,81 @@ class TestNoWidthHLayer1Query:
         # the memo holds layer 1's (h, 3 * heads) map, not (m, h) keys
         query_map, keys, values = model.inventory_memo[2][0]
         assert query_map.shape == (8, 6) and keys.shape == (6, 6) and values.shape == (6, 8)
+
+
+class TestLayer2Fold:
+    """When heads * m < h, layer 2 scores against the AP rows: `layer2.query`
+    reaches the targets only through its (h, heads * m) product with the
+    AP keys, which a warm scan reuses."""
+
+    @pytest.mark.parametrize("ap_count, folded", [(20, True), (200, False)])
+    def test_layer2_query_meets_no_targets(self, ap_count, folded, graph_cfg, monkeypatch,
+                                           tmp_path):
+        cfg = SyntheticConfig(
+            ap_count=ap_count, area=(100.0, 40.0), path_loss_exponent=2.2,
+            ref_power_dbm=-40.0, noise_sigma_db=4.0, detection_floor_dbm=-95.0,
+            sample_count=8, seed=ap_count)
+        inventory, samples = generate_synthetic(cfg)
+        model = model_for_inventory(inventory, hidden=500, n_heads=4, seed=5)
+        seen = TestNoWidthHLayer1Query.right_operands(monkeypatch)
+        train(model, samples, TrainConfig(epochs=1, batch_size=8, seed=5), graph_cfg, inventory)
+        assert len(seen) > 1 and ("layer2.query" in [b.name for b in seen]) is not folded
+
+        save_model(tmp_path / "model.bin", model)
+        loaded = load_model(tmp_path / "model.bin")
+        ap_adj = build_ap_adjacency(inventory, graph_cfg)
+        graphs = [build_sample_graph(s, inventory, ap_adj, graph_cfg) for s in samples[:3]]
+        forward_graph(Tape(record=False), loaded, graphs[0])
+        seen.clear()
+        for graph in graphs[1:]:
+            forward_graph(Tape(record=False), loaded, graph)
+        assert seen and ("layer2.query" in [b.name for b in seen]) is not folded
+        # the memo holds the (h, 4m) map in place of the (m, h) keys
+        query_map, keys, _ = loaded.inventory_memo[2][1]
+        if folded:
+            assert query_map.shape == (500, 80) and keys.shape == (20, 80)
+        else:
+            assert query_map is loaded.layer2.query and keys.shape == (200, 500)
+
+    def test_warm_scan_builds_no_map(self, small_world, graph_cfg, monkeypatch, tmp_path):
+        _, inventory, samples = small_world
+        save_model(tmp_path / "model.bin",
+                   model_for_inventory(inventory, hidden=32, n_heads=2, seed=5))
+        model = load_model(tmp_path / "model.bin")
+        ap_adj = build_ap_adjacency(inventory, graph_cfg)
+        graphs = [build_sample_graph(s, inventory, ap_adj, graph_cfg) for s in samples[:3]]
+        forward_graph(Tape(record=False), model, graphs[0])
+        calls = []
+        products = Tape.head_products
+        monkeypatch.setattr(Tape, "head_products",
+                            lambda *a: calls.append(1) or products(*a))
+        for graph in graphs[1:]:
+            forward_graph(Tape(record=False), model, graph)
+        assert calls == []
+        # a cold forward builds layer 1's map and layer 2's
+        forward_graph(Tape(record=False), load_model(tmp_path / "model.bin"), graphs[0])
+        assert calls == [1, 1]
+
+    def test_query_partials_skip_the_copy(self, small_world, graph_cfg, monkeypatch):
+        # both queries' partials come from `head_products`, which writes
+        # them into their grad views; the sweep copies other first partials
+        _, inventory, samples = small_world
+        model = model_for_inventory(inventory, hidden=32, n_heads=2, seed=5)
+        params = model.parameters()
+        targets = []
+        copyto = np.copyto
+
+        def spy(dst, src, *args, **kwargs):
+            targets.append(dst)
+            return copyto(dst, src, *args, **kwargs)
+
+        monkeypatch.setattr(np, "copyto", spy)
+        train(model, samples[:16], TrainConfig(epochs=1, batch_size=16, seed=5), graph_cfg,
+              inventory)
+        assert any(np.shares_memory(dst, params["head.b"].grad) for dst in targets)
+        for name in ("layer1.query", "layer2.query"):
+            assert not any(np.shares_memory(dst, params[name].grad) for dst in targets), name
+            assert np.any(params[name].grad != 0.0), name
 
 
 class TestInventoryMemo:
@@ -640,29 +717,39 @@ class TestMaeLoss:
 
 class TestFullModelGradient:
     def test_gradcheck_small(self, graph_cfg):
-        # 4 APs + user, h=8, E=2: the full training loss against central
-        # finite differences
+        # 4 APs + user, E=2: the full training loss against central finite
+        # differences, at h=8 and at h=12, where layer 2 scores against
+        # the AP rows (2 * 4 < 12)
         from sacloc.dataset import ApInventory
 
         rng = stream(21, "gradcheck")
         inventory = ApInventory(
             ap_ids=tuple(f"g{i}" for i in range(4)),
             coordinates=rng.uniform(0, 30, (4, 2)))
-        model = model_for_inventory(inventory, hidden=8, n_heads=2, seed=21)
         samples = ScanSet(
             rssi=[[-55.0, -65.0, SENTINEL, -72.0], [-80.0, SENTINEL, -60.0, -70.0]],
             truth=[[4.0, 9.0], [11.0, 3.0]])
         graph = build_sample_graph(
             samples, inventory, build_ap_adjacency(inventory, graph_cfg), graph_cfg)
+        for hidden, folded in ((8, False), (12, True)):
+            model = model_for_inventory(inventory, hidden=hidden, n_heads=2, seed=21)
+            t = Tape()
+            pred = forward_graph(t, model, graph)
+            t.backward(mae_loss(t, denormalize_pred(t, pred, model), samples.truth))
+            products = sum(backward.__qualname__.startswith("Tape.head_products.")
+                           for _, _, backward in t._nodes)
+            assert products == 1 + folded, hidden
+            assert self.worst_error(model, graph, samples) < 1e-4, hidden
+
+    @staticmethod
+    def worst_error(model, graph, samples):
+        """The largest gap between each parameter's gradient and its central
+        finite difference, relative where the difference exceeds 1."""
 
         def loss_fn():
             t = Tape(record=False)
             pred = forward_graph(t, model, graph)
             return float(mae_loss(t, denormalize_pred(t, pred, model), samples.truth).data)
-
-        t = Tape()
-        pred = forward_graph(t, model, graph)
-        t.backward(mae_loss(t, denormalize_pred(t, pred, model), samples.truth))
 
         step = 1e-5
         worst = 0.0
@@ -677,7 +764,7 @@ class TestFullModelGradient:
                 flat[i] = orig
                 fd = (up - down) / (2 * step)
                 worst = max(worst, abs(gflat[i] - fd) / max(1.0, abs(fd)))
-        assert worst < 1e-4
+        return worst
 
 
 class TestTrain:
@@ -807,19 +894,21 @@ class TestTrain:
     def test_step_tape_size_does_not_depend_on_heads(self, small_world, graph_cfg,
                                                      monkeypatch):
         # the heads of a projection are one weight and one primitive call,
-        # not one set of tape nodes per head
+        # not one set of tape nodes per head. With 6 APs, layer 2 scores
+        # against the AP rows for 1, 2 and 4 heads at h=32 (heads * 6 < 32)
+        # and for none of them at h=4; that costs one node, the AP keys
         _, inventory, samples = small_world
         gradients = Tape.gradients
-        sizes = {}
-        for n_heads in (1, 2, 4):
-            seen = sizes.setdefault(n_heads, [])
-            monkeypatch.setattr(Tape, "gradients", lambda tape, loss, seen=seen:
-                                seen.append(len(tape._nodes)) or gradients(tape, loss))
-            model = model_for_inventory(inventory, hidden=8, n_heads=n_heads, seed=5)
-            tc = TrainConfig(epochs=1, batch_size=16, dropout=0.2, seed=5)
-            train(model, samples[:16], tc, graph_cfg, inventory)
-        assert len(sizes[1]) == 1
-        assert sizes[1] == sizes[2] == sizes[4]
+        for hidden, folded in ((4, False), (32, True)):
+            sizes = {}
+            for n_heads in (1, 2, 4):
+                seen = sizes.setdefault(n_heads, [])
+                monkeypatch.setattr(Tape, "gradients", lambda tape, loss, seen=seen:
+                                    seen.append(len(tape._nodes)) or gradients(tape, loss))
+                model = model_for_inventory(inventory, hidden=hidden, n_heads=n_heads, seed=5)
+                tc = TrainConfig(epochs=1, batch_size=16, dropout=0.2, seed=5)
+                train(model, samples[:16], tc, graph_cfg, inventory)
+            assert sizes[1] == sizes[2] == sizes[4] == [39 + folded], hidden
 
 
     def test_step_tape_runs_in_float32(self, small_world, graph_cfg, monkeypatch):
@@ -858,11 +947,16 @@ class TestInPlaceGradients:
         return mae_loss(tape, denormalize_pred(tape, pred, model), samples.truth)
 
     def test_buffer_equals_dict_sweep_bitwise(self, small_world, graph_cfg):
+        # at h=8 and at h=32, where layer 2 scores against the 6 AP rows
         _, inventory, samples = small_world
         samples = samples[:16]
-        model = model_for_inventory(inventory, hidden=8, n_heads=2, seed=5)
         graph = build_sample_graph(
             samples, inventory, build_ap_adjacency(inventory, graph_cfg), graph_cfg)
+        for hidden, folded in ((8, False), (32, True)):
+            model = model_for_inventory(inventory, hidden=hidden, n_heads=2, seed=5)
+            self.check_buffer_sweep(model, graph, samples, folded)
+
+    def check_buffer_sweep(self, model, graph, samples, folded):
         masks = gtmodel._batch_masks(model, len(samples), 0.2, stream(5, "masks"))
         params = model.parameters()
         # a leaf recorded on the tape that does not feed the loss
@@ -886,16 +980,21 @@ class TestInPlaceGradients:
         tape = Tape()
         loss = record(tape)
         # layer 1's root and merge serve the AP rows and the user rows; its
-        # query and key reach both only through one query-key product node
+        # query and key reach both only through one query-key product node,
+        # and a folded layer 2's query only through its product with the keys
         matmul_weights = [inputs[1] for _, inputs, backward in tape._nodes
                           if backward.__qualname__.startswith("Tape.matmul.")]
         for name in ("layer1.root", "layer1.merge"):
             assert sum(w is params[name] for w in matmul_weights) == 2, name
         products = [inputs for _, inputs, backward in tape._nodes
                     if backward.__qualname__.startswith("Tape.head_products.")]
-        assert len(products) == 1
+        assert len(products) == 1 + folded
         assert products[0] == (params["layer1.query"], params["layer1.key"])
-        assert not any(params[name] in inputs for name in ("layer1.query", "layer1.key")
+        only_in_products = ["layer1.query", "layer1.key"]
+        if folded:
+            assert products[1][0] is params["layer2.query"]
+            only_in_products.append("layer2.query")
+        assert not any(params[name] in inputs for name in only_in_products
                        for _, inputs, backward in tape._nodes
                        if not backward.__qualname__.startswith("Tape.head_products."))
         tape.gradients(loss)

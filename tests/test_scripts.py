@@ -5,6 +5,8 @@ import shutil
 import sys
 from pathlib import Path
 
+import pytest
+
 from sacloc.cli import CHECKPOINT_NAME, load_config
 
 from test_acceptance import DESK_GRAPH, DESK_SYNTH, DESK_TRAIN
@@ -12,6 +14,7 @@ from test_cli import TINY_CONFIG, run, write_config
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "scripts"))
+import bench_pairs  # noqa: E402
 import quality_panel  # noqa: E402
 import run_desk_scale  # noqa: E402
 import run_full_scale  # noqa: E402
@@ -94,3 +97,101 @@ def test_quality_panel_of_one_checkout_against_itself(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "mae_l1           +0.0000 [+0.0000, +0.0000]  lower 0, higher 0" in out
     assert "coverage_pooled  +0.0000 [+0.0000, +0.0000]  lower 0, higher 0" in out
+
+
+@pytest.fixture
+def fresh_checkout(tmp_path):
+    """The sources, the benchmark and BENCHMARK.json, without bytecode."""
+    checkout = tmp_path / "checkout"
+    for part in ("src", "perfbench"):
+        shutil.copytree(ROOT / part, checkout / part,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(ROOT / "BENCHMARK.json", checkout)
+    return checkout
+
+
+def test_pairs_verdict_counts_ties_for_neither_side():
+    # parent median 14.5, quartiles 12.25 and 16.75: an IQR of 4.5
+    parent = [10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0, 18.0, 19.0]
+    s = bench_pairs.compare(parent, [p - 5.0 for p in parent], "lower", 0.25)
+    assert (s["parent_q1"], s["parent_median"], s["parent_q3"]) == (12.25, 14.5, 16.75)
+    assert (s["change_better_pairs"], s["change_worse_pairs"]) == (10, 0) and s["claim_met"]
+    # one tie and nine wins meet the rule; two ties leave eight of ten
+    one_tie = [p - 5.0 for p in parent[:9]] + parent[9:]
+    s = bench_pairs.compare(parent, one_tie, "lower", 0.25)
+    assert (s["change_better_pairs"], s["change_worse_pairs"]) == (9, 0) and s["claim_met"]
+    two_ties = [p - 5.0 for p in parent[:8]] + parent[8:]
+    s = bench_pairs.compare(parent, two_ties, "lower", 0.25)
+    assert (s["change_better_pairs"], s["change_worse_pairs"]) == (8, 0)
+    assert not s["claim_met"]
+    # lower in every pair, but the median gap (4) is inside the IQR
+    assert not bench_pairs.compare(parent, [p - 4.0 for p in parent], "lower", 0.25)["claim_met"]
+    # a higher-is-better metric wins by rising
+    s = bench_pairs.compare(parent, [p + 5.0 for p in parent], "higher", 0.25)
+    assert s["change_better_pairs"] == 10 and s["claim_met"] and not s["worse_beyond_bound"]
+    # the bound is a fraction of the parent's median: 14.5 * 1.25 = 18.125
+    assert bench_pairs.compare(parent, [p * 1.3 for p in parent], "lower", 0.25)[
+        "worse_beyond_bound"]
+    assert not bench_pairs.compare(parent, [p * 1.2 for p in parent], "lower", 0.25)[
+        "worse_beyond_bound"]
+
+
+def test_pairs_alternate_and_flag(fresh_checkout, monkeypatch):
+    # the parent runs first in odd pairs; a metric worse beyond its bound
+    # and a larger share of failed operations are flagged, the claim is not
+    calls = []
+
+    def fake_run(checkout, workload, seed, smoke):
+        side = "parent" if checkout == fresh_checkout else "change"
+        calls.append(side)
+        slow = side == "change"
+        metrics = {"predict_p50_ms": {"value": 1.0 if slow else 2.0, "unit": "ms"},
+                   "train_s": {"value": 2.0 if slow else 1.0, "unit": "s"}}
+        return {"exit": 0, "wall_s": 1.0, "code": side, "notes": [],
+                "result": {"correct": True, "attempted": 10, "failed": int(slow),
+                           "metrics": metrics}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    end_to_end = [{"name": n, "unit": u, "better": "lower", "bound": 0.25}
+                  for n, u in (("predict_p50_ms", "ms"), ("train_s", "s"))]
+    doc = bench_pairs.pairs(fresh_checkout, fresh_checkout.parent, "desk-m20-h64", 11, 3,
+                            False, end_to_end, "predict_p50_ms")
+    assert calls == ["parent", "change", "change", "parent", "parent", "change"]
+    assert [(r["pair"], r["side"]) for r in doc["runs"]] == [
+        (1, "parent"), (1, "change"), (2, "change"), (2, "parent"), (3, "parent"),
+        (3, "change")]
+    assert doc["claim_met"] is True
+    assert doc["summary"]["predict_p50_ms"]["change_better_pairs"] == 3
+    assert doc["flagged"] == ["train_s", "failed operations"]
+    assert doc["failed"] == {"parent": {"failed": 0, "attempted": 30},
+                             "change": {"failed": 3, "attempted": 30}}
+    assert doc["code"] == {"parent": ["parent"], "change": ["change"]}
+
+
+def test_pairs_refuse_a_checkout_with_bytecode(fresh_checkout, tmp_path, capsys):
+    cached = tmp_path / "cached"
+    shutil.copytree(fresh_checkout, cached)
+    (cached / "src" / "sacloc" / "__pycache__").mkdir()
+    argv = ["--workload", "desk-m20-h64", "--pairs", "1", "--smoke"]
+    assert bench_pairs.main(["--parent", str(fresh_checkout), "--change", str(cached),
+                             *argv]) == 1
+    assert "__pycache__ exists" in capsys.readouterr().err
+    assert not (fresh_checkout / ".perfbench_out").exists()  # nothing ran
+
+
+def test_pairs_smoke_of_one_checkout_against_itself(fresh_checkout, tmp_path, capsys):
+    out = tmp_path / "pairs.json"
+    assert bench_pairs.main([
+        "--parent", str(fresh_checkout), "--change", str(fresh_checkout),
+        "--workload", "desk-m20-h64", "--pairs", "1", "--smoke",
+        "--claim", "predict_p50_ms", "--json", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert [(r["pair"], r["side"]) for r in doc["runs"]] == [(1, "parent"), (1, "change")]
+    assert all(r["exit"] == 0 and r["result"]["correct"] for r in doc["runs"])
+    assert doc["failed"]["parent"]["failed"] == doc["failed"]["change"]["failed"] == 0
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert list(doc["summary"]) == [m["name"] for m in benchmark["end_to_end"]]
+    assert len(doc["code"]["parent"]) == 1 and doc["code"]["parent"] == doc["code"]["change"]
+    # the runs leave no bytecode behind, so the checkout can be run again
+    assert not list(fresh_checkout.rglob("__pycache__"))
+    assert "claim predict_p50_ms: " in capsys.readouterr().out
