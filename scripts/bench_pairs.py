@@ -16,7 +16,12 @@ which the change reads better (a tie counts for neither side). Then:
   and so is a larger share of failed operations.
 
     python3 scripts/bench_pairs.py --parent ../parent --change ../change \\
-        --workload ref-m20-h500 --seed 11 --claim predict_p50_ms --json BENCH_n.json
+        --workload ref-m20-h500 --seed 11 --seed 2718 --claim predict_p50_ms \\
+        --json BENCH_n.json
+
+`--seed` may be given more than once: the seeds run one after another,
+each with its own pairs and its own verdict, and `--json` writes one
+document holding every seed's runs and summary under `seeds`.
 
 Both checkouts must be fresh: a checkout whose `src/` holds a
 `__pycache__` is refused (exit 1). The benchmark's processes write no
@@ -182,7 +187,8 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True, help="parent checkout")
     parser.add_argument("--change", type=Path, required=True, help="changed checkout")
     parser.add_argument("--workload", required=True, help="a workload run.py knows")
-    parser.add_argument("--seed", type=int, default=11)
+    parser.add_argument("--seed", type=int, action="append",
+                        help="workload seed, repeatable (default 11)")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--smoke", action="store_true",
                         help="run.py's smoke profile, fewest cycles (plumbing only)")
@@ -201,14 +207,20 @@ def main(argv=None) -> int:
         parser.error(f"--claim {args.claim} is not an end-to-end metric of BENCHMARK.json")
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    try:
-        doc = pairs(parent, change, args.workload, args.seed, args.pairs, args.smoke,
-                    end_to_end, args.claim)
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print_summary(doc)
+    by_seed = {}
+    for seed in args.seed or [11]:
+        try:
+            by_seed[str(seed)] = pairs(parent, change, args.workload, seed, args.pairs,
+                                       args.smoke, end_to_end, args.claim)
+        except RuntimeError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        print_summary(by_seed[str(seed)])
     if args.json:
+        doc = {"workload": args.workload, "claim": args.claim,
+               "claim_met": (all(d["claim_met"] for d in by_seed.values())
+                             if args.claim else None),
+               "seeds": by_seed}
         args.json.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     return 0
 

@@ -9,7 +9,12 @@ paired difference (change - parent): the mean, a paired-bootstrap 95%
 interval over the seeds and the sign counts. A metric whose interval
 excludes 0 is marked `*`.
 
-    python scripts/quality_panel.py --parent ../parent --change . --config desk
+    python scripts/quality_panel.py --parent ../parent --change . --config desk \\
+        --json panel.json
+
+`--json PATH` writes the config name, the seeds, both checkouts' per-seed
+rows and each metric's paired summary (mean, interval, sign counts), the
+panel a claim's BENCH_<n>.json carries.
 
 The desk config is scripts/run_desk_scale.py's world (h=64, 30 epochs); the
 ref-m20 config is the same world at the reference width (h=500, 2 epochs).
@@ -127,6 +132,7 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, required=True, help="changed checkout")
     parser.add_argument("--config", choices=sorted(CONFIGS), default="desk")
     parser.add_argument("--seeds", type=int, nargs="+", default=list(DEFAULT_SEEDS))
+    parser.add_argument("--json", type=Path, help="write the rows and the summary here")
     args = parser.parse_args(argv)
     for checkout in (args.parent, args.change):
         if not (checkout / "src" / "sacloc" / "__init__.py").is_file():
@@ -135,11 +141,14 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as work:
         try:
             result = panel(args.parent.resolve(), args.change.resolve(), CONFIGS[args.config],
-                           args.seeds, Path(work))
+                           args.seeds, Path(work), TEST_SAMPLES)
         except RuntimeError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
     print_panel(result)
+    if args.json:
+        args.json.write_text(json.dumps({"config": args.config, **result}, indent=1) + "\n",
+                             encoding="utf-8")
     return 0
 
 

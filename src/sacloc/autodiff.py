@@ -26,11 +26,11 @@ per-head results are written through the head view of one (rows, H*w)
 buffer, never merged by a copy.
 
 Also houses the optimizer pieces the trainer needs: bias-corrected Adam
-with decoupled weight decay over one flat float64 master buffer (updated in
-place, block by block, with moments in the gradients' dtype and a float32
-working copy of the parameters rewritten in the same pass; the model that
-owns the buffer cuts its weights from it with `flat_views`), a cosine
-learning rate, float32 inverted dropout masks, and a versioned binary
+with decoupled weight decay over one flat parameter buffer, updated in
+place, block by block, in the buffer's own dtype, with moments in the
+gradients' dtype (the trainer steps the float32 buffer its tape reads; the
+model that owns the buffer cuts its weights from it with `flat_views`), a
+cosine learning rate, float32 inverted dropout masks, and a versioned binary
 checkpoint format holding the weights only (a JSON header line plus one raw
 float64 blob, written one parameter array at a time). Optimizer state lives
 only inside one training run and is never written.
@@ -90,7 +90,8 @@ def _masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     rowmax = np.where(np.isfinite(rowmax), rowmax, 0.0)
     e = np.exp(masked - rowmax)
     denom = e.sum(axis=-1, keepdims=True)
-    return np.divide(e, denom, out=np.zeros_like(e), where=denom > 0.0)
+    # an all-False row has e == 0 throughout, so dividing it by 1 keeps it zero
+    return e / np.where(denom > 0.0, denom, 1.0)
 
 
 def _softmax_backward(p: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -385,15 +386,13 @@ class AdamState:
     with the betas and epsilon the constants `ADAM_BETA1`, `ADAM_BETA2` and
     `ADAM_EPS`. `m` and `v` are the first/second moment buffers, flat like
     the parameters and in the gradients' dtype (allocated by the first
-    `adam_step`), and `t` the step counter. `working` is the float32 copy
-    of the parameters that every `adam_step` rewrites (a float32 tape
-    trains on it); `scratch` holds `adam_step`'s block temporaries."""
+    `adam_step`), and `t` the step counter; `scratch` holds `adam_step`'s
+    block temporaries."""
 
     weight_decay: float = 0.0
     t: int = field(default=0, init=False)
     m: Optional[np.ndarray] = field(default=None, init=False)
     v: Optional[np.ndarray] = field(default=None, init=False)
-    working: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
     scratch: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
 
@@ -410,9 +409,11 @@ def adam_step(
 ) -> None:
     """One bias-corrected Adam update with decoupled weight decay (AdamW).
 
-    `params` (the master copy) and `grads` are (P,) buffers, every parameter
-    at once (Adam is elementwise). The moments and the block temporaries
-    take the gradients' dtype, so float32 gradients keep float32 moments.
+    `params` and `grads` are (P,) buffers, every parameter at once (Adam is
+    elementwise). `params` is updated in its own dtype: a float32 buffer
+    stays float32, rounded once per step. The moments and the block
+    temporaries take the gradients' dtype, so float32 gradients keep
+    float32 moments.
     Both bias corrections are folded into the step size and epsilon
     (Kingma & Ba, arXiv 1412.6980, §2), which leaves one divide and one
     sqrt per element. In place, block by block, in the operation order of
@@ -421,8 +422,7 @@ def adam_step(
         m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
         p = p*(1 - lr*wd) - (m/(sqrt(v) + eps*sqrt(bc2))) * (lr*sqrt(bc2)/bc1)
 
-    so the result is bit for bit the one that expression gives. Each block
-    then writes its slice of `state.working`, the float32 copy of `params`.
+    so the result is bit for bit the one that expression gives.
     """
     if lr < 0:
         raise ValueError("lr must be nonnegative")
@@ -432,11 +432,6 @@ def adam_step(
         state.m, state.v = np.zeros_like(grads), np.zeros_like(grads)
     elif state.m.shape != params.shape or state.v.shape != params.shape:
         raise ShapeMismatch(f"adam_step: moments {state.m.shape} vs params {params.shape}")
-    if state.working is None:
-        state.working = np.empty(params.shape, dtype=np.float32)
-    elif state.working.shape != params.shape:
-        raise ShapeMismatch(
-            f"adam_step: working copy {state.working.shape} vs params {params.shape}")
     if state.scratch is None:
         state.scratch = np.empty((2, ADAM_BLOCK), dtype=grads.dtype)
     state.t += 1
@@ -445,7 +440,7 @@ def adam_step(
     step = lr * root_bc2 / (1.0 - b1 ** state.t)
     eps = ADAM_EPS * root_bc2
     decay = 1.0 - lr * state.weight_decay
-    scratch, working = state.scratch, state.working
+    scratch = state.scratch
     for lo in range(0, params.size, ADAM_BLOCK):
         s = slice(lo, lo + ADAM_BLOCK)
         pb, gb, mb, vb = params[s], grads[s], state.m[s], state.v[s]
@@ -461,7 +456,6 @@ def adam_step(
         t1 *= step
         pb *= decay
         pb -= t1
-        working[s] = pb
 
 
 # -- flat parameter views ---------------------------------------------------

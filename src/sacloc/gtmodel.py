@@ -60,19 +60,23 @@ the block-diagonal batched graph evaluated without its redundancy, in
 training as in eval: dropout acts on the user rows only, so the
 inventory half is the same in both.
 
-The model owns its parameters: one (P,) float64 buffer, `GtModel.flat`,
-whose consecutive slices, in the order and shapes of `_parameter_shapes`,
-are the weights. `init_model` draws each weight into its slice of a new
-buffer; `load_model` takes the checkpoint's whole blob. Checkpoints hold
-the weights only, written one array at a time, the same bytes as the
-buffer.
+The model owns its parameters: one (P,) buffer, `GtModel.flat`, whose
+consecutive slices, in the order and shapes of `_parameter_shapes`, are
+the weights. `init_model` draws each weight into its slice of a new
+float64 buffer and stores it rounded to float32; `load_model` takes the
+checkpoint's whole float64 blob. Checkpoints hold the weights only,
+written one array at a time, the same bytes as the buffer.
 
-Training is mixed precision (Micikevicius et al., arXiv 1710.03740): the
-tape runs on a float32 model over `AdamState.working`, a float32 copy of
-`flat`, with float32 scans, masks, affine and truths, and writes a float32
-gradient buffer. Adam keeps float32 moments, updates the float64 `flat` in
-one pass and rewrites the float32 copy in the same pass. Evaluation,
-calibration, prediction and checkpoints use the float64 `flat`.
+Training runs in float32, in place: `train` rebinds the model's weights
+and affine to a float32 copy of `flat` and drops the float64 buffer, so
+the tape (with float32 scans, masks and truths) reads the very buffer
+that Adam steps, with float32 moments and a float32 gradient buffer. The
+compute is float32 throughout, so a float32 master is plain
+full-precision training: no wider copy is kept. When training ends, as it
+returns or raises, the model is rebound to the float64 widening of the
+float32 weights, which evaluation, calibration, prediction and
+checkpoints use. A fresh model's weights are float32 values, so training
+at lr 0 leaves them bit for bit.
 
 Training runs both halves on the tape every step. An eval forward on a
 model whose buffer is read-only (what `load_model` returns) keeps
@@ -84,7 +88,9 @@ knowing, so a writeable model never keeps it.
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -119,6 +125,7 @@ from .graphbuild import GraphConfig, LocGraph, build_ap_adjacency, build_sample_
 from .graphbuild import user_edge_mask  # noqa: F401
 from .rng import stream
 
+log = logging.getLogger(__name__)
 
 # The weights of one layer, in checkpoint order.
 LAYER_WEIGHTS = ("query", "key", "value", "root", "merge")
@@ -269,7 +276,9 @@ def init_model(
     seed: int,
 ) -> GtModel:
     """Fresh model with Xavier-uniform weights and zero biases, each weight
-    drawn into its view of a new zeroed buffer."""
+    drawn into its view of a new zeroed float64 buffer and stored as its
+    float32 rounding, the precision `train` steps it in. Layer 1's key and
+    value are the rounded products of the stored `[enc.ap.w; enc.ap.b]`."""
     if hidden % n_heads != 0:
         raise ValueError(f"head count {n_heads} must divide hidden dim {hidden}")
     size = sum(math.prod(s) for s in _parameter_shapes(ap_count, hidden, n_heads).values())
@@ -278,9 +287,24 @@ def init_model(
                    (model.head_w, "head")):
         _xavier(w.data, stream(seed, "init", tag))
     enc = model.encoders
-    _init_layer(model.layer1, seed, "layer1", np.vstack([enc.ap_w.data, enc.ap_b.data]))
+    sources = np.vstack([enc.ap_w.data, enc.ap_b.data]).astype(np.float32)
+    _init_layer(model.layer1, seed, "layer1", sources)
     _init_layer(model.layer2, seed, "layer2")
+    for p in model.parameters().values():  # one weight at a time: no copy of the buffer
+        p.data[...] = p.data.astype(np.float32)
     return model
+
+
+def _bind(model: GtModel, flat: np.ndarray, affine_offset: np.ndarray,
+          affine_scale: np.ndarray) -> None:
+    """Make `model`'s weights the views of the (P,) `flat` and its affine the
+    given arrays, in place: the same `Tensor`s, new `data`. Drops the eval
+    memo, which belonged to the old buffer."""
+    params = model.parameters().values()
+    for p, view in zip(params, flat_views(flat, [p.shape for p in params])):
+        p.data = view
+    model.flat, model.affine_offset, model.affine_scale = flat, affine_offset, affine_scale
+    model.inventory_memo = None
 
 
 def _assemble(flat: np.ndarray, ap_count: int, hidden: int, n_heads: int,
@@ -516,12 +540,15 @@ def train(
 
     Mutates `model` in place. The log entries are {"epoch", "lr",
     "train_mae"} with the MAE in meters. Deterministic under cfg.seed.
+    Each epoch is also logged at INFO, with its seconds and scans/s.
 
-    The tape runs in float32 on `work`, the model over Adam's float32
-    working copy of `model.flat` (see the module docstring). One (P,)
-    float32 gradient buffer serves every step: each parameter's `grad`, on
-    `model` and on `work` alike, is its view, which a step's reverse sweep
-    writes and Adam reads. After training, the `grad`s hold the last step's
+    The model trains in float32 (see the module docstring): its weights and
+    affine are rebound to a float32 copy of `model.flat`, which the tape
+    reads and `adam_step` updates in place. One (P,) float32 gradient
+    buffer serves every step: each parameter's `grad` is its view, which a
+    step's reverse sweep writes and Adam reads. However training ends, the
+    Adam moments are dropped first and the model is then rebound to the
+    float64 widening of its weights; the `grad`s hold the last step's
     gradients.
     """
     if len(train_samples) == 0:
@@ -530,37 +557,45 @@ def train(
         train_samples, inventory, build_ap_adjacency(inventory, graph_cfg), graph_cfg)
     rssi_norm, user_adj = graph.user_features.astype(np.float32), graph.user_adjacency
     ap_feats, truth = graph.ap_features.astype(np.float32), train_samples.truth.astype(np.float32)
+    affine = model.affine_offset, model.affine_scale
+    # the model lets go of its float64 buffer: training holds no float64 copy
+    _bind(model, model.flat.astype(np.float32), *(a.astype(np.float32) for a in affine))
     adam = AdamState(weight_decay=cfg.weight_decay)
-    adam.working = model.flat.astype(np.float32)
-    work = _assemble(adam.working, model.ap_count, model.hidden, model.n_heads,
-                     model.affine_offset, model.affine_scale)
-    params, work_params = model.parameters().values(), work.parameters().values()
-    grad = np.empty_like(adam.working)
-    for p, w, view in zip(params, work_params, flat_views(grad, [p.shape for p in params])):
-        p.grad = w.grad = view
-    n = len(train_samples)
-    history: list[dict[str, float]] = []
-    for epoch in range(cfg.epochs):
-        lr = cosine_lr(cfg.base_lr, cfg.epochs, epoch)
-        order = stream(cfg.seed, "shuffle", epoch).permutation(n)
-        loss_sum = 0.0
-        for batch_i, start in enumerate(range(0, n, cfg.batch_size)):
-            idx = order[start : start + cfg.batch_size]
-            masks = None
-            if cfg.dropout > 0.0:
-                drop_rng = stream(cfg.seed, "dropout", epoch, batch_i)
-                masks = _batch_masks(model, len(idx), cfg.dropout, drop_rng)
-            tape = Tape()
-            pred = forward_batch(tape, work, rssi_norm[idx], user_adj[idx],
-                                 ap_feats, graph.ap_adjacency, masks)
-            loss = mae_loss(tape, denormalize_pred(tape, pred, work), truth[idx])
-            if not np.isfinite(loss.data):
-                raise TrainingDiverged(epoch, batch_i)
-            tape.gradients(loss)
-            loss_sum += float(loss.data) * len(idx)
-            adam_step(model.flat, grad, adam, lr)
-        history.append({"epoch": float(epoch), "lr": lr, "train_mae": loss_sum / n})
-    return history
+    try:
+        params = model.parameters().values()
+        grad = np.empty_like(model.flat)
+        for p, view in zip(params, flat_views(grad, [p.shape for p in params])):
+            p.grad = view
+        n = len(train_samples)
+        history: list[dict[str, float]] = []
+        for epoch in range(cfg.epochs):
+            start_s = time.perf_counter()
+            lr = cosine_lr(cfg.base_lr, cfg.epochs, epoch)
+            order = stream(cfg.seed, "shuffle", epoch).permutation(n)
+            loss_sum = 0.0
+            for batch_i, start in enumerate(range(0, n, cfg.batch_size)):
+                idx = order[start : start + cfg.batch_size]
+                masks = None
+                if cfg.dropout > 0.0:
+                    drop_rng = stream(cfg.seed, "dropout", epoch, batch_i)
+                    masks = _batch_masks(model, len(idx), cfg.dropout, drop_rng)
+                tape = Tape()
+                pred = forward_batch(tape, model, rssi_norm[idx], user_adj[idx],
+                                     ap_feats, graph.ap_adjacency, masks)
+                loss = mae_loss(tape, denormalize_pred(tape, pred, model), truth[idx])
+                if not np.isfinite(loss.data):
+                    raise TrainingDiverged(epoch, batch_i)
+                tape.gradients(loss)
+                loss_sum += float(loss.data) * len(idx)
+                adam_step(model.flat, grad, adam, lr)
+            history.append({"epoch": float(epoch), "lr": lr, "train_mae": loss_sum / n})
+            seconds = time.perf_counter() - start_s
+            log.info("epoch %d: lr %.6g, train MAE %.4f m, %.3f s, %.1f scans/s",
+                     epoch, lr, loss_sum / n, seconds, n / seconds)
+        return history
+    finally:
+        adam.m = adam.v = None  # the moments go before the float64 copy is made
+        _bind(model, model.flat.astype(np.float64), *affine)
 
 
 # Scans per eval forward in `predict_positions`.

@@ -13,6 +13,7 @@ from sacloc.autodiff import (
     AdamState,
     Tape,
     Tensor,
+    _masked_softmax,
     adam_step,
     cosine_lr,
     dropout_mask,
@@ -85,6 +86,25 @@ class TestForward:
         t = Tape()
         out = t.masked_row_softmax(Tensor([[3.0, -1.0]]), np.array([[False, False]]))
         assert np.array_equal(out.data, [[0.0, 0.0]])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_softmax_divide_matches_the_masked_divide_bitwise(self, dtype):
+        # the plain divide by the row sums (1 where a row has no True entry)
+        # gives what the `where=`-masked divide into zeros did, at the desk
+        # attention shape, with all-False rows and every density
+        rng = stream(3, "softmax", "divide")
+        logits = (rng.normal(size=(4, 64, 20)) * 4.0).astype(dtype)
+        for density in (0.0, 0.1, 0.5, 1.0):
+            mask = rng.random((4, 64, 20)) < density
+            mask[0, :3] = False
+            got = _masked_softmax(logits, mask)
+            masked = np.where(mask, logits, -np.inf)
+            rowmax = masked.max(axis=-1, keepdims=True)
+            e = np.exp(masked - np.where(np.isfinite(rowmax), rowmax, 0.0))
+            denom = e.sum(axis=-1, keepdims=True)
+            want = np.divide(e, denom, out=np.zeros_like(e), where=denom > 0.0)
+            assert got.dtype == dtype and got.tobytes() == want.tobytes(), density
+            assert not got[0, :3].any()
 
     def test_relu(self):
         t = Tape()
@@ -324,7 +344,7 @@ class TestMultiHead:
 def folded_adam(p, m, v, g, t, lr, state):
     """The whole-array update `adam_step` evaluates: moments in the dtype of
     `g`, both bias corrections folded into the step size and epsilon, and
-    decoupled decay on the float64 master `p` -> (p, m, v)."""
+    decoupled decay on `p`, in `p`'s dtype -> (p, m, v)."""
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     root_bc2 = math.sqrt(1.0 - b2 ** t)
     step = lr * root_bc2 / (1.0 - b1 ** t)
@@ -408,27 +428,34 @@ class TestAdam:
             drift += 1e-6 * lr
             assert np.max(np.abs(p - ref)) <= drift, t
 
-    def test_working_copy_is_the_rounded_master(self):
+    def test_float32_buffer_matches_whole_array_float32_adamw(self):
+        # the trainer's case: parameters, gradients and moments all float32,
+        # updated in place in float32, over two blocks and a ragged tail
         size = ADAM_BLOCK + 5
-        rng = stream(4, "adam", "working")
-        p = rng.normal(size=size)
+        rng = stream(4, "adam", "float32")
+        p = rng.normal(size=size).astype(np.float32)
+        ref = p.copy()
+        m, v = np.zeros(size, np.float32), np.zeros(size, np.float32)
         state = AdamState(weight_decay=1e-3)
-        for t in range(1, 4):
-            adam_step(p, rng.normal(size=size).astype(np.float32), state, 0.01)
-            assert state.working.dtype == np.float32
-            assert state.working.tobytes() == p.astype(np.float32).tobytes(), t
+        for t in range(1, 5):
+            g = (rng.normal(size=size) * 10.0 ** (t - 2)).astype(np.float32)
+            lr = 0.01 / t
+            adam_step(p, g, state, lr)
+            ref, m, v = folded_adam(ref, m, v, g, t, lr, state)
+            assert ref.dtype == m.dtype == v.dtype == np.float32
+            assert p.dtype == np.float32 and p.tobytes() == ref.tobytes(), t
+            assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
 
-    def test_lr_zero_leaves_master_and_working_copy_bitwise(self):
+    def test_lr_zero_leaves_float32_buffer_bitwise(self):
         size = ADAM_BLOCK + 5
         rng = stream(4, "adam", "lr0")
-        p = rng.normal(size=size)
+        p = rng.normal(size=size).astype(np.float32)
         state = AdamState(weight_decay=1e-3)
         adam_step(p, rng.normal(size=size).astype(np.float32), state, 0.01)
-        master, working = p.copy(), state.working.copy()
+        before = p.copy()
         for _ in range(3):
             adam_step(p, rng.normal(size=size).astype(np.float32), state, 0.0)
-            assert p.tobytes() == master.tobytes()
-            assert state.working.tobytes() == working.tobytes()
+            assert p.tobytes() == before.tobytes()
 
     def test_zero_grad_zero_decay_is_identity(self):
         p = np.array([1.0, -2.0, 3.0])

@@ -1,5 +1,6 @@
 import gc
 import json
+import logging
 import math
 import tracemalloc
 import weakref
@@ -295,8 +296,9 @@ class TestSharedRoot:
         assert np.max(np.abs(shared - per_head)) <= 1e-12
 
     def test_init_root_is_mean_of_per_head_draws(self, line_inventory):
-        # every weight, bit for bit: the Xavier draws of its streams, the
-        # head blocks side by side, the root the mean of the per-head draws
+        # every weight, bit for bit: the float32 rounding of the Xavier draws
+        # of its streams, the head blocks side by side, the root the mean of
+        # the per-head draws
         seed = 7
         for hidden, n_heads in ((8, 2), (12, 4)):
             head_dim = hidden // n_heads
@@ -311,8 +313,10 @@ class TestSharedRoot:
                 return [xavier((hidden, head_dim), tag, hi, w) for hi in range(n_heads)]
 
             # layer 1's key and value blocks act on the encoded AP rows,
-            # [x, y, 1] @ [enc.ap.w; enc.ap.b]: their product is stored
+            # [x, y, 1] @ [enc.ap.w; enc.ap.b]: their product with the stored
+            # encoder is stored
             sources = np.vstack([xavier((2, hidden), "enc.ap"), np.zeros(hidden)])
+            sources = sources.astype(np.float32).astype(np.float64)
             want = {"enc.user.w": xavier((3, hidden), "enc.user"),
                     "enc.user.b": np.zeros(hidden),
                     "enc.ap.w": xavier((2, hidden), "enc.ap"), "enc.ap.b": np.zeros(hidden),
@@ -327,8 +331,20 @@ class TestSharedRoot:
             params = model.parameters()
             assert sorted(params) == sorted(want)
             for name, p in params.items():
+                stored = want[name].astype(np.float32).astype(np.float64)
                 assert p.data.shape == want[name].shape, (n_heads, name)
-                assert p.data.tobytes() == want[name].tobytes(), (n_heads, name)
+                assert p.data.tobytes() == stored.tobytes(), (n_heads, name)
+
+    @pytest.mark.parametrize("hidden, n_heads, ap_count", [(8, 2, 3), (64, 4, 20), (500, 4, 20)])
+    def test_fresh_weights_are_float32_values(self, hidden, n_heads, ap_count):
+        # what `train` steps in float32 and widens back loses nothing, so a
+        # fresh model trained at lr 0 keeps its float64 weights bit for bit
+        model = gtmodel.init_model(ap_count, (np.zeros(2), np.ones(2)), hidden=hidden,
+                                   n_heads=n_heads, seed=3)
+        assert model.flat.dtype == np.float64
+        assert model.flat.astype(np.float32).astype(np.float64).tobytes() == \
+            model.flat.tobytes()
+        assert np.count_nonzero(model.flat) > model.flat.size // 2
 
     def test_init_draws_into_the_buffer(self):
         # each weight is drawn into its slice of the buffer, so the draws
@@ -434,8 +450,9 @@ class TestModelForward:
 
     def test_fresh_model_predicts_the_encoded_key_formula(self, small_world, graph_cfg):
         # layer 1's keys and values were (coords @ ap_w + ap_b) @ key, with an
-        # (h, h) key drawn head block by head block; a fresh model's (3, h)
-        # product of the same draws predicts what that formula does
+        # (h, h) key drawn head block by head block; a fresh model stores the
+        # rounded (3, h) product of the same draws, and the exact product
+        # predicts what that formula does
         _, inventory, samples = small_world
         hidden, n_heads, seed = 64, 4, 5
         head_dim = hidden // n_heads
@@ -446,6 +463,16 @@ class TestModelForward:
             return np.hstack([stream(seed, "init", "layer1", hi, w).uniform(
                 -limit, limit, (hidden, head_dim)) for hi in range(n_heads)])
 
+        # stored: the float32 rounding of the exact products with the stored
+        # encoder, [enc.ap.w; enc.ap.b] @ the draws
+        enc, layer1 = model.encoders, model.layer1
+        sources = np.vstack([enc.ap_w.data, enc.ap_b.data])
+        for weight, w in ((layer1.key, "w4"), (layer1.value, "w2")):
+            exact = sources @ drawn(w)
+            assert weight.data.tobytes() == \
+                exact.astype(np.float32).astype(np.float64).tobytes(), w
+            weight.data[...] = exact
+        # the two formulas agree on the exact products
         ap_adj = build_ap_adjacency(inventory, graph_cfg)
         want = np.stack([
             dense_forward(model, build_sample_graph(s, inventory, ap_adj, graph_cfg),
@@ -816,6 +843,44 @@ class TestTrain:
             train(model, samples, tc, graph_cfg, inventory)
         assert (err.value.epoch, err.value.batch) == (1, 1)
 
+    def test_model_is_float64_after_divergence(self, small_world, graph_cfg):
+        # the float32 training buffer is widened back on the way out of a
+        # raise too, the affine restored as it was
+        _, inventory, samples = small_world
+        model = model_for_inventory(inventory, hidden=8, n_heads=2, seed=5)
+        model.head_w.data[0, 0] = np.nan
+        before, affine = model.flat.copy(), (model.affine_offset, model.affine_scale)
+        with pytest.raises(TrainingDiverged):
+            train(model, samples, TrainConfig(epochs=2, batch_size=16, seed=5),
+                  graph_cfg, inventory)
+        assert model.flat.dtype == np.float64 and model.flat.tobytes() == before.tobytes()
+        params = model.parameters().values()
+        for p, view in zip(params, flat_views(model.flat, [p.shape for p in params])):
+            assert p.data.dtype == np.float64 and np.shares_memory(p.data, view), p.name
+        assert model.affine_offset is affine[0] and model.affine_scale is affine[1]
+
+    def test_epochs_are_logged_at_info(self, small_world, graph_cfg, caplog, tmp_path):
+        # one line an epoch with its lr, train MAE, seconds and scans/s; the
+        # loss log holds the history only, no timing
+        _, inventory, samples = small_world
+        model = model_for_inventory(inventory, hidden=8, n_heads=2, seed=5)
+        caplog.set_level(logging.INFO, logger="sacloc.gtmodel")
+        tc = TrainConfig(epochs=3, batch_size=16, seed=5)
+        history = train(model, samples, tc, graph_cfg, inventory)
+        records = [r for r in caplog.records if r.name == "sacloc.gtmodel"]
+        assert len(records) == 3 and {r.levelno for r in records} == {logging.INFO}
+        for row, record in zip(history, records, strict=True):
+            epoch, lr, mae, seconds, rate = record.args
+            assert (epoch, lr, mae) == (int(row["epoch"]), row["lr"], row["train_mae"])
+            assert seconds > 0 and rate == pytest.approx(len(samples) / seconds)
+            assert record.getMessage().startswith(
+                f"epoch {epoch}: lr {lr:.6g}, train MAE {mae:.4f} m, ")
+            assert record.getMessage().endswith(" scans/s")
+        assert [set(row) for row in history] == [{"epoch", "lr", "train_mae"}] * 3
+        gtmodel.write_loss_log(tmp_path / "loss_log.txt", history)
+        assert (tmp_path / "loss_log.txt").read_text() == "epoch,lr,train_mae\n" + "".join(
+            f"{int(r['epoch'])},{r['lr']:.10g},{r['train_mae']:.10g}\n" for r in history)
+
     def test_loss_decreases(self, small_world, graph_cfg):
         _, inventory, samples = small_world
         model = model_for_inventory(inventory, hidden=16, n_heads=2, seed=5)
@@ -1011,25 +1076,34 @@ class TestInPlaceGradients:
         step = gtmodel.adam_step
 
         def spy(flat, grad, state, lr):
-            seen.append((flat, grad, [p.grad for p in params.values()]))
+            # Adam steps the float32 buffer the weights are views of
+            seen.append((flat, grad, [p.grad for p in params.values()],
+                         all(np.shares_memory(flat, p.data) for p in params.values())))
             return step(flat, grad, state, lr)
 
         monkeypatch.setattr(gtmodel, "adam_step", spy)
         tc = TrainConfig(epochs=1, batch_size=16, dropout=0.2, seed=5)
         train(model, samples[:32], tc, graph_cfg, inventory)
         assert len(seen) == 2
-        (flat0, grad0, views0), (flat1, grad1, views1) = seen
+        (flat0, grad0, views0, bound0), (flat1, grad1, views1, bound1) = seen
         assert flat0 is flat1 and grad0 is grad1
-        assert np.shares_memory(flat0, params["head.b"].data)
+        assert flat0.dtype == grad0.dtype == np.float32 and bound0 and bound1
         for p, v0, v1 in zip(params.values(), views0, views1):
             assert v0 is v1 is p.grad, p.name
             assert np.shares_memory(v0, grad0)
+        # training over, the weights are views of a float64 widening
+        assert model.flat.dtype == np.float64 and not np.shares_memory(model.flat, flat0)
+        assert model.flat.tobytes() == flat0.astype(np.float64).tobytes()
+        assert np.shares_memory(model.flat, params["head.b"].data)
 
-    def test_train_holds_one_master_and_four_float32_buffers(self, graph_cfg):
-        # the float64 master plus Adam's float32 working copy, the gradients
-        # and the two moments; the slack is Adam's block scratch, one small
-        # step's activations and numpy's casting buffers, well under one more
-        # float32 copy of the parameters, so such a copy fails here
+    def test_train_holds_four_float32_buffers(self, graph_cfg):
+        # the float32 weights Adam steps, the gradients and the two moments,
+        # and no float64 copy: the float64 buffer goes before training and
+        # comes back only after the moments. The slack is Adam's block
+        # scratch (256 KB), one small step's activations and numpy's casting
+        # buffers; a step takes ~170 KB of it besides the scratch, so a
+        # float64 copy of the parameters (180 KB) kept through training
+        # fails here
         cfg = SyntheticConfig(
             ap_count=20, area=(100.0, 40.0), path_loss_exponent=2.2,
             ref_power_dbm=-40.0, noise_sigma_db=4.0, detection_floor_dbm=-95.0,
@@ -1045,8 +1119,8 @@ class TestInPlaceGradients:
             tracemalloc.stop()
         float32_buffer = 4 * model.flat.size
         slack = 2 * ADAM_BLOCK * 4 + 256 * 1024
-        assert float32_buffer > 80 * 1024
-        assert peak < model.flat.nbytes + 4 * float32_buffer + slack
+        assert model.flat.nbytes > 170 * 1024
+        assert peak < 4 * float32_buffer + slack
 
     def test_step_tapes_die_by_refcount(self, small_world, graph_cfg, monkeypatch):
         # a backward rule that holds its tape makes a tape <-> closure cycle,

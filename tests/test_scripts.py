@@ -79,24 +79,30 @@ def test_pooled_coverage_weights_regions_by_test_count():
     assert quality_panel.pooled_coverage({"coverage": {"regions": regions}}) == 0.75
 
 
-def test_quality_panel_of_one_checkout_against_itself(tmp_path, capsys):
+def test_quality_panel_of_one_checkout_against_itself(tmp_path, capsys, monkeypatch):
     # the same checkout on both sides: every paired difference is exactly 0,
-    # and the panel writes no bytecode into it
+    # the panel writes no bytecode into it, and `--json` holds what it printed
     checkout = tmp_path / "checkout"
     shutil.copytree(ROOT / "src" / "sacloc", checkout / "src" / "sacloc",
                     ignore=shutil.ignore_patterns("__pycache__"))
-    result = quality_panel.panel(checkout, checkout, TINY_CONFIG, (1, 2), tmp_path / "work",
-                                 test_samples=20)
+    monkeypatch.setitem(quality_panel.CONFIGS, "tiny", TINY_CONFIG)
+    monkeypatch.setattr(quality_panel, "TEST_SAMPLES", 20)
+    out = tmp_path / "panel.json"
+    assert quality_panel.main(["--parent", str(checkout), "--change", str(checkout),
+                               "--config", "tiny", "--seeds", "1", "2",
+                               "--json", str(out)]) == 0
     assert not list(checkout.rglob("__pycache__"))
+    result = json.loads(out.read_text())
+    assert result.pop("config") == "tiny"
     assert result["seeds"] == [1, 2] and len(result["parent"]) == len(result["change"]) == 2
     assert result["parent"] == result["change"]
     assert result["parent"][0] != result["parent"][1]
     for summary in result["summary"].values():
         assert summary == {"mean": 0.0, "lo": 0.0, "hi": 0.0, "lower": 0, "higher": 0}
-    quality_panel.print_panel(result)
-    out = capsys.readouterr().out
-    assert "mae_l1           +0.0000 [+0.0000, +0.0000]  lower 0, higher 0" in out
-    assert "coverage_pooled  +0.0000 [+0.0000, +0.0000]  lower 0, higher 0" in out
+    assert list(result["summary"]) == list(quality_panel.METRICS)
+    printed = capsys.readouterr().out
+    assert "mae_l1           +0.0000 [+0.0000, +0.0000]  lower 0, higher 0" in printed
+    assert "coverage_pooled  +0.0000 [+0.0000, +0.0000]  lower 0, higher 0" in printed
 
 
 @pytest.fixture
@@ -180,18 +186,28 @@ def test_pairs_refuse_a_checkout_with_bytecode(fresh_checkout, tmp_path, capsys)
 
 
 def test_pairs_smoke_of_one_checkout_against_itself(fresh_checkout, tmp_path, capsys):
+    # two seeds in one command: a verdict each, and one document with both
     out = tmp_path / "pairs.json"
     assert bench_pairs.main([
         "--parent", str(fresh_checkout), "--change", str(fresh_checkout),
-        "--workload", "desk-m20-h64", "--pairs", "1", "--smoke",
-        "--claim", "predict_p50_ms", "--json", str(out)]) == 0
-    doc = json.loads(out.read_text())
-    assert [(r["pair"], r["side"]) for r in doc["runs"]] == [(1, "parent"), (1, "change")]
-    assert all(r["exit"] == 0 and r["result"]["correct"] for r in doc["runs"])
-    assert doc["failed"]["parent"]["failed"] == doc["failed"]["change"]["failed"] == 0
+        "--workload", "desk-m20-h64", "--seed", "11", "--seed", "2718", "--pairs", "1",
+        "--smoke", "--claim", "predict_p50_ms", "--json", str(out)]) == 0
+    combined = json.loads(out.read_text())
+    assert (combined["workload"], combined["claim"]) == ("desk-m20-h64", "predict_p50_ms")
+    assert list(combined["seeds"]) == ["11", "2718"]
+    assert combined["claim_met"] == all(d["claim_met"] for d in combined["seeds"].values())
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    assert list(doc["summary"]) == [m["name"] for m in benchmark["end_to_end"]]
-    assert len(doc["code"]["parent"]) == 1 and doc["code"]["parent"] == doc["code"]["change"]
+    for seed, doc in combined["seeds"].items():
+        assert doc["seed"] == int(seed)
+        assert [(r["pair"], r["side"]) for r in doc["runs"]] == [(1, "parent"), (1, "change")]
+        assert all(r["exit"] == 0 and r["result"]["correct"] for r in doc["runs"])
+        assert doc["failed"]["parent"]["failed"] == doc["failed"]["change"]["failed"] == 0
+        assert list(doc["summary"]) == [m["name"] for m in benchmark["end_to_end"]]
+        assert len(doc["code"]["parent"]) == 1
+        assert doc["code"]["parent"] == doc["code"]["change"]
     # the runs leave no bytecode behind, so the checkout can be run again
     assert not list(fresh_checkout.rglob("__pycache__"))
-    assert "claim predict_p50_ms: " in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert printed.count("claim predict_p50_ms: ") == 2
+    assert "# desk-m20-h64 seed 11, 1 pairs" in printed
+    assert "# desk-m20-h64 seed 2718, 1 pairs" in printed
