@@ -166,6 +166,9 @@ def load_config(path: str | Path) -> RunConfig:
         synth = None
         if "synth" in raw:
             s = raw["synth"]
+            for key in ("area", "ap_count"):
+                if key not in s:
+                    raise ValueError(f"synth.{key} is required")
             area = s["area"]
             if not isinstance(area, list) or len(area) != 2:
                 raise ValueError(f"synth.area must be [width, height], got {json.dumps(area)}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -252,18 +252,6 @@ def _fmt(x: float | None, width: int = 9, prec: int = 3) -> str:
     return f"{x:{width}.{prec}f}"
 
 
-def _metrics_json(m: PointMetrics) -> dict:
-    return {
-        "mae_l1": m.mae_l1,
-        "mae_euclid": m.mae_euclid,
-        "rmse": m.rmse,
-        "median": m.median,
-        "p75": m.p75,
-        "p95": m.p95,
-        "count": m.count,
-    }
-
-
 def _coverage_json(c: CoverageReport) -> dict:
     def row(r: CoverageRow) -> dict:
         return {
@@ -340,8 +328,8 @@ def emit_report(
 
         doc: dict = {
             "percentile_convention": "linear interpolation between order statistics",
-            "point_metrics": _metrics_json(metrics),
-            "baseline_metrics": _metrics_json(baseline_metrics),
+            "point_metrics": asdict(metrics),
+            "baseline_metrics": asdict(baseline_metrics),
             "coverage": _coverage_json(coverage),
         }
         if sweep is not None:

@@ -47,18 +47,17 @@ and 4 heads, from m=125 on. There the map costs more than it saves: at
 m=520, an UJIIndoorLoc-sized inventory, a folded warm forward is ~1.7x
 as slow, where at m=20 it is ~25% faster.
 
-One forward, `forward_batch`, serves training, calibration and single-scan
-prediction, on the fields of a `graphbuild.LocGraph` (B user rows and the
-AP blocks they share), in two halves. AP nodes never receive messages from the user,
-so everything on the AP side is the same for every scan sharing an
-inventory: the AP encoder, the layer-1 AP update and what both layers
-attend over (each layer's query map or query, keys and values).
-`encode_inventory` computes that inventory half; the scan
-half runs only the B user rows through both layers against it. Layer-2
-AP embeddings are never computed, since nothing reads them. This equals
-the block-diagonal batched graph evaluated without its redundancy, in
-training as in eval: dropout acts on the user rows only, so the
-inventory half is the same in both.
+The forward runs on the fields of a `graphbuild.LocGraph` (B user rows
+and the AP blocks they share) in two halves. AP nodes never receive
+messages from the user, so everything on the AP side is the same for
+every scan sharing an inventory: the AP encoder, the layer-1 AP update
+and what both layers attend over (each layer's query map or query, keys
+and values). `encode_inventory` computes that inventory half, a value the
+caller holds; `forward_batch`, the scan half, runs only the B user rows
+through both layers against it. Layer-2 AP embeddings are never computed,
+since nothing reads them. This equals the block-diagonal batched graph
+evaluated without its redundancy, in training as in eval: dropout acts on
+the user rows only, so the inventory half is the same in both.
 
 The model owns its parameters: one (P,) buffer, `GtModel.flat`, whose
 consecutive slices, in the order and shapes of `_parameter_shapes`, are
@@ -78,12 +77,16 @@ float32 weights, which evaluation, calibration, prediction and
 checkpoints use. A fresh model's weights are float32 values, so training
 at lr 0 leaves them bit for bit.
 
-Training runs both halves on the tape every step. An eval forward on a
-model whose buffer is read-only (what `load_model` returns) keeps
-the inventory half on the model and reuses it while the AP features and
-adjacency are unchanged, so warm single-scan prediction computes only the
-user row. Writeable weights can change between calls without the model
-knowing, so a writeable model never keeps it.
+Training encodes the inventory half on the tape every step, and
+`predict_positions` once per call, for all of its chunks. Only
+`forward_graph`, the per-graph forward that `conformal.predict_set` runs
+for each scan, keeps a half on the model and reuses it: when the tape does
+not record, the model's buffer is read-only (what `load_model` returns)
+and the graph's AP features and adjacency are the very arrays the half
+was encoded from, read-only and owning their data. So warm single-scan
+prediction computes only the user row. Writeable weights or AP arrays can
+change between calls without the model knowing, so they never get a
+memo.
 """
 
 from __future__ import annotations
@@ -180,8 +183,8 @@ class GtModel:
     affine_scale: np.ndarray  # (2,) meters
     flat: np.ndarray = field(repr=False)
     _parameters: dict[str, Tensor] = field(repr=False)
-    # (ap_feats_norm, ap_adj, encode_inventory result) of the last eval
-    # forward, kept only while `flat` is read-only
+    # (ap_feats_norm, ap_adj, encode_inventory result) that `forward_graph`
+    # reuses; see there
     inventory_memo: Optional[tuple] = field(
         default=None, init=False, repr=False, compare=False)
 
@@ -425,8 +428,12 @@ def encode_inventory(
     rows, updates them by layer-1 attention over the APs (then relu) and
     returns layer 1's sources and layer 2's, those of the updated rows.
     Dropout never touches them, so this is the same function of the
-    weights in training and in eval.
+    weights in training and in eval. An inventory of another AP count
+    raises DimensionMismatch.
     """
+    if ap_feats_norm.shape[0] != model.ap_count:
+        raise DimensionMismatch(
+            f"graph has {ap_feats_norm.shape[0]} APs, model expects {model.ap_count}")
     src1 = _coordinate_sources(tape, model.layer1, ap_feats_norm)
     enc = model.encoders
     aps = tape.add_bias(tape.matmul(Tensor(ap_feats_norm), enc.ap_w), enc.ap_b)
@@ -434,57 +441,23 @@ def encode_inventory(
     return src1, _ap_row_sources(tape, model.layer2, aps)
 
 
-def _pinned(a: np.ndarray) -> np.ndarray:
-    """`a` itself when nothing can write to it (read-only and owning its
-    data, as the inventory's AP features and `build_ap_adjacency` give it),
-    else a read-only copy."""
-    if a.flags.writeable or a.base is not None:
-        a = np.array(a)
-        a.flags.writeable = False
-    return a
-
-
-def _same(pinned: np.ndarray, a: np.ndarray) -> bool:
-    return pinned is a or np.array_equal(pinned, a)
-
-
-def _inventory(
-    tape: Tape, model: GtModel, ap_feats_norm: np.ndarray, ap_adj: np.ndarray
-) -> tuple[Sources, Sources]:
-    """`encode_inventory`, reused from the model's memo in eval mode when
-    every weight is read-only and the AP features and adjacency match: the
-    very arrays the memo pinned, or equal ones."""
-    if tape.record or model.flat.flags.writeable:
-        return encode_inventory(tape, model, ap_feats_norm, ap_adj)
-    memo = model.inventory_memo
-    if memo is not None and _same(memo[0], ap_feats_norm) and _same(memo[1], ap_adj):
-        return memo[2]
-    sources = encode_inventory(tape, model, ap_feats_norm, ap_adj)
-    model.inventory_memo = (_pinned(ap_feats_norm), _pinned(ap_adj), sources)
-    return sources
-
-
 def forward_batch(
     tape: Tape,
     model: GtModel,
     rssi_norm: np.ndarray,
     user_adj: np.ndarray,
-    ap_feats_norm: np.ndarray,
-    ap_adj: np.ndarray,
+    inventory: tuple[Sources, Sources],
     masks: Optional[Sequence[Tensor]] = None,
 ) -> Tensor:
-    """Batched forward pass on a `LocGraph`'s fields -> (B, 2) normalized predictions.
+    """The scan half of the forward -> (B, 2) normalized predictions.
 
-    `masks` are the dropout masks (user1, user2) of the user rows, or None
-    for no dropout. The inventory half comes from `encode_inventory` (or
-    the model's memo); the B user rows then attend over its sources in both
-    layers. A graph for another AP count raises DimensionMismatch.
+    The B user rows (normalized RSSI and user -> AP links) attend over
+    `inventory`, the `encode_inventory` result, in both layers. `masks`
+    are the dropout masks (user1, user2) of the user rows, or None for no
+    dropout.
     """
-    if ap_feats_norm.shape[0] != model.ap_count:
-        raise DimensionMismatch(
-            f"graph has {ap_feats_norm.shape[0]} APs, model expects {model.ap_count}")
     user_mask1, user_mask2 = masks if masks is not None else (None, None)
-    src1, src2 = _inventory(tape, model, ap_feats_norm, ap_adj)
+    src1, src2 = inventory
     enc = model.encoders
     users = tape.add_bias(tape.matmul(Tensor(rssi_norm), enc.user_w), enc.user_b)
     users = _dropout(tape, tape.relu(_attend(tape, model.layer1, users, src1, user_adj)),
@@ -495,9 +468,24 @@ def forward_batch(
 
 
 def forward_graph(tape: Tape, model: GtModel, graph: LocGraph) -> Tensor:
-    """`forward_batch` on all of a graph's user rows -> (B, 2)."""
-    return forward_batch(tape, model, graph.user_features, graph.user_adjacency,
-                         graph.ap_features, graph.ap_adjacency)
+    """The forward on all of a graph's user rows -> (B, 2).
+
+    The one place that reuses an inventory half: the model's memo serves
+    when the tape does not record, `model.flat` is read-only and the
+    graph's AP features and adjacency are the very arrays the memo holds.
+    A half is kept only for AP arrays that are read-only and own their
+    data, which nothing can write through."""
+    feats, adj = graph.ap_features, graph.ap_adjacency
+    reusable = not (tape.record or model.flat.flags.writeable) and all(
+        not a.flags.writeable and a.base is None for a in (feats, adj))
+    memo = model.inventory_memo
+    if reusable and memo is not None and memo[0] is feats and memo[1] is adj:
+        inventory = memo[2]
+    else:
+        inventory = encode_inventory(tape, model, feats, adj)
+        if reusable:
+            model.inventory_memo = (feats, adj, inventory)
+    return forward_batch(tape, model, graph.user_features, graph.user_adjacency, inventory)
 
 
 def denormalize_pred(tape: Tape, pred_norm: Tensor, model: GtModel) -> Tensor:
@@ -580,13 +568,16 @@ def train(
                     drop_rng = stream(cfg.seed, "dropout", epoch, batch_i)
                     masks = _batch_masks(model, len(idx), cfg.dropout, drop_rng)
                 tape = Tape()
+                inventory_half = encode_inventory(tape, model, ap_feats, graph.ap_adjacency)
                 pred = forward_batch(tape, model, rssi_norm[idx], user_adj[idx],
-                                     ap_feats, graph.ap_adjacency, masks)
+                                     inventory_half, masks)
                 loss = mae_loss(tape, denormalize_pred(tape, pred, model), truth[idx])
                 if not np.isfinite(loss.data):
                     raise TrainingDiverged(epoch, batch_i)
                 tape.gradients(loss)
                 loss_sum += float(loss.data) * len(idx)
+                # the step's activations and backward rules go before Adam runs
+                del tape, inventory_half, pred, loss
                 adam_step(model.flat, grad, adam, lr)
             history.append({"epoch": float(epoch), "lr": lr, "train_mae": loss_sum / n})
             seconds = time.perf_counter() - start_s
@@ -608,16 +599,17 @@ def predict_positions(
     inventory: ApInventory,
     graph_cfg: GraphConfig,
 ) -> np.ndarray:
-    """Eval-mode predictions in meters, (N, 2)."""
+    """Eval-mode predictions in meters, (N, 2). The inventory half is
+    encoded once and serves every `PREDICT_BATCH` chunk."""
     graph = build_sample_graph(
         samples, inventory, build_ap_adjacency(inventory, graph_cfg), graph_cfg)
     rssi_norm, user_adj = graph.user_features, graph.user_adjacency
     out = np.empty((len(samples), 2))
     tape = Tape(record=False)
+    inventory_half = encode_inventory(tape, model, graph.ap_features, graph.ap_adjacency)
     for start in range(0, len(samples), PREDICT_BATCH):
         sl = slice(start, start + PREDICT_BATCH)
-        pred = forward_batch(tape, model, rssi_norm[sl], user_adj[sl],
-                             graph.ap_features, graph.ap_adjacency)
+        pred = forward_batch(tape, model, rssi_norm[sl], user_adj[sl], inventory_half)
         out[sl] = denormalize_pred(tape, pred, model).data
     return out
 
@@ -659,8 +651,8 @@ def _old_layout(name: str, shape: tuple[int, ...], hidden: int) -> str:
 def load_model(path: str | Path) -> GtModel:
     """The model a checkpoint holds, its buffer the read-only loaded blob.
 
-    Read-only weights let eval forwards reuse the inventory half (see the
-    module docstring); an in-place write raises. A checkpoint without
+    Read-only weights let `forward_graph` reuse the inventory half (see
+    the module docstring); an in-place write raises. A checkpoint without
     the model metadata, with an `ap_count`, `hidden` or `n_heads` that is
     not a positive integer (or `n_heads` not dividing `hidden`), with an
     affine that is not two finite numbers, without one of

@@ -6,6 +6,7 @@ break in the calls the warm worker makes would show up only as failed
 benchmark operations.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -29,6 +30,35 @@ def test_target_resolves(module_name, path, name):
     for part in path.split("."):
         owner = getattr(owner, part)
     assert callable(owner), f"{module_name}.{path} is not callable"
+
+
+MARKER = "# unused here; perfbench's tracer still patches th"
+
+
+def tracer_only_imports():
+    """(module, marker line, names) per marker comment in src/: the names
+    of the `# noqa: F401` imports that directly follow it."""
+    for path in sorted((ROOT / "src" / "sacloc").glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        imports = {node.lineno: node for node in ast.walk(ast.parse(text))
+                   if isinstance(node, ast.ImportFrom)}
+        for i, line in enumerate(lines, 1):
+            if line.startswith(MARKER):
+                names, j = [], i + 1
+                while j in imports and "# noqa: F401" in lines[j - 1]:
+                    names += [alias.asname or alias.name for alias in imports[j].names]
+                    j = imports[j].end_lineno + 1
+                yield f"sacloc.{path.stem}", i, names
+
+
+def test_tracer_only_imports_are_targets():
+    # an import kept only for the tracer must go when TARGETS stops naming it
+    targets = {(module, path) for module, path, _ in tracer.TARGETS}
+    for module, line, names in tracer_only_imports():
+        assert names, f"{module} line {line}: the marker precedes no `# noqa: F401` import"
+        stale = [name for name in names if (module, name) not in targets]
+        assert not stale, f"{module} imports {stale} for the tracer, but TARGETS does not patch it"
 
 
 def test_warm_worker_walks_test_scans(tmp_path):

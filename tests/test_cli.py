@@ -380,6 +380,18 @@ class TestBadSettings:
         assert not (tmp / "data").exists() and not (tmp / "out").exists()
 
 
+    @pytest.mark.parametrize("key", ["area", "ap_count"])
+    def test_synth_names_a_missing_key(self, workdir, capsys, key):
+        tmp, config = workdir
+        cfg = json.loads((tmp / "config.json").read_text())
+        del cfg["synth"][key]
+        (tmp / "config.json").write_text(json.dumps(cfg))
+        assert run("synth", "--config", config) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"synth.{key} is required" in err
+        assert not (tmp / "data").exists()
+
 class TestSweep:
     def test_follows_the_calibration_file(self, workdir, capsys):
         # after calibrating by predicted region, sweep reports the radii and

@@ -37,6 +37,7 @@ from sacloc.gtmodel import (
     TrainConfig,
     TransformerConvLayer,
     denormalize_pred,
+    encode_inventory,
     forward_batch,
     forward_graph,
     load_model,
@@ -512,8 +513,10 @@ class TestModelForward:
         whole = build_sample_graph(samples, inventory, ap_adj, graph_cfg)
         masks = gtmodel._batch_masks(model, len(samples), 0.4, stream(5, "masks"))
         assert all((mask.data == 0.0).any() for mask in masks)
-        batched = forward_batch(Tape(), model, whole.user_features, whole.user_adjacency,
-                                whole.ap_features, whole.ap_adjacency, masks).data
+        tape = Tape()
+        inventory_half = encode_inventory(tape, model, whole.ap_features, whole.ap_adjacency)
+        batched = forward_batch(tape, model, whole.user_features, whole.user_adjacency,
+                                inventory_half, masks).data
         for i, sample in enumerate(samples):
             graph = build_sample_graph(sample, inventory, ap_adj, graph_cfg)
             dense = dense_forward(model, graph, [mask.data[i] for mask in masks])
@@ -664,9 +667,19 @@ class TestInventoryMemo:
         with pytest.raises(ValueError, match="read-only"):
             model.head_w.data += 1.0
 
+    @staticmethod
+    def encode_calls(monkeypatch):
+        calls = []
+        encode = gtmodel.encode_inventory
+        monkeypatch.setattr(gtmodel, "encode_inventory",
+                            lambda *a, **k: calls.append(1) or encode(*a, **k))
+        return calls
+
     def test_same_arrays_skip_the_compare(self, loaded, graph_cfg, monkeypatch):
         # graphs over one inventory and AP block share its arrays, so a warm
-        # forward matches them by identity; an equal copy still matches
+        # forward matches them by identity and compares no values; an equal
+        # writeable copy is encoded afresh and leaves the memo as it was,
+        # and an equal read-only copy is encoded and replaces it
         path, inventory, samples = loaded
         model = load_model(path)
         ap_adj = build_ap_adjacency(inventory, graph_cfg)
@@ -675,20 +688,60 @@ class TestInventoryMemo:
         assert second.ap_features is first.ap_features is inventory.normalized_coordinates
         assert not first.ap_features.flags.writeable and not ap_adj.flags.writeable
         forward_graph(Tape(record=False), model, first)
-        assert model.inventory_memo[0] is first.ap_features
-        assert model.inventory_memo[1] is ap_adj
+        memo = model.inventory_memo
+        assert memo[0] is first.ap_features and memo[1] is ap_adj
 
+        calls = self.encode_calls(monkeypatch)
         compares = []
         array_equal = np.array_equal
         monkeypatch.setattr(np, "array_equal",
                             lambda *a, **k: compares.append(1) or array_equal(*a, **k))
         warm = forward_graph(Tape(record=False), model, second).data
-        assert compares == []
-        copied = gtmodel.forward_batch(
-            Tape(record=False), model, second.user_features, second.user_adjacency,
-            second.ap_features.copy(), ap_adj.copy())
-        assert len(compares) == 2
-        assert np.array_equal(copied.data, warm)
+        assert calls == []
+        copied = replace(second, ap_features=second.ap_features.copy(),
+                         ap_adjacency=ap_adj.copy())
+        assert np.array_equal(forward_graph(Tape(record=False), model, copied).data, warm)
+        assert calls == [1] and model.inventory_memo is memo
+        for a in (copied.ap_features, copied.ap_adjacency):
+            a.flags.writeable = False
+        assert np.array_equal(forward_graph(Tape(record=False), model, copied).data, warm)
+        assert calls == [1, 1]
+        assert model.inventory_memo[0] is copied.ap_features
+        assert model.inventory_memo[1] is copied.ap_adjacency
+        assert len(compares) == 2  # the two asserts above, none in the forwards
+
+    def test_mutated_writeable_adjacency_is_not_reused(self, loaded, graph_cfg):
+        # a read-only model keeps no half of AP arrays that can be written
+        # in place, so a mutated adjacency predicts what a fresh load does
+        path, inventory, samples = loaded
+        model = load_model(path)
+        ap_adj = np.array(build_ap_adjacency(inventory, graph_cfg))
+        assert ap_adj.flags.writeable
+        graph = build_sample_graph(samples, inventory, ap_adj, graph_cfg)
+        before = forward_graph(Tape(record=False), model, graph).data
+        assert model.inventory_memo is None
+        ap_adj[...] = build_ap_adjacency(inventory, GraphConfig(d_p=5.0, tau=graph_cfg.tau))
+        after = forward_graph(Tape(record=False), model, graph).data
+        fresh = forward_graph(Tape(record=False), load_model(path), graph).data
+        assert not np.array_equal(before, after)
+        assert np.array_equal(after, fresh)
+
+    def test_predict_positions_encodes_once(self, loaded, graph_cfg, monkeypatch):
+        # every PREDICT_BATCH chunk shares one inventory half, read-only
+        # model or not, and nothing is kept on the model
+        path, inventory, samples = loaded
+        many = samples[np.arange(gtmodel.PREDICT_BATCH + 100) % len(samples)]
+        chunks = []
+        batch = gtmodel.forward_batch
+        monkeypatch.setattr(gtmodel, "forward_batch",
+                            lambda *a, **k: chunks.append(1) or batch(*a, **k))
+        calls = self.encode_calls(monkeypatch)
+        for model in (load_model(path), model_for_inventory(inventory, 16, 2, 5)):
+            calls.clear()
+            chunks.clear()
+            predict_positions(model, many, inventory, graph_cfg)
+            assert calls == [1] and len(chunks) == 2
+            assert model.inventory_memo is None
 
     def test_writeable_model_keeps_no_memo(self, small_world, graph_cfg):
         _, inventory, samples = small_world
@@ -1007,8 +1060,9 @@ class TestInPlaceGradients:
 
     @staticmethod
     def step_loss(tape, model, graph, samples, masks):
+        inventory_half = encode_inventory(tape, model, graph.ap_features, graph.ap_adjacency)
         pred = forward_batch(tape, model, graph.user_features, graph.user_adjacency,
-                             graph.ap_features, graph.ap_adjacency, masks)
+                             inventory_half, masks)
         return mae_loss(tape, denormalize_pred(tape, pred, model), samples.truth)
 
     def test_buffer_equals_dict_sweep_bitwise(self, small_world, graph_cfg):
@@ -1153,6 +1207,35 @@ class TestInPlaceGradients:
             gc.garbage.clear()
             if enabled:
                 gc.enable()
+
+    def test_step_tape_dies_before_adam(self, small_world, graph_cfg, monkeypatch):
+        # Adam's moments and scratch should not sit beside the step's
+        # activations and backward rules: the step lets go of its tape first
+        _, inventory, samples = small_world
+        refs, dead_at_adam = [], []
+        gradients, step = Tape.gradients, gtmodel.adam_step
+
+        def gradients_spy(tape, loss):
+            refs.append(weakref.ref(tape))
+            return gradients(tape, loss)
+
+        def adam_spy(*args):
+            dead_at_adam.append(refs[-1]() is None)
+            return step(*args)
+
+        monkeypatch.setattr(Tape, "gradients", gradients_spy)
+        monkeypatch.setattr(gtmodel, "adam_step", adam_spy)
+        model = model_for_inventory(inventory, hidden=8, n_heads=2, seed=5)
+        tc = TrainConfig(epochs=1, batch_size=16, dropout=0.2, seed=5)
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            train(model, samples, tc, graph_cfg, inventory)
+        finally:
+            if enabled:
+                gc.enable()
+        assert dead_at_adam == [True] * 3
 
     def test_step_hooks_the_benchmark_reads(self, small_world, graph_cfg, monkeypatch):
         # perfbench times `Tape.gradients` and `gtmodel.adam_step` once a step,
