@@ -23,7 +23,20 @@ backward; the key width may differ from the value width), `head_products`
 (each head's product of two operands' column blocks) and `head_mean`. The
 masked softmax and its backward are shared with `masked_row_softmax`. Their
 per-head results are written through the head view of one (rows, H*w)
-buffer, never merged by a copy.
+buffer, never merged by a copy. `affine` is the output map x * scale +
+offset as one node, its constant (c,) scale and offset broadcast over the
+rows.
+
+A warm single-scan forward is mostly per-call glue around small arrays, so
+the primitives keep it small without changing a bit of any result. Only
+arrays a primitive has just made are written in place: the masked
+softmax's one buffer (the subtract, exp and divide after the masking
+`where`), the attention's logits (scaled) and its backward's logit
+gradient (the product with p, then the scale), and `head_mean`'s sum of
+the first two heads (the later heads, then 1/H). `relu` forms its mask in
+the backward, and the primitives that work out which partials they need
+(`matmul`, `mul`, `multi_head_attention`, `head_products`) skip that on a
+no-record tape. Shape checks read the shapes only to report a failure.
 
 Also houses the optimizer pieces the trainer needs: bias-corrected Adam
 with decoupled weight decay over one flat parameter buffer, updated in
@@ -77,27 +90,46 @@ class Tensor:
         return f"Tensor({tag}, shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-def _check(cond: bool, what: str, *shapes: tuple[int, ...]) -> None:
+def _check(cond: bool, what: str, *operands) -> None:
+    """ShapeMismatch naming `what` and the shapes of `operands` (Tensors or
+    arrays) unless `cond`; the shapes are read only when it fails."""
     if not cond:
-        raise ShapeMismatch(f"{what}: " + " vs ".join(str(s) for s in shapes))
+        raise ShapeMismatch(f"{what}: " + " vs ".join(str(x.shape) for x in operands))
 
 
 def _masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Softmax along the last axis over the True entries of the boolean `mask`
-    (broadcast against `logits`); rows without a True entry are zeros."""
-    masked = np.where(mask, logits, -np.inf)
-    rowmax = np.max(masked, axis=-1, keepdims=True)
-    rowmax = np.where(np.isfinite(rowmax), rowmax, 0.0)
-    e = np.exp(masked - rowmax)
-    denom = e.sum(axis=-1, keepdims=True)
-    # an all-False row has e == 0 throughout, so dividing it by 1 keeps it zero
-    return e / np.where(denom > 0.0, denom, 1.0)
+    (broadcast against `logits`); rows without a True entry are zeros.
+
+    Bit for bit the expression
+
+        masked = where(mask, logits, -inf);  rowmax = max(masked)
+        e = exp(masked - where(isfinite(rowmax), rowmax, 0))
+        e / where(sum(e) > 0, sum(e), 1)
+
+    evaluated in one fresh buffer: after the `where`, the subtract, the exp
+    and the divide run in place, the same elementwise operations in the same
+    order, so NaN, ±inf and signed zeros come out as that expression gives
+    them. `logits` is not written."""
+    out = np.where(mask, logits, -np.inf)
+    rowmax = out.max(axis=-1, keepdims=True)
+    np.copyto(rowmax, 0.0, where=~np.isfinite(rowmax))
+    out -= rowmax
+    np.exp(out, out=out)
+    denom = out.sum(axis=-1, keepdims=True)
+    # an all-False row is zero throughout, so dividing it by 1 keeps it zero;
+    # `~(denom > 0)`, not `denom <= 0`, also sends a NaN sum to 1
+    np.copyto(denom, 1.0, where=~(denom > 0.0))
+    out /= denom
+    return out
 
 
 def _softmax_backward(p: np.ndarray, g: np.ndarray) -> np.ndarray:
     """d(loss)/d(logits) of `_masked_softmax`, given its output and d(loss)/d(p)."""
     inner = (g * p).sum(axis=-1, keepdims=True)
-    return p * (g - inner)
+    out = g - inner
+    out *= p
+    return out
 
 
 def _heads(x: np.ndarray, n_heads: int) -> np.ndarray:
@@ -156,9 +188,11 @@ class Tape:
     # -- primitives ------------------------------------------------------
 
     def matmul(self, a: Tensor, b: Tensor) -> Tensor:
-        _check(a.data.ndim == 2 and b.data.ndim == 2 and a.shape[1] == b.shape[0],
-               "matmul", a.shape, b.shape)
-        out = Tensor(a.data @ b.data)
+        ad, bd = a.data, b.data
+        _check(ad.ndim == 2 and bd.ndim == 2 and ad.shape[1] == bd.shape[0], "matmul", a, b)
+        out = Tensor(ad @ bd)
+        if not self.record:
+            return out
         need_a, need_b = self._needs(a), self._needs(b)
         # closed over instead of the tape: a closure holding `self` would make
         # a reference cycle that keeps every dead tape's activations alive
@@ -175,25 +209,27 @@ class Tape:
         return self._push(out, (a, b), backward)
 
     def transpose(self, a: Tensor) -> Tensor:
-        _check(a.data.ndim == 2, "transpose", a.shape)
+        _check(a.data.ndim == 2, "transpose", a)
         out = Tensor(np.ascontiguousarray(a.data.T))
         return self._push(out, (a,), lambda g: (np.ascontiguousarray(g.T),))
 
     def add(self, a: Tensor, b: Tensor) -> Tensor:
-        _check(a.shape == b.shape, "add", a.shape, b.shape)
+        _check(a.data.shape == b.data.shape, "add", a, b)
         out = Tensor(a.data + b.data)
         return self._push(out, (a, b), lambda g: (g, g))
 
     def add_bias(self, x: Tensor, b: Tensor) -> Tensor:
         """Row-broadcast bias: (n, h) + (h,)."""
-        _check(x.data.ndim == 2 and b.data.ndim == 1 and x.shape[1] == b.shape[0],
-               "add_bias", x.shape, b.shape)
-        out = Tensor(x.data + b.data[None, :])
+        xd, bd = x.data, b.data
+        _check(xd.ndim == 2 and bd.ndim == 1 and xd.shape[1] == bd.shape[0], "add_bias", x, b)
+        out = Tensor(xd + bd[None, :])
         return self._push(out, (x, b), lambda g: (g, g.sum(axis=0)))
 
     def mul(self, a: Tensor, b: Tensor) -> Tensor:
-        _check(a.shape == b.shape, "mul", a.shape, b.shape)
+        _check(a.data.shape == b.data.shape, "mul", a, b)
         out = Tensor(a.data * b.data)
+        if not self.record:
+            return out
         need_a, need_b = self._needs(a), self._needs(b)
 
         def backward(g):
@@ -207,9 +243,9 @@ class Tape:
         return self._push(out, (a,), lambda g: (g * c,))
 
     def relu(self, a: Tensor) -> Tensor:
-        out = Tensor(np.maximum(a.data, 0.0))
-        active = a.data > 0.0
-        return self._push(out, (a,), lambda g: (g * active,))
+        out = np.maximum(a.data, 0.0)
+        # the mask is made by the backward: a no-record tape never needs it
+        return self._push(Tensor(out), (a,), lambda g: (g * (out > 0.0),))
 
     def abs(self, a: Tensor) -> Tensor:
         out = Tensor(np.abs(a.data))
@@ -218,8 +254,8 @@ class Tape:
 
     def masked_row_softmax(self, logits: Tensor, mask: np.ndarray) -> Tensor:
         """Softmax over the True entries of each row; all-False rows -> zeros."""
-        _check(logits.data.ndim == 2 and mask.shape == logits.shape,
-               "masked_row_softmax", logits.shape, mask.shape)
+        _check(logits.data.ndim == 2 and mask.shape == logits.data.shape,
+               "masked_row_softmax", logits, mask)
         p = _masked_softmax(logits.data, mask.astype(bool))
         return self._push(Tensor(p), (logits,), lambda g: (_softmax_backward(p, g),))
 
@@ -236,21 +272,26 @@ class Tape:
         all-False row gives zeros), times v_i. The heads run as one batched
         matmul over (H, ·, ·) views.
         """
-        _check(q.data.ndim == 2 and k.data.ndim == 2 and v.data.ndim == 2
-               and q.shape[1] == k.shape[1] and k.shape[0] == v.shape[0]
-               and q.shape[1] % n_heads == 0 and v.shape[1] % n_heads == 0
-               and mask.shape == (q.shape[0], k.shape[0]),
-               "multi_head_attention", q.shape, k.shape, v.shape, mask.shape)
-        scale = 1.0 / math.sqrt(v.shape[1] // n_heads)
-        qh, kh, vh = _heads(q.data, n_heads), _heads(k.data, n_heads), _heads(v.data, n_heads)
-        p = _masked_softmax(np.matmul(qh, kh.transpose(0, 2, 1)) * scale,
-                            np.asarray(mask, dtype=bool))
+        qd, kd, vd = q.data, k.data, v.data
+        _check(qd.ndim == 2 and kd.ndim == 2 and vd.ndim == 2
+               and qd.shape[1] == kd.shape[1] and kd.shape[0] == vd.shape[0]
+               and qd.shape[1] % n_heads == 0 and vd.shape[1] % n_heads == 0
+               and mask.shape == (qd.shape[0], kd.shape[0]),
+               "multi_head_attention", q, k, v, mask)
+        scale = 1.0 / math.sqrt(vd.shape[1] // n_heads)
+        qh, kh, vh = _heads(qd, n_heads), _heads(kd, n_heads), _heads(vd, n_heads)
+        logits = np.matmul(qh, kh.transpose(0, 2, 1))
+        logits *= scale
+        p = _masked_softmax(logits, np.asarray(mask, dtype=bool))
         out = Tensor(_head_matmul(p, vh))
+        if not self.record:
+            return out
         need_q, need_k, need_v = self._needs(q), self._needs(k), self._needs(v)
 
         def backward(g):
             gh = _heads(g, n_heads)
-            dlogits = _softmax_backward(p, np.matmul(gh, vh.transpose(0, 2, 1))) * scale
+            dlogits = _softmax_backward(p, np.matmul(gh, vh.transpose(0, 2, 1)))
+            dlogits *= scale
             return (_head_matmul(dlogits, kh) if need_q else None,
                     _head_matmul(dlogits.transpose(0, 2, 1), qh) if need_k else None,
                     _head_matmul(p.transpose(0, 2, 1), gh) if need_v else None)
@@ -265,10 +306,13 @@ class Tape:
         one batched matmul over (H, ·, d) views. As in `matmul`, a weight's
         first partial of a sweep is written straight into its `grad`.
         """
-        _check(a.data.ndim == 2 and b.data.ndim == 2 and a.shape[1] == b.shape[1]
-               and a.shape[1] % n_heads == 0, "head_products", a.shape, b.shape)
-        ah, bh = _heads(a.data, n_heads), _heads(b.data, n_heads)
+        ad, bd = a.data, b.data
+        _check(ad.ndim == 2 and bd.ndim == 2 and ad.shape[1] == bd.shape[1]
+               and ad.shape[1] % n_heads == 0, "head_products", a, b)
+        ah, bh = _heads(ad, n_heads), _heads(bd, n_heads)
         out = Tensor(_head_matmul(ah, bh.transpose(0, 2, 1)))
+        if not self.record:
+            return out
         need_a, need_b = self._needs(a), self._needs(b)
         filled = self._filled
 
@@ -289,17 +333,34 @@ class Tape:
         return self._push(out, (a, b), backward)
 
     def head_mean(self, x: Tensor, n_heads: int) -> Tensor:
-        """(B, H*d) -> (B, d): the heads summed in order, then scaled by 1/H."""
-        _check(x.data.ndim == 2 and x.shape[1] % n_heads == 0, "head_mean", x.shape)
-        d = x.shape[1] // n_heads
-        total = x.data[:, :d].copy()
-        for i in range(1, n_heads):
-            total += x.data[:, i * d:(i + 1) * d]
+        """(B, H*d) -> (B, d): the heads summed in order, then scaled by 1/H.
+
+        Bit for bit ((x_0 + x_1) + x_2 + ...) * (1/H), in one fresh buffer.
+        Not a `reshape(B, H, d).sum(axis=1)`: that reduction starts from
+        +0.0, so a column that is -0.0 in every head comes out +0.0, and
+        from 8 heads on numpy sums pairwise, in another order."""
+        data = x.data
+        _check(data.ndim == 2 and data.shape[1] % n_heads == 0, "head_mean", x)
+        d = data.shape[1] // n_heads
+        total = data[:, :d] + data[:, d:2 * d] if n_heads > 1 else data.copy()
+        for i in range(2, n_heads):
+            total += data[:, i * d:(i + 1) * d]
         inv = 1.0 / n_heads
-        return self._push(Tensor(total * inv), (x,), lambda g: (np.tile(g * inv, n_heads),))
+        total *= inv
+        return self._push(Tensor(total), (x,), lambda g: (np.tile(g * inv, n_heads),))
+
+    def affine(self, x: Tensor, scale: np.ndarray, offset: np.ndarray) -> Tensor:
+        """(B, c) * scale + offset, with the constant (c,) `scale` and
+        `offset` broadcast over the rows: one node, whose backward is g * scale."""
+        data = x.data
+        _check(data.ndim == 2 and scale.shape == offset.shape == (data.shape[1],),
+               "affine", x, scale, offset)
+        out = data * scale
+        out += offset
+        return self._push(Tensor(out), (x,), lambda g: (g * scale,))
 
     def select_rows(self, x: Tensor, idx: np.ndarray) -> Tensor:
-        _check(x.data.ndim == 2, "select_rows", x.shape)
+        _check(x.data.ndim == 2, "select_rows", x)
         idx = np.asarray(idx, dtype=np.intp)
         out = Tensor(x.data[idx])
 
@@ -315,7 +376,7 @@ class Tape:
             raise ShapeMismatch("concat_rows: empty input")
         cols = parts[0].shape[1]
         for p in parts:
-            _check(p.data.ndim == 2 and p.shape[1] == cols, "concat_rows", p.shape)
+            _check(p.data.ndim == 2 and p.shape[1] == cols, "concat_rows", p)
         out = Tensor(np.vstack([p.data for p in parts]))
         sizes = [p.shape[0] for p in parts]
         offsets = np.cumsum([0] + sizes)

@@ -490,10 +490,7 @@ def forward_graph(tape: Tape, model: GtModel, graph: LocGraph) -> Tensor:
 
 def denormalize_pred(tape: Tape, pred_norm: Tensor, model: GtModel) -> Tensor:
     """Map normalized (B, 2) predictions to meters through the stored affine."""
-    n = pred_norm.shape[0]
-    scale = Tensor(np.tile(model.affine_scale, (n, 1)))
-    offset = Tensor(np.tile(model.affine_offset, (n, 1)))
-    return tape.add(tape.mul(pred_norm, scale), offset)
+    return tape.affine(pred_norm, model.affine_scale, model.affine_offset)
 
 
 def mae_loss(tape: Tape, pred_m: Tensor, truth_m: np.ndarray) -> Tensor:

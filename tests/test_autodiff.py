@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sacloc.autodiff import (
     ADAM_BETA1,
@@ -47,6 +49,20 @@ def finite_diff(loss_fn, leaves, step=1e-5):
             g[i] = (up - down) / (2 * step)
         grads.append(g.reshape(leaf.data.shape))
     return grads
+
+
+def reference_masked_softmax(logits, mask):
+    """The masked softmax as one expression, each step a fresh array: what
+    `_masked_softmax` gives bit for bit."""
+    masked = np.where(mask, logits, -np.inf)
+    rowmax = np.max(masked, axis=-1, keepdims=True)
+    rowmax = np.where(np.isfinite(rowmax), rowmax, 0.0)
+    e = np.exp(masked - rowmax)
+    denom = e.sum(axis=-1, keepdims=True)
+    return e / np.where(denom > 0.0, denom, 1.0)
+
+
+SPECIAL_LOGITS = (0.0, -0.0, np.inf, -np.inf, np.nan)
 
 
 def max_rel_err(analytic, numeric):
@@ -106,6 +122,58 @@ class TestForward:
             assert got.dtype == dtype and got.tobytes() == want.tobytes(), density
             assert not got[0, :3].any()
 
+    @given(data=st.data(), dtype=st.sampled_from([np.float32, np.float64]),
+           heads=st.integers(1, 4), rows=st.integers(1, 5), cols=st.integers(1, 8))
+    @settings(max_examples=300, deadline=None)
+    def test_masked_softmax_is_the_expression_bitwise(self, data, dtype, heads, rows, cols):
+        # the in-place softmax against the expression it replaced: bytes and
+        # sign bits, with an (n, m) mask over (H, n, m) logits, all-False
+        # rows and -0.0, +-inf and NaN logits
+        values = data.draw(st.lists(
+            st.one_of(st.sampled_from(SPECIAL_LOGITS), st.floats(-50.0, 50.0)),
+            min_size=heads * rows * cols, max_size=heads * rows * cols))
+        logits = np.array(values, dtype=dtype).reshape(heads, rows, cols)
+        mask = np.array(data.draw(st.lists(
+            st.booleans(), min_size=rows * cols, max_size=rows * cols))).reshape(rows, cols)
+        mask[data.draw(st.integers(0, rows - 1))] = False
+        before = logits.tobytes()
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = _masked_softmax(logits, mask)
+            want = reference_masked_softmax(logits, mask)
+        assert logits.tobytes() == before
+        assert got.dtype == want.dtype == dtype
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n_heads", range(1, 9))
+    def test_head_mean_is_the_ordered_head_sum_bitwise(self, n_heads, dtype):
+        # ((x_0 + x_1) + x_2 + ...) * (1/H): a column that is -0.0 in every
+        # head stays -0.0, which a reduction over the heads would make +0.0
+        rng = stream(n_heads, "head-mean", "bits")
+        x = rng.normal(size=(3, n_heads * 4)).astype(dtype)
+        x[rng.random(x.shape) < 0.3] = -0.0
+        x[:, 0::4] = -0.0
+        got = Tape(record=False).head_mean(Tensor(x), n_heads).data
+        want = x[:, :4].copy()
+        for i in range(1, n_heads):
+            want += x[:, i * 4:(i + 1) * 4]
+        want = want * (1.0 / n_heads)
+        assert got.dtype == dtype and got.tobytes() == want.tobytes()
+        assert np.signbit(got[:, 0]).all()
+
+    def test_affine_is_the_tiled_affine_bitwise(self):
+        rng = stream(4, "affine", "bits")
+        for dtype in (np.float32, np.float64):
+            x = rng.normal(size=(5, 2)).astype(dtype)
+            scale = (rng.normal(size=2) * 40.0).astype(dtype)
+            offset = rng.normal(size=2).astype(dtype)
+            got = Tape(record=False).affine(Tensor(x), scale, offset).data
+            want = x * np.tile(scale, (5, 1)) + np.tile(offset, (5, 1))
+            assert got.dtype == dtype and got.tobytes() == want.tobytes()
+        with pytest.raises(ShapeMismatch, match="affine"):
+            Tape(record=False).affine(Tensor(x), scale[:1], offset)
+
     def test_relu(self):
         t = Tape()
         out = t.relu(Tensor([[-1.0, 2.0]]))
@@ -130,6 +198,17 @@ class TestBackward:
         x = Tensor([-1.0, 2.0], requires_grad=True)
         t.backward(t.sum_all(t.relu(x)))
         assert x.grad.tolist() == [0.0, 1.0]
+
+    def test_relu_gradient_at_zeros_and_nan(self):
+        # the backward masks by max(a, 0) > 0, which is a > 0 at 0.0, -0.0
+        # and NaN as elsewhere; the signs of the zeros follow the upstream g
+        a = np.array([0.0, -0.0, np.nan, 2.0, -1.0, 0.0, -0.0])
+        w = np.array([-1.0, 2.0, -3.0, 4.0, -5.0, 6.0, -7.0])
+        x = Tensor(a.copy(), requires_grad=True)
+        t = Tape()
+        t.backward(t.sum_all(t.mul(t.relu(x), Tensor(w))))
+        assert x.grad.tobytes() == (w * (a > 0.0)).tobytes()
+        assert x.grad.tolist() == [0.0, 0.0, 0.0, 4.0, 0.0, 0.0, 0.0]
 
     def test_nonscalar_loss_rejected(self):
         t = Tape()
@@ -186,6 +265,7 @@ class TestGradientOracle:
             "mul": lambda t: t.mul(a, a),
             "scale": lambda t: t.scale(a, -1.7),
             "relu": lambda t: t.relu(a),
+            "affine": lambda t: t.affine(a, np.array([2.0, -0.5, 3.0, 1.5]), np.ones(4)),
             "abs": lambda t: t.abs(a),
             "softmax": lambda t: t.masked_row_softmax(t.matmul(a, b), mask),
             "select": lambda t: t.select_rows(a, np.array([0, 2, 2])),

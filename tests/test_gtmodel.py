@@ -5,6 +5,7 @@ import math
 import tracemalloc
 import weakref
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -772,6 +773,47 @@ class TestInventoryMemo:
         predict_set(model_for_inventory(inventory, hidden=16, n_heads=2, seed=5), cal, graphs[0])
         assert calls == [1]
 
+    def test_warm_predict_set_tiles_nothing(self, loaded, graph_cfg, monkeypatch):
+        # a warm scan runs the user rows and the output affine only: the
+        # affine broadcasts its (2,) constants, so no np.tile is left on it
+        path, inventory, samples = loaded
+        model = load_model(path)
+        truths = np.stack([s.truth for s in samples])
+        cal = calibrate(truths, truths, alpha=0.2, k=2, seed=5)
+        ap_adj = build_ap_adjacency(inventory, graph_cfg)
+        graphs = [build_sample_graph(s, inventory, ap_adj, graph_cfg) for s in samples]
+        predict_set(model, cal, graphs[0])
+
+        calls = []
+        tile = np.tile
+        monkeypatch.setattr(np, "tile", lambda *a, **k: calls.append(1) or tile(*a, **k))
+        for g in graphs[1:]:
+            predict_set(model, cal, g)
+        assert calls == []
+        # the spy sees the tiled keys a cold inventory half makes
+        predict_set(model_for_inventory(inventory, hidden=16, n_heads=2, seed=5), cal, graphs[0])
+        assert calls
+
+
+class TestDenormalize:
+    def test_one_node_equal_to_the_tiled_affine(self):
+        # x * scale + offset with the (2,) affine broadcast: the bits of the
+        # tiled mul-then-add it replaced, as one node whose backward is g * scale
+        rng = stream(7, "denormalize")
+        for dtype in (np.float32, np.float64):
+            model = SimpleNamespace(affine_offset=rng.normal(size=2).astype(dtype) * 50.0,
+                                    affine_scale=rng.uniform(20.0, 60.0, size=2).astype(dtype))
+            pred = Tensor(rng.normal(size=(4, 2)).astype(dtype), requires_grad=True)
+            w = rng.normal(size=(4, 2)).astype(dtype)
+            t = Tape()
+            out = denormalize_pred(t, pred, model)
+            assert len(t._nodes) == 1
+            tiled = [np.tile(a, (4, 1)) for a in (model.affine_scale, model.affine_offset)]
+            assert out.data.dtype == dtype
+            assert out.data.tobytes() == (pred.data * tiled[0] + tiled[1]).tobytes()
+            t.backward(t.sum_all(t.mul(out, Tensor(w))))
+            assert pred.grad.tobytes() == (w * tiled[0]).tobytes()
+
 
 class TestMaeLoss:
     def test_zero_for_exact(self):
@@ -1007,7 +1049,7 @@ class TestTrain:
         tc = TrainConfig(epochs=1, batch_size=16, dropout=0.2, seed=5)
         train(model, samples[:16], tc, graph_cfg, inventory)
         assert shapes == [(16, 8), (16, 8)]
-        assert sizes == [39]
+        assert sizes == [38]
 
     def test_step_tape_size_does_not_depend_on_heads(self, small_world, graph_cfg,
                                                      monkeypatch):
@@ -1026,7 +1068,7 @@ class TestTrain:
                 model = model_for_inventory(inventory, hidden=hidden, n_heads=n_heads, seed=5)
                 tc = TrainConfig(epochs=1, batch_size=16, dropout=0.2, seed=5)
                 train(model, samples[:16], tc, graph_cfg, inventory)
-            assert sizes[1] == sizes[2] == sizes[4] == [39 + folded], hidden
+            assert sizes[1] == sizes[2] == sizes[4] == [38 + folded], hidden
 
 
     def test_step_tape_runs_in_float32(self, small_world, graph_cfg, monkeypatch):
@@ -1047,7 +1089,7 @@ class TestTrain:
         train(model, samples, tc, graph_cfg, inventory)
         assert len(steps) == 3
         for outputs, grads, loss in steps:
-            assert len(outputs) == 37 and set(outputs) == {np.dtype(np.float32)}
+            assert len(outputs) == 36 and set(outputs) == {np.dtype(np.float32)}
             assert len(grads) == len(PARAMETER_NAMES) and set(grads) == {np.dtype(np.float32)}
             assert loss.shape == () and loss.dtype == np.float64
         assert model.flat.dtype == np.float64
