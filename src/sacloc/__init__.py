@@ -6,6 +6,7 @@ confidence radii.
 """
 
 from .conformal import (
+    ConformalConfig,
     PredictionSet,
     SacpCalibration,
     calibrate,
@@ -40,6 +41,7 @@ from .evalreport import (
 from .graphbuild import GraphConfig, LocGraph, build_ap_adjacency, build_sample_graph
 from .gtmodel import (
     GtModel,
+    ModelConfig,
     TrainConfig,
     load_model,
     model_for_inventory,

@@ -16,13 +16,14 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, get_type_hints
 
 import numpy as np
 
 from .conformal import (
+    ConformalConfig,
     SacpCalibration,
     calibrate,
     calibration_document,
@@ -49,7 +50,6 @@ from .errors import (
     MissingArtifact,
     OutOfRange,
     SaclocError,
-    check_ranges,
 )
 from .evalreport import (
     CoverageReport,
@@ -64,6 +64,7 @@ from .evalreport import (
 )
 from .graphbuild import GraphConfig, build_ap_adjacency, build_sample_graph
 from .gtmodel import (
+    ModelConfig,
     TrainConfig,
     load_model,
     model_for_inventory,
@@ -83,51 +84,37 @@ CHECKPOINT_NAME = "checkpoint.bin"
 LOSS_LOG_NAME = "loss_log.txt"
 CALIBRATION_NAME = "calibration.json"
 
-# Config keys that map onto a dataclass field: key -> (field, type). A key the
-# file leaves out is not passed, so the dataclass default is the only default.
-GRAPH_FIELDS = {"d_p": ("d_p", float), "tau": ("tau", float)}
-TRAIN_FIELDS = {
-    "epochs": ("epochs", int), "batch_size": ("batch_size", int), "lr": ("base_lr", float),
-    "weight_decay": ("weight_decay", float), "dropout": ("dropout", float),
-}
-SYNTH_FIELDS = {
-    "path_loss_exponent": ("path_loss_exponent", float),
-    "ref_power_dbm": ("ref_power_dbm", float),
-    "noise_sigma_db": ("noise_sigma_db", float),
-    "detection_floor_dbm": ("detection_floor_dbm", float),
-    "train_samples": ("sample_count", int),
-}
+# The dataclass each config section builds. Its fields are the section's
+# keys (`seed` aside: the top-level seed fills it), its defaults the only
+# defaults and its __post_init__ the only range checks.
+SECTIONS = {"graph": GraphConfig, "model": ModelConfig, "train": TrainConfig,
+            "conformal": ConformalConfig, "synth": SyntheticConfig}
 
 # Every key a config file may set, by section; anything else is a typo.
 CONFIG_KEYS: dict[str, frozenset[str]] = {
     "dataset": frozenset({"fingerprints", "inventory", "test"}),
-    "graph": frozenset(GRAPH_FIELDS),
-    "model": frozenset({"hidden", "heads"}),
-    # `workers` (ignored) names a removed option the benchmark's config still sets
-    "train": frozenset({*TRAIN_FIELDS, "calibration_fraction", "workers"}),
-    "conformal": frozenset({"alpha", "k"}),
-    "synth": frozenset({*SYNTH_FIELDS, "ap_count", "area"}),
+    **{name: frozenset(f.name for f in fields(kind) if f.name != "seed")
+       for name, kind in SECTIONS.items()},
 }
+# `workers` (ignored) names a removed option the benchmark's config still sets
+CONFIG_KEYS["train"] |= {"workers"}
 CONFIG_SCALARS = frozenset({"seed", "output_dir"})
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One experiment: dataset paths, graph/model/train/conformal settings."""
+    """One experiment: dataset paths and one settings object per section."""
 
     fingerprints: Optional[Path]
     inventory: Optional[Path]
     test: Optional[Path]
     graph: GraphConfig
-    hidden: int
-    n_heads: int
+    model: ModelConfig
     train: TrainConfig
-    calibration_fraction: float
-    alpha: float
-    k: int
+    conformal: ConformalConfig
+    synth: Optional[SyntheticConfig]
     seed: int
     output_dir: Path
-    synth: Optional[SyntheticConfig]
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -142,56 +129,18 @@ def load_config(path: str | Path) -> RunConfig:
 
     try:
         ds = raw.get("dataset", {})
-        model = raw.get("model", {})
-        tr = raw.get("train", {})
-        conf = raw.get("conformal", {})
         seed = _number("seed", raw.get("seed", 0), int)
-        hidden = _number("model.hidden", model.get("hidden", 500), int)
-        n_heads = _number("model.heads", model.get("heads", 4), int)
-        calibration_fraction = _number(
-            "train.calibration_fraction", tr.get("calibration_fraction", 0.2), float)
-        alpha = _number("conformal.alpha", conf.get("alpha", 0.1), float)
-        k = _number("conformal.k", conf.get("k", 5), int)
-        check_ranges((
-            ("train.calibration_fraction", calibration_fraction,
-             0.0 < calibration_fraction < 1.0, "in (0, 1)"),
-            ("conformal.alpha", alpha, 0.0 < alpha < 1.0, "in (0, 1)"),
-            ("conformal.k", k, k >= 1, "at least 1"),
-            ("model.hidden", hidden, hidden >= 1, "at least 1"),
-            ("model.heads", n_heads, n_heads >= 1 and hidden % n_heads == 0,
-             f"a positive divisor of model.hidden ({hidden})"),
-        ))
-        train = _section(raw, "train", TRAIN_FIELDS, TrainConfig, seed=seed)
-        graph = _section(raw, "graph", GRAPH_FIELDS, GraphConfig)
-        synth = None
-        if "synth" in raw:
-            s = raw["synth"]
-            for key in ("area", "ap_count"):
-                if key not in s:
-                    raise ValueError(f"synth.{key} is required")
-            area = s["area"]
-            if not isinstance(area, list) or len(area) != 2:
-                raise ValueError(f"synth.area must be [width, height], got {json.dumps(area)}")
-            synth = _section(
-                raw, "synth", SYNTH_FIELDS, SyntheticConfig,
-                ap_count=_number("synth.ap_count", s["ap_count"], int),
-                area=(_number("synth.area", area[0], float), _number("synth.area", area[1], float)),
-                seed=seed,
-            )
+        # only `synth` has keys without a default, so only it may be absent
+        sections = {name: _section(raw.get(name, {}), name, kind, seed)
+                    for name, kind in SECTIONS.items() if name in raw or name != "synth"}
         return RunConfig(
             fingerprints=Path(ds["fingerprints"]) if "fingerprints" in ds else None,
             inventory=Path(ds["inventory"]) if "inventory" in ds else None,
             test=Path(ds["test"]) if "test" in ds else None,
-            graph=graph,
-            hidden=hidden,
-            n_heads=n_heads,
-            train=train,
-            calibration_fraction=calibration_fraction,
-            alpha=alpha,
-            k=k,
+            synth=sections.pop("synth", None),
+            **sections,
             seed=seed,
             output_dir=Path(raw.get("output_dir", "sacloc_out")),
-            synth=synth,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"config file {path}: {exc}") from exc
@@ -210,20 +159,31 @@ def _number(key: str, value, kind: type) -> int | float:
     return kind(value)
 
 
-def _set_fields(section: dict, name: str, fields: dict) -> dict:
-    return {field: _number(f"{name}.{key}", section[key], kind)
-            for key, (field, kind) in fields.items() if key in section}
-
-
-def _section(raw: dict, name: str, fields: dict, kind: type, **extra):
-    """`kind` built from section `name`'s keys in `fields` plus `extra`. Its
-    own range checks name a dataclass field; the OutOfRange re-raised here
-    names the config key instead (`train.lr`, not `base_lr`)."""
+def _section(section: dict, name: str, kind: type, seed: int):
+    """`kind` built from the config section `name`: each key the section
+    sets, read as its field's type, and `seed` for a `seed` field. A key the
+    section leaves out is not passed, so the dataclass default holds; one
+    without a default is required. Errors name the config key."""
+    types = get_type_hints(kind)
+    values = {}
+    for f in fields(kind):
+        key = f"{name}.{f.name}"
+        if f.name == "seed":
+            values["seed"] = seed
+        elif f.name not in section:
+            if f.default is MISSING:
+                raise ValueError(f"{key} is required")
+        elif types[f.name] in (int, float):
+            values[f.name] = _number(key, section[f.name], types[f.name])
+        else:  # synth.area, the one list-valued key
+            area = section[f.name]
+            if not isinstance(area, list) or len(area) != 2:
+                raise ValueError(f"{key} must be [width, height], got {json.dumps(area)}")
+            values[f.name] = tuple(_number(key, a, float) for a in area)
     try:
-        return kind(**_set_fields(raw.get(name, {}), name, fields), **extra)
+        return kind(**values)
     except OutOfRange as exc:
-        key = next((k for k, (f, _) in fields.items() if f == exc.field), exc.field)
-        raise OutOfRange(f"{name}.{key}", exc.what, exc.value) from exc
+        raise OutOfRange(f"{name}.{exc.field}", exc.what, exc.value) from exc
 
 
 def _check_keys(path: str | Path, raw) -> None:
@@ -259,7 +219,7 @@ def _load_train_pool(cfg: RunConfig) -> tuple[ApInventory, ScanSet]:
 
 
 def _split(cfg: RunConfig, samples):
-    return split_train_calibration(samples, 1.0 - cfg.calibration_fraction, cfg.seed)
+    return split_train_calibration(samples, 1.0 - cfg.train.calibration_fraction, cfg.seed)
 
 
 # -- commands -----------------------------------------------------------------
@@ -292,9 +252,9 @@ def _cfg_or_default(path: Optional[Path], default: Path) -> Path:
 def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
     inventory, pool = _load_train_pool(cfg)
     train_samples, _ = _split(cfg, pool)
-    model = model_for_inventory(inventory, cfg.hidden, cfg.n_heads, cfg.seed)
+    model = model_for_inventory(inventory, cfg.model.hidden, cfg.model.heads, cfg.seed)
     log.info("training on %d samples (m=%d, h=%d, E=%d, %d epochs)",
-             len(train_samples), inventory.count, cfg.hidden, cfg.n_heads,
+             len(train_samples), inventory.count, cfg.model.hidden, cfg.model.heads,
              cfg.train.epochs)
     history = train(model, train_samples, cfg.train, cfg.graph, inventory)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
@@ -311,12 +271,12 @@ def cmd_calibrate(cfg: RunConfig, args: argparse.Namespace) -> int:
     _, cal_samples = _split(cfg, pool)
     preds = predict_positions(model, cal_samples, inventory, cfg.graph)
     cal = calibrate(
-        preds, cal_samples.truth, cfg.alpha, cfg.k, cfg.seed,
+        preds, cal_samples.truth, cfg.conformal.alpha, cfg.conformal.k, cfg.seed,
         assignment=args.assignment)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     save_calibration(cfg.output_dir / CALIBRATION_NAME, cal)
     radii = ", ".join("inf" if not np.isfinite(r) else f"{r:.2f}" for r in cal.radii)
-    print(f"calibrated {cal.k} regions at alpha={cfg.alpha:g}: radii [{radii}] m, "
+    print(f"calibrated {cal.k} regions at alpha={cfg.conformal.alpha:g}: radii [{radii}] m, "
           f"global {cal.global_radius:.2f} m -> {cfg.output_dir / CALIBRATION_NAME}")
     return 0
 
@@ -400,7 +360,7 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
     # checkpoint, k or seed changed since `calibrate`; its one region fit then
     # serves the whole grid. The report carries the point metrics and the
     # file's coverage as well, so sweeping after evaluate discards no section.
-    calibration = calibrate(cal_preds, cal_samples.truth, stored.alpha, cfg.k, cfg.seed,
+    calibration = calibrate(cal_preds, cal_samples.truth, stored.alpha, cfg.conformal.k, cfg.seed,
                             assignment=stored.assignment)
     if calibration_document(calibration) != calibration_document(stored):
         raise BadCalibration(

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BadCalibration, EmptyCalibration
+from .errors import BadCalibration, EmptyCalibration, check_ranges
 from .graphbuild import LocGraph
 from .gtmodel import GtModel, denormalize_pred, forward_graph
 from .autodiff import Tape, is_json_int, is_json_number
@@ -34,6 +34,19 @@ log = logging.getLogger(__name__)
 
 CALIBRATION_MAGIC = "sacloc-calibration"
 CALIBRATION_VERSION = 2
+
+
+@dataclass(frozen=True)
+class ConformalConfig:
+    """SACP settings: the tolerated miss rate alpha (target coverage
+    1 - alpha) and the number k of K-Means regions."""
+
+    alpha: float = 0.1
+    k: int = 5
+
+    def __post_init__(self):
+        check_ranges((("alpha", self.alpha, 0.0 < self.alpha < 1.0, "in (0, 1)"),
+                      ("k", self.k, self.k >= 1, "at least 1")))
 
 
 @dataclass(frozen=True)

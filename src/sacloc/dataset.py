@@ -170,7 +170,7 @@ class SyntheticConfig:
     ref_power_dbm: float = -40.0  # received power at 1 m
     noise_sigma_db: float = 0.0
     detection_floor_dbm: float = -95.0
-    sample_count: int = 1000
+    train_samples: int = 1000  # scans of the fingerprints file
     seed: int = 0
 
     def __post_init__(self):
@@ -178,7 +178,7 @@ class SyntheticConfig:
             ("ap_count", self.ap_count, self.ap_count >= 3, "at least 3"),
             ("area", list(self.area), all(a > 0 for a in self.area), "positive"),
             ("noise_sigma_db", self.noise_sigma_db, self.noise_sigma_db >= 0, "nonnegative"),
-            ("sample_count", self.sample_count, self.sample_count >= 1, "at least 1"),
+            ("train_samples", self.train_samples, self.train_samples >= 1, "at least 1"),
         ))
 
 
@@ -191,7 +191,9 @@ def normalize_rssi(rssi: np.ndarray) -> np.ndarray:
     """Map RSSI into [0, 1]: sentinel -> 0, detected -> linear from RSSI_FLOOR
     to RSSI_CEILING, clamped."""
     rssi = np.asarray(rssi, dtype=np.float64)
-    scaled = np.clip((rssi - RSSI_FLOOR) / (RSSI_CEILING - RSSI_FLOOR), 0.0, 1.0)
+    # np.clip's values without its Python-level wrapper, which on one scan
+    # costs as much as the arithmetic
+    scaled = np.minimum(np.maximum((rssi - RSSI_FLOOR) / (RSSI_CEILING - RSSI_FLOOR), 0.0), 1.0)
     return np.where(detected_mask(rssi), scaled, 0.0)
 
 
@@ -389,5 +391,5 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[ApInventory, ScanSet]:
     inventory = ApInventory(
         ap_ids=tuple(f"AP{i:03d}" for i in range(cfg.ap_count)), coordinates=ap_xy
     )
-    return inventory, synthesize_scans(inventory, cfg, cfg.sample_count, "train")
+    return inventory, synthesize_scans(inventory, cfg, cfg.train_samples, "train")
 

@@ -8,8 +8,9 @@ class SaclocError(Exception):
 # settings --------------------------------------------------------------
 
 class OutOfRange(ValueError):
-    """A setting outside its range. `field` names the setting (a dataclass
-    field, or a config key once the config loader has renamed it)."""
+    """A setting outside its range. `field` names the setting: a dataclass
+    field, which is its config key, or the key with its section (`train.lr`)
+    once the config loader has added it."""
 
     def __init__(self, field: str, what: str, value):
         self.field = field

@@ -194,21 +194,42 @@ class GtModel:
 
 
 @dataclass(frozen=True)
+class ModelConfig:
+    """The model's shape: hidden width h, split evenly over `heads` heads."""
+
+    hidden: int = 500
+    heads: int = 4
+
+    def __post_init__(self):
+        check_ranges((
+            ("hidden", self.hidden, self.hidden >= 1, "at least 1"),
+            ("heads", self.heads, self.heads >= 1 and self.hidden % self.heads == 0,
+             f"a positive divisor of model.hidden ({self.hidden})"),
+        ))
+
+
+@dataclass(frozen=True)
 class TrainConfig:
+    """Training settings; `calibration_fraction` of the fingerprint pool is
+    held out of training for calibration."""
+
     epochs: int = 100
     batch_size: int = 64
-    base_lr: float = 0.001
+    lr: float = 0.001
     weight_decay: float = 1e-4
     dropout: float = 0.4
+    calibration_fraction: float = 0.2
     seed: int = 0
 
     def __post_init__(self):
         check_ranges((
             ("epochs", self.epochs, self.epochs >= 1, "at least 1"),
             ("batch_size", self.batch_size, self.batch_size >= 1, "at least 1"),
-            ("base_lr", self.base_lr, self.base_lr >= 0, "nonnegative"),
+            ("lr", self.lr, self.lr >= 0, "nonnegative"),
             ("weight_decay", self.weight_decay, self.weight_decay >= 0, "nonnegative"),
             ("dropout", self.dropout, 0.0 <= self.dropout < 1.0, "in [0, 1)"),
+            ("calibration_fraction", self.calibration_fraction,
+             0.0 < self.calibration_fraction < 1.0, "in (0, 1)"),
         ))
 
 
@@ -282,8 +303,7 @@ def init_model(
     drawn into its view of a new zeroed float64 buffer and stored as its
     float32 rounding, the precision `train` steps it in. Layer 1's key and
     value are the rounded products of the stored `[enc.ap.w; enc.ap.b]`."""
-    if hidden % n_heads != 0:
-        raise ValueError(f"head count {n_heads} must divide hidden dim {hidden}")
+    ModelConfig(hidden, n_heads)  # OutOfRange unless the heads divide hidden
     size = sum(math.prod(s) for s in _parameter_shapes(ap_count, hidden, n_heads).values())
     model = _assemble(np.zeros(size), ap_count, hidden, n_heads, *inventory_affine)
     for w, tag in ((model.encoders.user_w, "enc.user"), (model.encoders.ap_w, "enc.ap"),
@@ -555,7 +575,7 @@ def train(
         history: list[dict[str, float]] = []
         for epoch in range(cfg.epochs):
             start_s = time.perf_counter()
-            lr = cosine_lr(cfg.base_lr, cfg.epochs, epoch)
+            lr = cosine_lr(cfg.lr, cfg.epochs, epoch)
             order = stream(cfg.seed, "shuffle", epoch).permutation(n)
             loss_sum = 0.0
             for batch_i, start in enumerate(range(0, n, cfg.batch_size)):
@@ -672,10 +692,14 @@ def load_model(path: str | Path) -> GtModel:
         affine = meta["affine_offset"], meta["affine_scale"]
     except KeyError as exc:
         raise BadCheckpoint(path, f"not a model checkpoint: no {exc}") from exc
-    if not all(is_json_int(x, 1) for x in (ap_count, hidden, n_heads)) or hidden % n_heads:
+    try:
+        if not all(is_json_int(x, 1) for x in (ap_count, hidden, n_heads)):
+            raise ValueError("not positive integers")
+        ModelConfig(hidden, n_heads)
+    except ValueError as exc:  # OutOfRange is one
         raise BadCheckpoint(
             path, f"ap_count {ap_count!r}, hidden {hidden!r} and n_heads {n_heads!r} must be "
-                  "positive integers, with n_heads dividing hidden")
+                  "positive integers, with n_heads dividing hidden") from exc
     for key, a in zip(("affine_offset", "affine_scale"), affine):
         if not (isinstance(a, list) and len(a) == 2 and all(map(is_json_number, a))):
             raise BadCheckpoint(path, f"{key} {a!r} is not two finite numbers")

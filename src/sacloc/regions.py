@@ -16,8 +16,8 @@ class RegionModel:
 
     centroids: np.ndarray  # (k, 2)
     seed: int
-    iteration_cap: int = 100
-    convergence_tol: float = 1e-6
+    iteration_cap: int
+    convergence_tol: float
     objective_history: tuple[float, ...] = field(default=(), compare=False)
 
     @property

@@ -14,7 +14,7 @@ def small_world():
     cfg = SyntheticConfig(
         ap_count=6, area=(50.0, 30.0), path_loss_exponent=2.0,
         ref_power_dbm=-40.0, noise_sigma_db=3.0, detection_floor_dbm=-95.0,
-        sample_count=40, seed=3,
+        train_samples=40, seed=3,
     )
     inventory, samples = generate_synthetic(cfg)
     return cfg, inventory, samples

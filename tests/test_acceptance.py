@@ -60,9 +60,9 @@ DESK_GRAPH = GraphConfig(d_p=20.0, tau=-75.0)
 DESK_SYNTH = SyntheticConfig(
     ap_count=20, area=(100.0, 40.0), path_loss_exponent=2.2,
     ref_power_dbm=-40.0, noise_sigma_db=4.0, detection_floor_dbm=-95.0,
-    sample_count=3750, seed=11,
+    train_samples=3750, seed=11,
 )
-DESK_TRAIN = TrainConfig(epochs=30, batch_size=64, base_lr=3e-3, weight_decay=1e-4,
+DESK_TRAIN = TrainConfig(epochs=30, batch_size=64, lr=3e-3, weight_decay=1e-4,
                          dropout=0.1, seed=11)
 
 
@@ -346,7 +346,7 @@ def test_criterion_8_hcxy_reproduction():
     full = os.environ.get("SACLOC_HCXY_FULL") == "1"
     hidden, epochs = (500, 100) if full else (64, 20)
     model = model_for_inventory(inventory, hidden=hidden, n_heads=4, seed=11)
-    tc = TrainConfig(epochs=epochs, batch_size=64, base_lr=1e-3,
+    tc = TrainConfig(epochs=epochs, batch_size=64, lr=1e-3,
                      weight_decay=1e-4, dropout=0.4, seed=11)
     train(model, train_samples, tc, graph_cfg, inventory)
 
@@ -376,12 +376,12 @@ def test_criterion_8_hcxy_reproduction():
 
 def test_criterion_9_trainer_sanity():
     cfg = SyntheticConfig(ap_count=5, area=(30.0, 20.0), noise_sigma_db=0.0,
-                          sample_count=1, seed=2)
+                          train_samples=1, seed=2)
     inventory, samples = generate_synthetic(cfg)
     graph_cfg = GraphConfig(d_p=40.0, tau=-90.0)
 
     model = model_for_inventory(inventory, hidden=16, n_heads=2, seed=7)
-    tc = TrainConfig(epochs=200, batch_size=1, base_lr=0.02, weight_decay=0.0,
+    tc = TrainConfig(epochs=200, batch_size=1, lr=0.02, weight_decay=0.0,
                      dropout=0.0, seed=7)
     history = train(model, samples, tc, graph_cfg, inventory)
     final = history[-1]["train_mae"]
@@ -389,7 +389,7 @@ def test_criterion_9_trainer_sanity():
 
     frozen = model_for_inventory(inventory, hidden=16, n_heads=2, seed=7)
     before = {k: p.data.copy() for k, p in frozen.parameters().items()}
-    tc0 = TrainConfig(epochs=3, batch_size=1, base_lr=0.0, weight_decay=0.0,
+    tc0 = TrainConfig(epochs=3, batch_size=1, lr=0.0, weight_decay=0.0,
                       dropout=0.0, seed=7)
     train(frozen, samples, tc0, graph_cfg, inventory)
     for k, p in frozen.parameters().items():

@@ -1,11 +1,12 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
 
 from sacloc import conformal, evalreport, regions
-from sacloc.cli import CHECKPOINT_NAME, load_config, main
+from sacloc.cli import CHECKPOINT_NAME, CONFIG_KEYS, CONFIG_SCALARS, load_config, main
 from sacloc.dataset import SyntheticConfig
 from sacloc.graphbuild import GraphConfig
 from sacloc.gtmodel import TrainConfig
@@ -16,6 +17,8 @@ from conftest import (
     write_fused_root_layout,
     write_per_head_layout,
 )
+
+SCHEMA_DOC = Path(__file__).resolve().parents[1] / "docs" / "config_schema.md"
 
 TINY_CONFIG = {
     "graph": {"d_p": 25.0, "tau": -80.0},
@@ -510,6 +513,26 @@ class TestFlags:
         assert cfg.synth == SyntheticConfig(7, (30.0, 20.0), seed=4)
         assert cfg.graph == GraphConfig()
         assert cfg.train == TrainConfig(seed=4)
+
+    def test_schema_doc_lists_every_key_with_its_default(self, tmp_path):
+        # the doc's jsonc example names exactly the accepted keys (bar the
+        # ignored train.workers), each showing the default an omitted key takes
+        block = SCHEMA_DOC.read_text(encoding="utf-8").split("```jsonc\n", 1)[1]
+        doc = json.loads(re.sub(r"//[^\n]*", "", block.split("```", 1)[0]))
+        shown = {f"{name}.{key}": value for name, section in doc.items()
+                 if isinstance(section, dict) for key, value in section.items()}
+        shown.update((name, value) for name, value in doc.items() if name in CONFIG_SCALARS)
+        accepted = {f"{name}.{key}" for name, keys in CONFIG_KEYS.items() for key in keys}
+        assert set(shown) == accepted - {"train.workers"} | CONFIG_SCALARS
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"synth": {"ap_count": 20, "area": [100, 40]}}))
+        cfg = load_config(path)
+        for key, value in shown.items():
+            if key.startswith("dataset.") or key in ("synth.ap_count", "synth.area"):
+                continue  # paths, and the synth keys without a default
+            section, _, name = key.rpartition(".")
+            default = getattr(getattr(cfg, section) if section else cfg, name)
+            assert default == (Path(value) if key == "output_dir" else value), key
 
     def test_invalid_json_config(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

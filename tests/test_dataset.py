@@ -1,12 +1,15 @@
 import csv
 import io
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sacloc.dataset import (
+    RSSI_CEILING,
+    RSSI_FLOOR,
     SENTINEL,
     ApInventory,
     FingerprintSample,
@@ -215,7 +218,7 @@ class TestLoaderValues:
 
     def test_bulk_paths_build_no_sample(self, tmp_path, monkeypatch):
         cfg = SyntheticConfig(ap_count=4, area=(30.0, 20.0), noise_sigma_db=2.0,
-                              sample_count=1000, seed=6)
+                              train_samples=1000, seed=6)
         inventory, scans = generate_synthetic(cfg)
         path = tmp_path / "fp.csv"
         save_fingerprints(path, scans, inventory)
@@ -319,8 +322,8 @@ class TestSampleValidation:
 
     @pytest.mark.parametrize("count", [0, -5, float("nan")])
     def test_synthetic_config_refuses_fewer_than_one_sample(self, count):
-        with pytest.raises(ValueError, match="sample_count must be at least 1"):
-            SyntheticConfig(ap_count=3, area=(10.0, 10.0), sample_count=count, seed=1)
+        with pytest.raises(ValueError, match="train_samples must be at least 1"):
+            SyntheticConfig(ap_count=3, area=(10.0, 10.0), train_samples=count, seed=1)
 
     def test_inventory_rejects_duplicate_ids(self):
         with pytest.raises(ValueError):
@@ -392,6 +395,15 @@ class TestNormalizeRssi:
         out = normalize_rssi(np.array([lo, hi]))
         assert 0.0 <= out[0] <= out[1] <= 1.0
 
+    @given(st.lists(st.one_of(st.floats(), st.sampled_from(
+        [SENTINEL, -100.0, math.inf, -math.inf, math.nan])), min_size=1, max_size=40))
+    @settings(max_examples=300)
+    def test_clamp_is_np_clip_bitwise(self, values):
+        rssi = np.array(values)
+        scaled = np.clip((rssi - RSSI_FLOOR) / (RSSI_CEILING - RSSI_FLOOR), 0.0, 1.0)
+        want = np.where(rssi != SENTINEL, scaled, 0.0)
+        assert normalize_rssi(rssi).tobytes() == want.tobytes()
+
 
 def denormalize_coords(points, affine):
     """Reference inverse of `normalize_coords`."""
@@ -423,7 +435,7 @@ class TestSynthetic:
         cfg = SyntheticConfig(
             ap_count=4, area=(40.0, 40.0), path_loss_exponent=2.0,
             ref_power_dbm=-40.0, noise_sigma_db=0.0, detection_floor_dbm=-90.0,
-            sample_count=50, seed=5,
+            train_samples=50, seed=5,
         )
         inventory, samples = generate_synthetic(cfg)
         for s in samples:
@@ -436,7 +448,7 @@ class TestSynthetic:
         cfg = SyntheticConfig(
             ap_count=3, area=(500.0, 500.0), path_loss_exponent=3.0,
             ref_power_dbm=-40.0, noise_sigma_db=0.0, detection_floor_dbm=-60.0,
-            sample_count=30, seed=8,
+            train_samples=30, seed=8,
         )
         _, samples = generate_synthetic(cfg)
         rssi = np.concatenate([s.rssi for s in samples])
@@ -446,7 +458,7 @@ class TestSynthetic:
 
     def test_deterministic_under_seed(self):
         cfg = SyntheticConfig(ap_count=3, area=(10.0, 10.0), noise_sigma_db=2.0,
-                              sample_count=5, seed=42)
+                              train_samples=5, seed=42)
         inv1, s1 = generate_synthetic(cfg)
         inv2, s2 = generate_synthetic(cfg)
         assert np.array_equal(inv1.coordinates, inv2.coordinates)
@@ -455,7 +467,7 @@ class TestSynthetic:
             assert np.array_equal(a.truth, b.truth)
 
     def test_test_stream_independent_of_train(self):
-        cfg = SyntheticConfig(ap_count=3, area=(10.0, 10.0), sample_count=5, seed=42)
+        cfg = SyntheticConfig(ap_count=3, area=(10.0, 10.0), train_samples=5, seed=42)
         inventory, train = generate_synthetic(cfg)
         test = synthesize_scans(inventory, cfg, 5, "test")
         assert not np.allclose(

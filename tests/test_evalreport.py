@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sacloc import conformal, evalreport
@@ -17,7 +17,6 @@ from sacloc.evalreport import (
     baseline_positions,
     coverage_by_region,
     emit_report,
-    linear_percentiles,
     point_metrics,
     weighted_centroid_baseline,
 )
@@ -75,22 +74,6 @@ class TestPointMetrics:
         m = point_metrics(preds, truths)
         assert 0.0 <= m.median <= m.p75 <= m.p95
 
-    @given(values=st.lists(st.floats(min_value=-1e12, max_value=1e12), min_size=1,
-                           max_size=300),
-           percents=st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=1,
-                             max_size=5),
-           duplicate=st.booleans())
-    @example(values=[-0.0], percents=[0.0], duplicate=False)
-    @example(values=[0.0, -0.0, -0.0, 1.0], percents=[25.0, 50.0], duplicate=True)
-    @settings(max_examples=300)
-    def test_linear_percentiles_are_numpys_bitwise(self, values, percents, duplicate):
-        # one sort, read by numpy's default rule, gives np.percentile's bits
-        # once -0.0 is +0.0
-        a = np.array(values * 2 if duplicate else values)
-        got = np.array(linear_percentiles(a, percents))
-        want = np.array([np.percentile(a + 0.0, q) for q in percents])
-        assert got.tobytes() == want.tobytes()
-
     def test_point_percentiles_are_numpys_bitwise(self):
         for seed in range(20):
             rng = stream(seed, "pm-bits")
@@ -101,9 +84,9 @@ class TestPointMetrics:
             assert [m.median, m.p75, m.p95] == [np.percentile(errs, q) for q in (50, 75, 95)]
 
     def test_nan_error_gives_nan_percentiles(self):
-        values = np.array([1.0, math.nan, 2.0])
-        assert np.isnan(np.percentile(values, 50))
-        assert all(map(math.isnan, linear_percentiles(values, (50, 75, 95))))
+        preds = np.array([[1.0, 0.0], [math.nan, 0.0], [2.0, 0.0]])
+        m = point_metrics(preds, np.zeros((3, 2)))
+        assert all(map(math.isnan, (m.median, m.p75, m.p95)))
 
 
 def _fitted_calibration(seed=3, n=300, k=4, alpha=0.1, noise=2.0):

@@ -407,7 +407,7 @@ class TestModelForward:
         # identical user features, edges present vs filtered out by tau
         cfg, inventory, samples = small_world
         model = model_for_inventory(inventory, hidden=16, n_heads=2, seed=5)
-        tc = TrainConfig(epochs=5, batch_size=16, base_lr=3e-3, dropout=0.0,
+        tc = TrainConfig(epochs=5, batch_size=16, lr=3e-3, dropout=0.0,
                          weight_decay=0.0, seed=5)
         train(model, samples, tc, GraphConfig(d_p=25.0, tau=-75.0), inventory)
 
@@ -494,7 +494,7 @@ class TestModelForward:
         cfg = SyntheticConfig(
             ap_count=ap_count, area=(100.0, 40.0), path_loss_exponent=2.2,
             ref_power_dbm=-40.0, noise_sigma_db=4.0, detection_floor_dbm=-95.0,
-            sample_count=1, seed=ap_count)
+            train_samples=1, seed=ap_count)
         inventory, samples = generate_synthetic(cfg)
         graph_cfg = GraphConfig(d_p=20.0, tau=-75.0)
         model = model_for_inventory(inventory, hidden=hidden, n_heads=4, seed=hidden)
@@ -573,7 +573,7 @@ class TestLayer2Fold:
         cfg = SyntheticConfig(
             ap_count=ap_count, area=(100.0, 40.0), path_loss_exponent=2.2,
             ref_power_dbm=-40.0, noise_sigma_db=4.0, detection_floor_dbm=-95.0,
-            sample_count=8, seed=ap_count)
+            train_samples=8, seed=ap_count)
         inventory, samples = generate_synthetic(cfg)
         model = model_for_inventory(inventory, hidden=500, n_heads=4, seed=5)
         seen = TestNoWidthHLayer1Query.right_operands(monkeypatch)
@@ -899,7 +899,7 @@ class TestTrain:
         _, inventory, samples = small_world
         model = model_for_inventory(inventory, hidden=8, n_heads=2, seed=5)
         before = {k: p.data.copy() for k, p in model.parameters().items()}
-        tc = TrainConfig(epochs=3, batch_size=16, base_lr=0.0, weight_decay=0.0,
+        tc = TrainConfig(epochs=3, batch_size=16, lr=0.0, weight_decay=0.0,
                          dropout=0.0, seed=5)
         train(model, samples, tc, graph_cfg, inventory)
         for k, p in model.parameters().items():
@@ -907,7 +907,7 @@ class TestTrain:
 
     def test_deterministic_loss_log(self, small_world, graph_cfg):
         _, inventory, samples = small_world
-        tc = TrainConfig(epochs=3, batch_size=16, base_lr=1e-3, dropout=0.3, seed=9)
+        tc = TrainConfig(epochs=3, batch_size=16, lr=1e-3, dropout=0.3, seed=9)
         logs = []
         for _ in range(2):
             model = model_for_inventory(inventory, hidden=8, n_heads=2, seed=9)
@@ -979,7 +979,7 @@ class TestTrain:
     def test_loss_decreases(self, small_world, graph_cfg):
         _, inventory, samples = small_world
         model = model_for_inventory(inventory, hidden=16, n_heads=2, seed=5)
-        tc = TrainConfig(epochs=10, batch_size=16, base_lr=3e-3, dropout=0.0, seed=5)
+        tc = TrainConfig(epochs=10, batch_size=16, lr=3e-3, dropout=0.0, seed=5)
         history = train(model, samples, tc, graph_cfg, inventory)
         assert history[-1]["train_mae"] < history[0]["train_mae"]
 
@@ -1203,7 +1203,7 @@ class TestInPlaceGradients:
         cfg = SyntheticConfig(
             ap_count=20, area=(100.0, 40.0), path_loss_exponent=2.2,
             ref_power_dbm=-40.0, noise_sigma_db=4.0, detection_floor_dbm=-95.0,
-            sample_count=4, seed=11)
+            train_samples=4, seed=11)
         inventory, samples = generate_synthetic(cfg)
         tracemalloc.start()
         try:
@@ -1387,7 +1387,7 @@ class TestCheckpointing:
         cfg = SyntheticConfig(
             ap_count=20, area=(100.0, 40.0), path_loss_exponent=2.2,
             ref_power_dbm=-40.0, noise_sigma_db=4.0, detection_floor_dbm=-95.0,
-            sample_count=50, seed=11)
+            train_samples=50, seed=11)
         inventory, samples = generate_synthetic(cfg)
         model = model_for_inventory(inventory, hidden=64, n_heads=4, seed=11)
         train(model, samples, TrainConfig(epochs=1, batch_size=16, seed=11),

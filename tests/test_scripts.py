@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from sacloc.cli import CHECKPOINT_NAME, load_config
+from sacloc.cli import CHECKPOINT_NAME, CONFIG_KEYS, CONFIG_SCALARS, load_config
 
 from test_acceptance import DESK_GRAPH, DESK_SYNTH, DESK_TRAIN
 from test_cli import TINY_CONFIG, run, write_config
@@ -18,6 +18,7 @@ import bench_pairs  # noqa: E402
 import quality_panel  # noqa: E402
 import run_desk_scale  # noqa: E402
 import run_full_scale  # noqa: E402
+import src_size  # noqa: E402
 
 ARTIFACTS = (CHECKPOINT_NAME, "loss_log.txt", "calibration.json", "report.json", "report.txt",
              "fig_error_map.csv", "fig_alpha_coverage.csv", "fig_alpha_radius.csv")
@@ -31,9 +32,9 @@ def test_desk_config_is_the_acceptance_world(tmp_path):
     assert cfg.synth == DESK_SYNTH
     assert cfg.train == DESK_TRAIN
     assert cfg.graph == DESK_GRAPH
-    assert (cfg.hidden, cfg.n_heads) == (64, 4)
-    assert 1.0 - cfg.calibration_fraction == 0.8
-    assert (cfg.alpha, cfg.k) == (0.1, 5)
+    assert (cfg.model.hidden, cfg.model.heads) == (64, 4)
+    assert 1.0 - cfg.train.calibration_fraction == 0.8
+    assert (cfg.conformal.alpha, cfg.conformal.k) == (0.1, 5)
 
 
 def test_full_scale_runs_end_to_end(tmp_path, capsys):
@@ -47,7 +48,7 @@ def test_full_scale_runs_end_to_end(tmp_path, capsys):
         assert (out / name).exists(), name
 
     cfg = load_config(out / "config.json")
-    assert (cfg.hidden, cfg.n_heads, cfg.train.epochs, cfg.seed) == (8, 4, 2, 5)
+    assert (cfg.model.hidden, cfg.model.heads, cfg.train.epochs, cfg.seed) == (8, 4, 2, 5)
     assert (cfg.fingerprints, cfg.output_dir) == (data / "fingerprints.csv", out)
     assert len((out / "loss_log.txt").read_text().splitlines()) == 1 + 2
     assert "coverage" in capsys.readouterr().out
@@ -70,7 +71,8 @@ def test_panel_configs_are_the_desk_world(tmp_path):
         assert loaded[name].synth == DESK_SYNTH and loaded[name].graph == DESK_GRAPH
     assert loaded["desk"].train == DESK_TRAIN
     ref = loaded["ref-m20"]
-    assert (ref.hidden, ref.n_heads, ref.train.epochs, ref.train.dropout) == (500, 4, 2, 0.4)
+    assert (ref.model.hidden, ref.model.heads, ref.train.epochs, ref.train.dropout) == (
+        500, 4, 2, 0.4)
 
 
 def test_pooled_coverage_weights_regions_by_test_count():
@@ -211,3 +213,30 @@ def test_pairs_smoke_of_one_checkout_against_itself(fresh_checkout, tmp_path, ca
     assert printed.count("claim predict_p50_ms: ") == 2
     assert "# desk-m20-h64 seed 11, 1 pairs" in printed
     assert "# desk-m20-h64 seed 2718, 1 pairs" in printed
+
+
+def test_src_size_counts_code_lines_and_settable_values(capsys):
+    text = '''"""Module docstring,
+two lines."""
+
+# a comment
+X = 1  # code with a comment
+
+
+def f(a,
+      b):
+    """One line."""
+    return """a string
+that is not a docstring"""
+'''
+    assert src_size.code_lines(text) == 5
+    assert src_size.main(["--json"]) == 0
+    size = json.loads(capsys.readouterr().out)
+    assert set(size["modules"]) == {p.name for p in (ROOT / "src" / "sacloc").glob("*.py")}
+    assert size["code_lines"] == sum(size["modules"].values())
+    assert size["config_keys"] == sum(map(len, CONFIG_KEYS.values())) + len(CONFIG_SCALARS)
+    # --config --out --test-samples --assignment --rssi --rssi-file --alphas
+    assert size["cli_options"] == 7
+    assert size["settable_values"] == size["config_keys"] + size["cli_options"]
+    assert src_size.main([]) == 0
+    assert f"{size['code_lines']} code lines" in capsys.readouterr().out
