@@ -61,25 +61,39 @@ BOOTSTRAP_DRAWS = 10000
 BOOTSTRAP_SEED = 0
 
 
-def run_seed(checkout: Path, config: dict, seed: int, work: Path,
-             test_samples: int = TEST_SAMPLES) -> dict[str, float]:
-    """The panel metrics of one seed's synth/train/calibrate/evaluate in `checkout`."""
+def run_stages(checkout: Path, config: dict, seed: int, work: Path, stages):
+    """Run `sacloc` commands of one seed in `checkout`, yielding each one's
+    (stage, stdout) as it exits 0; RuntimeError names one that does not.
+
+    `stages` holds (command, *flags) tuples. The run's config is `config`
+    at `seed`, with the dataset CSVs and `out/` under `work`. Each command
+    runs with the checkout's own `src/` on PYTHONPATH and BLAS pinned to one
+    thread; bytecode goes to `work`, so the checkout is left as it was found.
+    """
     work.mkdir(parents=True, exist_ok=True)
     cfg = dict(config, seed=seed, output_dir=str(work / "out"),
                dataset={n: str(work / f"{n}.csv") for n in ("fingerprints", "inventory", "test")})
     (work / "config.json").write_text(json.dumps(cfg), encoding="utf-8")
-    # bytecode goes to the work dir, so the checkout is left as it was found
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"),
                PYTHONPYCACHEPREFIX=str(work / "pycache"), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    for stage, *flags in (("synth", "--test-samples", str(test_samples)), ("train",),
-                          ("calibrate",), ("evaluate",)):
+    for stage, *flags in stages:
         proc = subprocess.run(
             [sys.executable, "-m", "sacloc.cli", stage, "--config", str(work / "config.json"),
              *flags], env=env, capture_output=True, text=True)
         if proc.returncode:
             raise RuntimeError(f"{checkout}: sacloc {stage} (seed {seed}) exited "
                                f"{proc.returncode}: {proc.stderr.strip()}")
+        yield stage, proc.stdout
+
+
+def run_seed(checkout: Path, config: dict, seed: int, work: Path,
+             test_samples: int = TEST_SAMPLES) -> dict[str, float]:
+    """The panel metrics of one seed's synth/train/calibrate/evaluate in `checkout`."""
+    stages = (("synth", "--test-samples", str(test_samples)), ("train",), ("calibrate",),
+              ("evaluate",))
+    for _ in run_stages(checkout, config, seed, work, stages):
+        pass  # the report the last stage writes holds the metrics
     report = json.loads((work / "out" / "report.json").read_text(encoding="utf-8"))
     return {name: float(read(report)) for name, read in METRICS.items()}
 

@@ -47,6 +47,7 @@ from .dataset import (
 from .errors import (
     BadCalibration,
     ConfigError,
+    EmptyCalibration,
     MissingArtifact,
     OutOfRange,
     SaclocError,
@@ -83,6 +84,8 @@ DEFAULT_ALPHAS = (0.01, 0.05, 0.10, 0.15, 0.20)
 CHECKPOINT_NAME = "checkpoint.bin"
 LOSS_LOG_NAME = "loss_log.txt"
 CALIBRATION_NAME = "calibration.json"
+# the scans `train` holds out of the pool; only `train` splits it
+CALIBRATION_SCANS_NAME = "calibration_scans.csv"
 
 # The dataclass each config section builds. Its fields are the section's
 # keys (`seed` aside: the top-level seed fills it), its defaults the only
@@ -134,9 +137,7 @@ def load_config(path: str | Path) -> RunConfig:
         sections = {name: _section(raw.get(name, {}), name, kind, seed)
                     for name, kind in SECTIONS.items() if name in raw or name != "synth"}
         return RunConfig(
-            fingerprints=Path(ds["fingerprints"]) if "fingerprints" in ds else None,
-            inventory=Path(ds["inventory"]) if "inventory" in ds else None,
-            test=Path(ds["test"]) if "test" in ds else None,
+            **{key: Path(ds[key]) if key in ds else None for key in CONFIG_KEYS["dataset"]},
             synth=sections.pop("synth", None),
             **sections,
             seed=seed,
@@ -211,26 +212,15 @@ def _require_path(path: Optional[Path], what: str) -> Path:
     return path
 
 
-def _load_train_pool(cfg: RunConfig) -> tuple[ApInventory, ScanSet]:
-    inventory = load_inventory(_require_path(cfg.inventory, "AP inventory file"))
-    samples = load_fingerprints(
-        _require_path(cfg.fingerprints, "fingerprint file"), inventory)
-    return inventory, samples
-
-
-def _split(cfg: RunConfig, samples):
-    return split_train_calibration(samples, 1.0 - cfg.train.calibration_fraction, cfg.seed)
-
-
 # -- commands -----------------------------------------------------------------
 
 
 def cmd_synth(cfg: RunConfig, args: argparse.Namespace) -> int:
     if cfg.synth is None:
         raise ConfigError("config has no `synth` section")
-    fingerprints = _cfg_or_default(cfg.fingerprints, cfg.output_dir / "fingerprints.csv")
-    inventory_path = _cfg_or_default(cfg.inventory, cfg.output_dir / "inventory.csv")
-    test_path = _cfg_or_default(cfg.test, cfg.output_dir / "test.csv")
+    fingerprints = cfg.fingerprints or cfg.output_dir / "fingerprints.csv"
+    inventory_path = cfg.inventory or cfg.output_dir / "inventory.csv"
+    test_path = cfg.test or cfg.output_dir / "test.csv"
 
     inventory, train_samples = generate_synthetic(cfg.synth)
     test_samples = synthesize_scans(inventory, cfg.synth, args.test_samples, "test")
@@ -245,13 +235,15 @@ def cmd_synth(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _cfg_or_default(path: Optional[Path], default: Path) -> Path:
-    return path if path is not None else default
-
-
 def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
-    inventory, pool = _load_train_pool(cfg)
-    train_samples, _ = _split(cfg, pool)
+    inventory = load_inventory(_require_path(cfg.inventory, "AP inventory file"))
+    pool = load_fingerprints(_require_path(cfg.fingerprints, "fingerprint file"), inventory)
+    fraction = cfg.train.calibration_fraction
+    # the one split of the pool: calibrate and sweep read the held-out side
+    train_samples, cal_samples = split_train_calibration(pool, 1.0 - fraction, cfg.seed)
+    if not len(cal_samples):
+        raise EmptyCalibration(f"train.calibration_fraction {fraction:g} of {len(pool)} scans "
+                               "holds out no calibration scan")
     model = model_for_inventory(inventory, cfg.model.hidden, cfg.model.heads, cfg.seed)
     log.info("training on %d samples (m=%d, h=%d, E=%d, %d epochs)",
              len(train_samples), inventory.count, cfg.model.hidden, cfg.model.heads,
@@ -260,6 +252,7 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     save_model(cfg.output_dir / CHECKPOINT_NAME, model, step=len(history))
     write_loss_log(cfg.output_dir / LOSS_LOG_NAME, history)
+    save_fingerprints(cfg.output_dir / CALIBRATION_SCANS_NAME, cal_samples, inventory)
     print(f"trained {cfg.train.epochs} epochs, final train MAE "
           f"{history[-1]['train_mae']:.3f} m -> {cfg.output_dir / CHECKPOINT_NAME}")
     return 0
@@ -267,8 +260,8 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_calibrate(cfg: RunConfig, args: argparse.Namespace) -> int:
     model = load_model(_require_artifact(cfg, CHECKPOINT_NAME))
-    inventory, pool = _load_train_pool(cfg)
-    _, cal_samples = _split(cfg, pool)
+    inventory = load_inventory(_require_path(cfg.inventory, "AP inventory file"))
+    cal_samples = load_fingerprints(_require_artifact(cfg, CALIBRATION_SCANS_NAME), inventory)
     preds = predict_positions(model, cal_samples, inventory, cfg.graph)
     cal = calibrate(
         preds, cal_samples.truth, cfg.conformal.alpha, cfg.conformal.k, cfg.seed,
@@ -350,8 +343,8 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
     model = load_model(_require_artifact(cfg, CHECKPOINT_NAME))
     cal_path = _require_artifact(cfg, CALIBRATION_NAME)
     stored = load_calibration(cal_path)
-    inventory, pool = _load_train_pool(cfg)
-    _, cal_samples = _split(cfg, pool)
+    inventory = load_inventory(_require_path(cfg.inventory, "AP inventory file"))
+    cal_samples = load_fingerprints(_require_artifact(cfg, CALIBRATION_SCANS_NAME), inventory)
     test_samples = load_fingerprints(_require_path(cfg.test, "test file"), inventory)
 
     cal_preds = predict_positions(model, cal_samples, inventory, cfg.graph)

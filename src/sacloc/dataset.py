@@ -46,6 +46,9 @@ SENTINEL = 100.0
 RSSI_FLOOR = -100.0
 RSSI_CEILING = -30.0
 
+# Fingerprint CSV columns that are not AP ids, so no AP may take their names.
+RESERVED_COLUMNS = frozenset({"x", "y", "ref_point_id"})
+
 
 @dataclass(frozen=True)
 class ApInventory:
@@ -65,6 +68,8 @@ class ApInventory:
         if len(set(self.ap_ids)) != len(self.ap_ids):
             repeated = next(a for i, a in enumerate(self.ap_ids) if a in self.ap_ids[:i])
             raise ValueError(f"ap_ids are not unique: {repeated!r} appears more than once")
+        if reserved := sorted(RESERVED_COLUMNS.intersection(self.ap_ids)):
+            raise ValueError(f"ap_id {reserved[0]!r} is a reserved fingerprint CSV column")
         bad = ~np.isfinite(coords).all(axis=1)
         if bad.any():
             i = int(np.argmax(bad))
@@ -228,7 +233,8 @@ def _read_header(reader, path) -> list[str]:
 def load_inventory(path: str | Path) -> ApInventory:
     """Read an AP inventory CSV with columns ap_id,x,y.
 
-    A duplicated AP id or a non-finite coordinate raises BadInventory.
+    A duplicated AP id, an AP id that is a reserved fingerprint column
+    (`x`, `y`, `ref_point_id`) or a non-finite coordinate raises BadInventory.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh, _read_header(csv.reader(fh), path))
@@ -272,7 +278,7 @@ def load_fingerprints(path: str | Path, inventory: ApInventory) -> ScanSet:
         for col in (*inventory.ap_ids, "x", "y"):
             if col not in header:
                 raise MissingColumn(f"{path}: missing column {col!r}")
-        known = set(inventory.ap_ids) | {"x", "y", "ref_point_id"}
+        known = set(inventory.ap_ids) | RESERVED_COLUMNS
         extra = [c for c in header if c not in known]
         if extra:
             log.warning("%s: ignoring extra columns %s", path, extra)

@@ -38,7 +38,8 @@ class DuplicateColumn(SaclocError):
 
 
 class BadInventory(SaclocError):
-    """An AP inventory file repeats an AP id or gives a non-finite position."""
+    """An AP inventory file repeats an AP id, uses a reserved fingerprint
+    column name as one, or gives a non-finite position."""
 
 
 class MalformedRow(SaclocError):

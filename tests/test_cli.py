@@ -1,13 +1,27 @@
 import json
 import math
 import re
+import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sacloc import conformal, evalreport, regions
-from sacloc.cli import CHECKPOINT_NAME, CONFIG_KEYS, CONFIG_SCALARS, load_config, main
-from sacloc.dataset import SyntheticConfig
+from sacloc.cli import (
+    CALIBRATION_SCANS_NAME,
+    CHECKPOINT_NAME,
+    CONFIG_KEYS,
+    CONFIG_SCALARS,
+    load_config,
+    main,
+)
+from sacloc.dataset import (
+    SyntheticConfig,
+    load_fingerprints,
+    load_inventory,
+    split_train_calibration,
+)
 from sacloc.graphbuild import GraphConfig
 from sacloc.gtmodel import TrainConfig
 
@@ -161,15 +175,15 @@ class TestPipeline:
         tmp, config = workdir
         assert run("synth", "--config", config) == 0
         assert run("train", "--config", config) == 0
-        fp = tmp / "data" / "fingerprints.csv"
-        header, first, *rest = fp.read_text().splitlines()
+        held_out = tmp / "out" / CALIBRATION_SCANS_NAME
+        header, first, *rest = held_out.read_text().splitlines()
         cells = first.split(",")
         cells[header.split(",").index("x")] = "nan"
-        fp.write_text("\n".join([header, ",".join(cells), *rest]) + "\n")
+        held_out.write_text("\n".join([header, ",".join(cells), *rest]) + "\n")
         capsys.readouterr()
         assert run("calibrate", "--config", config) == 1
         err = capsys.readouterr().err
-        assert "row 1" in err and "finite" in err
+        assert f"{held_out}: row 1" in err and "finite" in err
 
     def test_predict(self, workdir, capsys):
         tmp, config = workdir
@@ -216,6 +230,77 @@ class TestPipeline:
         assert run("evaluate", "--config", config) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "not a calibration file" in err
+
+
+class TestHeldOutScans:
+    """`train` splits the pool once and writes the held-out side; `calibrate`
+    and `sweep` read that file and never the pool."""
+
+    def test_is_the_split_of_the_pool(self, workdir):
+        tmp, config = workdir
+        for cmd in ("synth", "train"):
+            assert run(cmd, "--config", config) == 0
+        inventory = load_inventory(tmp / "data" / "inventory.csv")
+        pool = load_fingerprints(tmp / "data" / "fingerprints.csv", inventory)
+        _, expected = split_train_calibration(pool, 0.8, TINY_CONFIG["seed"])
+        held_out = load_fingerprints(tmp / "out" / CALIBRATION_SCANS_NAME, inventory)
+        assert len(held_out) == 12
+        assert np.array_equal(held_out.rssi, expected.rssi)
+        assert np.array_equal(held_out.truth, expected.truth)
+
+    def test_pool_edits_after_train_change_nothing(self, workdir):
+        # at a re-split, reversed rows and another fraction would move
+        # training scans into the calibration set
+        tmp, config = workdir
+        for cmd in ("synth", "train", "calibrate"):
+            assert run(cmd, "--config", config) == 0
+        calibration = (tmp / "out" / "calibration.json").read_bytes()
+        pool = tmp / "data" / "fingerprints.csv"
+        header, *rows = pool.read_text().splitlines()
+        pool.write_text("\n".join([header, *reversed(rows)]) + "\n")
+        cfg = json.loads(Path(config).read_text())
+        cfg["train"]["calibration_fraction"] = 0.5
+        Path(config).write_text(json.dumps(cfg))
+        assert run("calibrate", "--config", config) == 0
+        assert (tmp / "out" / "calibration.json").read_bytes() == calibration
+
+    def test_calibrate_and_sweep_need_no_pool(self, workdir, capsys):
+        tmp, config = workdir
+        for cmd in ("synth", "train"):
+            assert run(cmd, "--config", config) == 0
+        cfg = json.loads(Path(config).read_text())
+        del cfg["dataset"]["fingerprints"]
+        Path(config).write_text(json.dumps(cfg))
+        (tmp / "data" / "fingerprints.csv").unlink()
+        assert run("calibrate", "--config", config) == 0
+        assert run("sweep", "--config", config, "--alphas", "0.1,0.2") == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["calibrate", "sweep"])
+    def test_missing_file_fails(self, workdir, capsys, command):
+        tmp, config = workdir
+        for cmd in ("synth", "train", "calibrate"):
+            assert run(cmd, "--config", config) == 0
+        (tmp / "out" / CALIBRATION_SCANS_NAME).unlink()
+        capsys.readouterr()
+        assert run(command, "--config", config) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"missing {CALIBRATION_SCANS_NAME}" in err
+
+    def test_empty_held_out_side_fails_train(self, workdir, capsys):
+        # 2 scans at fraction 0.2 train on round(1.6) = 2 and hold out none
+        tmp, config = workdir
+        cfg = json.loads(Path(config).read_text())
+        cfg["synth"]["train_samples"] = 2
+        Path(config).write_text(json.dumps(cfg))
+        assert run("synth", "--config", config) == 0
+        capsys.readouterr()
+        assert run("train", "--config", config) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: train.calibration_fraction 0.2 of 2 scans holds out no "
+                       "calibration scan\n")
+        assert not (tmp / "out").exists()
 
 
 @pytest.fixture(scope="class")
@@ -300,13 +385,35 @@ class TestCsvBoundary:
         assert "column 'x' appears more than once" in err
 
     def test_malformed_fingerprint_row(self, calibrated, capsys):
-        # calibrate reads three CSVs; the error names the one with the bad cell
+        # train reads two CSVs; the error names the one with the bad cell
         def bad_cell(lines):
             lines[2] = ",".join(["oops", *lines[2].split(",")[1:]])
             return "\n".join(lines) + "\n"
 
-        err = self.cli_error(capsys, calibrated, "calibrate", "fingerprints", bad_cell)
+        err = self.cli_error(capsys, calibrated, "train", "fingerprints", bad_cell)
         assert "bad_cell.csv: row 2: could not convert string to float: 'oops'" in err
+
+    def test_malformed_held_out_row(self, calibrated, capsys):
+        # calibrate reads the inventory and the scans train held out
+        tmp, config = calibrated
+        out = tmp / "bad_held_out"
+        shutil.copytree(tmp / "out", out)
+        held_out = out / CALIBRATION_SCANS_NAME
+        lines = held_out.read_text().splitlines()
+        lines[2] = ",".join(["oops", *lines[2].split(",")[1:]])
+        held_out.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run("calibrate", "--config", config, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {held_out}: row 2: could not convert string to float: 'oops'\n"
+
+    def test_reserved_ap_id(self, calibrated, capsys):
+        def ap_named_y(lines):
+            lines[1] = ",".join(["y", *lines[1].split(",")[1:]])
+            return "\n".join(lines) + "\n"
+
+        err = self.cli_error(capsys, calibrated, "train", "inventory", ap_named_y)
+        assert "ap_id 'y' is a reserved fingerprint CSV column" in err
 
 
 class TestBadSettings:
@@ -489,7 +596,7 @@ class TestFlags:
             assert exc.value.code == 0
             out = capsys.readouterr().out
             # the seed comes from the config only: a per-stage seed could
-            # split the pool differently in train and calibrate
+            # fit other regions in sweep than in calibrate
             assert "--config" in out and "--seed" not in out
 
     def test_missing_config_file(self, tmp_path, capsys):

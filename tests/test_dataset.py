@@ -243,6 +243,15 @@ class TestLoadInventory:
             load_inventory(path)
         assert str(path) in str(err.value)
 
+    @pytest.mark.parametrize("ap_id", ["x", "y", "ref_point_id"])
+    def test_reserved_column_name_as_ap_id(self, tmp_path, ap_id):
+        # an AP named `y` would read the truth's y coordinate as its power,
+        # and one named `x` gives a fingerprint header its loader rejects
+        path = self._write(tmp_path, f"ap_id,x,y\nAP1,0,0\n{ap_id},1,0\n")
+        with pytest.raises(BadInventory, match=f"ap_id '{ap_id}' is a reserved") as err:
+            load_inventory(path)
+        assert str(path) in str(err.value)
+
     @pytest.mark.parametrize("cell", ["nan", "inf"])
     def test_non_finite_coordinate(self, tmp_path, cell):
         path = self._write(tmp_path, f"ap_id,x,y\na,0,0\nb,{cell},0\n")

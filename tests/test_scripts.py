@@ -18,6 +18,7 @@ import bench_pairs  # noqa: E402
 import quality_panel  # noqa: E402
 import run_desk_scale  # noqa: E402
 import run_full_scale  # noqa: E402
+import same_artifacts  # noqa: E402
 import src_size  # noqa: E402
 
 ARTIFACTS = (CHECKPOINT_NAME, "loss_log.txt", "calibration.json", "report.json", "report.txt",
@@ -105,6 +106,56 @@ def test_quality_panel_of_one_checkout_against_itself(tmp_path, capsys, monkeypa
     printed = capsys.readouterr().out
     assert "mae_l1           +0.0000 [+0.0000, +0.0000]  lower 0, higher 0" in printed
     assert "coverage_pooled  +0.0000 [+0.0000, +0.0000]  lower 0, higher 0" in printed
+
+
+def test_same_artifacts_verdicts(tmp_path, capsys, monkeypatch):
+    # outputs are listed in stage order; only a difference fails the check
+    parent = {"train out/checkpoint.bin": "a", "evaluate out/report.json": "b",
+              "sweep out/fig.csv": "c", "predict 1": "(1, 2, 0, 3)"}
+    change = {"train out/checkpoint.bin": "a", "evaluate out/report.json": "B",
+              "predict 1": "(1, 2, 0, 3)", "train out/new.csv": "d"}
+    assert same_artifacts.compare(parent, change) == [
+        ("train out/checkpoint.bin", "same"), ("train out/new.csv", "only in change"),
+        ("evaluate out/report.json", "differs"), ("sweep out/fig.csv", "only in parent"),
+        ("predict 1", "same")]
+    checkout = tmp_path / "checkout"
+    (checkout / "src" / "sacloc").mkdir(parents=True)
+    (checkout / "src" / "sacloc" / "__init__.py").touch()
+    monkeypatch.setattr(same_artifacts, "outputs",
+                        lambda path, config, seed, work: change if "change" in work.parts
+                        else parent)
+    assert same_artifacts.main(["--parent", str(checkout), "--change", str(checkout),
+                                "--seed", "1"]) == 1
+    printed = capsys.readouterr().out
+    assert "  differs         evaluate out/report.json\n" in printed
+    assert printed.endswith("1 outputs differ\n")
+
+
+def test_same_artifacts_of_one_checkout_against_itself(tmp_path, capsys, monkeypatch):
+    # every stage's files and every predict line, each the same on both
+    # sides; the runs write no bytecode into the checkout
+    checkout = tmp_path / "checkout"
+    shutil.copytree(ROOT / "src" / "sacloc", checkout / "src" / "sacloc",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    monkeypatch.setitem(quality_panel.CONFIGS, "tiny", TINY_CONFIG)
+    monkeypatch.setattr(quality_panel, "TEST_SAMPLES", 20)
+    assert same_artifacts.main(["--parent", str(checkout), "--change", str(checkout),
+                                "--config", "tiny", "--seed", "3"]) == 0
+    assert not list(checkout.rglob("__pycache__"))
+    header, seed, *rows, verdict = capsys.readouterr().out.splitlines()
+    assert (header, seed) == ("# same artifacts: config tiny, seeds 3", "seed 3")
+    assert verdict == "every output both checkouts write is identical"
+    assert all(row.startswith("  same ") for row in rows)
+    outputs = [row.split(None, 1)[1] for row in rows]
+    report = ("out/fig_error_map.csv", "out/report.json", "out/report.txt")
+    assert outputs == [
+        *(f"synth {n}.csv" for n in ("fingerprints", "inventory", "test")),
+        "train out/calibration_scans.csv", "train out/checkpoint.bin", "train out/loss_log.txt",
+        "calibrate out/calibration.json",
+        *(f"evaluate {name}" for name in report),
+        "sweep out/fig_alpha_coverage.csv", "sweep out/fig_alpha_radius.csv",
+        *(f"sweep {name}" for name in report),
+        *(f"predict {n}" for n in range(1, 6))]
 
 
 @pytest.fixture
